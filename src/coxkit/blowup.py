@@ -16,18 +16,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
 from .linalg import (
     IntMatrix,
     RatMatrix,
-    default_modular_primes,
-    int_rank,
     int_rank_mod,
     kernel_dimension,
+    modular_primes,
     primitive,
     smith_normal_form,
-    MODULAR_PRIME_BOUND,
 )
 from .polyhedra import Polytope, lattice_points, polytope_from_points
 
@@ -117,25 +117,42 @@ def vanishing_matrix(problem: InterpolationProblem) -> RatMatrix:
     return RatMatrix(rows, cols=len(pts))
 
 
-def _modular_primes_checked(primes):
-    if primes is None:
-        primes = default_modular_primes()
-    primes = list(primes)
-    if len(set(primes)) < 3:
-        raise PreconditionError("modular mode requires at least 3 distinct primes")
-    if any(p <= MODULAR_PRIME_BOUND for p in primes):
-        raise PreconditionError("modular primes must exceed 2^20")
-    return primes
+def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
+    """The vanishing matrix of these lattice points and derivative
+    functionals reduced mod p, as an int64 array; for a problem's own
+    points and functionals it is `vanishing_matrix(problem)` mod p.
+
+    Falling factorials mod p are tabulated per coordinate value by a
+    running product, (a)_i = (a)_{i-1} * (a - i + 1), and each entry is the
+    product of one table entry per coordinate.  Needs p < 2^31.5 so that
+    products of residues fit in int64.
+    """
+    pts = np.array(points, dtype=np.int64).reshape(-1, 2)
+    funcs = np.array(functionals, dtype=np.int64).reshape(-1, 2)
+    out = np.ones((len(funcs), len(pts)), dtype=np.int64)
+    for axis in (0, 1):
+        coords, orders = pts[:, axis], funcs[:, axis]
+        lo = int(coords.min(initial=0))
+        values = np.arange(lo, int(coords.max(initial=0)) + 1, dtype=np.int64)
+        table = np.ones((int(orders.max(initial=0)) + 1, values.size), dtype=np.int64)
+        for i in range(1, table.shape[0]):
+            table[i] = table[i - 1] * ((values - (i - 1)) % p) % p
+        out *= table[orders[:, None], coords[None, :] - lo]
+        out %= p
+    return out
 
 
 def h0(problem: InterpolationProblem, mode="modular", primes=None) -> int:
     """Dimension of the space of Laurent polynomials supported on the
     dilated polygon vanishing to the given order at (1, 1).
 
-    Equals the nullity of the vanishing matrix.  The modular mode reduces
-    the falling-factorial tables per prime and computes GF(p) ranks,
-    requiring all primes to agree; disagreement escalates to the exact
-    fraction-free rank.
+    Equals the nullity of the vanishing matrix.  The modular mode takes the
+    GF(p) rank (`int_rank_mod`, blocked elimination with exact float64
+    updates) of `vanishing_matrix_mod` for each prime of `modular_primes`,
+    at least 3 distinct primes in (2^20, 2^21).  A GF(p) rank is at most
+    the rank over Q, so each modular h0 is an upper bound; agreement of all
+    primes is taken as the answer, a heuristic, not a proof.  Disagreement
+    escalates to the exact fraction-free rank.
     """
     pts = problem.points()
     funcs = problem.functionals()
@@ -145,29 +162,10 @@ def h0(problem: InterpolationProblem, mode="modular", primes=None) -> int:
         return kernel_dimension(vanishing_matrix(problem), "exact")
     if mode != "modular":
         raise ValueError(f"unknown mode {mode!r}")
-    primes = _modular_primes_checked(primes)
-    xs = sorted({p[0] for p in pts})
-    ys = sorted({p[1] for p in pts})
-    maxi = max(i for i, _ in funcs)
-    maxj = max(j for _, j in funcs)
-    ranks = set()
-    for p in primes:
-        ffx = {
-            (a, i): falling_factorial(a, i) % p
-            for a in xs
-            for i in range(maxi + 1)
-        }
-        ffy = {
-            (b, j): falling_factorial(b, j) % p
-            for b in ys
-            for j in range(maxj + 1)
-        }
-        rows = [
-            [ffx[(a, i)] * ffy[(b, j)] % p for (a, b) in pts]
-            for (i, j) in funcs
-        ]
-        ranks.add(int_rank_mod(rows, p))
-        del rows
+    ranks = {
+        int_rank_mod(vanishing_matrix_mod(pts, funcs, p), p)
+        for p in modular_primes(primes)
+    }
     if len(ranks) == 1:
         return len(pts) - ranks.pop()
     return kernel_dimension(vanishing_matrix(problem), "exact")
@@ -304,6 +302,22 @@ def _translated_points(polygon_vertices, m, translation):
     return [(a + tx, b + ty) for a, b in pts]
 
 
+def _singles_out(functional, pts, vertex) -> bool:
+    """Whether the vertex is one of pts and the functional's entry
+    (a)_i * (b)_j vanishes at every other point but not at the vertex.
+    Decided without bignums: (a)_i vanishes exactly when 0 <= a < i."""
+    i, j = functional
+
+    def vanishes(a, b):
+        return 0 <= a < i or 0 <= b < j
+
+    return (
+        vertex in pts
+        and not vanishes(*vertex)
+        and all(vanishes(*p) for p in pts if p != vertex)
+    )
+
+
 def _verify_forced_vertex(payload) -> bool:
     i, j = payload["functional"]
     k = payload["order"]
@@ -313,16 +327,9 @@ def _verify_forced_vertex(payload) -> bool:
         payload["polygon"], payload["dilation"], payload["translation"]
     )
     vertex = tuple(payload["vertex"])
-    if vertex not in pts:
-        return False
-    for p in pts:
-        val = vanishing_entry((i, j), p)
-        if p == vertex:
-            if val == 0 or val != payload["vertex_value"]:
-                return False
-        elif val != 0:
-            return False
-    return True
+    return _singles_out((i, j), pts, vertex) and (
+        vanishing_entry((i, j), vertex) == payload["vertex_value"]
+    )
 
 
 def _verify_negative_curve(payload) -> bool:
@@ -358,7 +365,9 @@ def forced_vertex_coefficient(
     it is nonzero.  Such a functional shows that every section vanishing
     to the given order at (1,1) has zero coefficient at that vertex, so
     the corresponding divisor class has a base point.  Returns None when
-    the functional fails to single out the vertex.
+    the functional fails to single out the vertex.  Annihilation is
+    decided by integer comparisons (see `_singles_out`); only the vertex
+    value is computed as a product of falling factorials.
     """
     if isinstance(polygon, Polytope):
         polygon_vertices = tuple(
@@ -373,17 +382,9 @@ def forced_vertex_coefficient(
         )
     pts = _translated_points(polygon_vertices, dilation, translation)
     vertex = tuple(int(x) for x in vertex)
-    if vertex not in pts:
+    if not _singles_out((i, j), pts, vertex):
         return None
-    vertex_value = None
-    for p in pts:
-        val = vanishing_entry((i, j), p)
-        if p == vertex:
-            if val == 0:
-                return None
-            vertex_value = val
-        elif val != 0:
-            return None
+    vertex_value = vanishing_entry((i, j), vertex)
     payload = {
         "polygon": polygon_vertices,
         "dilation": dilation,
@@ -400,9 +401,7 @@ def forced_vertex_coefficient(
         f"every section vanishing to order {order} at (1,1) has zero "
         f"coefficient at {vertex}",
     )
-    cert = Certificate("forced_vertex", payload, transcript)
-    assert cert.verify()
-    return cert
+    return Certificate("forced_vertex", payload, transcript)
 
 
 def blowup_certificate(weights, polygon, curve, k, m_max=5):
@@ -509,9 +508,7 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
         "a nef divisor that is not semiample rules out finite generation "
         "of the total coordinate ring",
     )
-    cert = Certificate("nef_not_semiample", payload, transcript)
-    assert cert.verify()
-    return cert
+    return Certificate("nef_not_semiample", payload, transcript)
 
 
 # ------------------------------------------------------------------ mukai

@@ -8,8 +8,9 @@ output are serialized as decimal strings so consumers never overflow;
 structured result against a golden file and exits 3 on mismatch.
 
 Exit codes: 0 success, 1 bad input, 2 violated precondition, 3 golden
-mismatch.  The environment variable COXKIT_PRIMES (comma-separated)
-overrides the modular prime list, for testing only.
+mismatch.  The environment variable COXKIT_PRIMES (comma-separated, at
+least 3 distinct primes in (2^20, 2^21)) overrides the modular prime list,
+for testing only.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ def parse_vector(text):
         raise InputError(f"bad vector {text!r}") from exc
 
 
+def parse_matrix(text):
+    """Integer matrix from rows separated by ';', entries by ','."""
+    try:
+        return IntMatrix([parse_vector(row) for row in text.split(";")])
+    except ValueError as exc:
+        raise InputError(f"bad matrix {text!r}: {exc}") from exc
+
+
 def load_document(path):
     try:
         with open(path) as fh:
@@ -157,7 +166,10 @@ def load_cone(path) -> ph.Cone:
 def load_laurent(doc_terms) -> bw.LaurentPoly:
     terms = []
     for item in doc_terms:
-        a, b, c = item
+        try:
+            a, b, c = item
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"curve term {item!r} is not [a, b, coefficient]") from exc
         terms.append(((parse_int(a), parse_int(b)), parse_number(c)))
     return bw.LaurentPoly.from_terms(terms)
 
@@ -166,7 +178,10 @@ def modular_primes_from_env():
     raw = os.environ.get("COXKIT_PRIMES")
     if not raw:
         return None
-    return [int(x) for x in raw.split(",")]
+    try:
+        return [int(x) for x in raw.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad COXKIT_PRIMES {raw!r}") from exc
 
 
 # ----------------------------------------------------------------- results
@@ -338,20 +353,9 @@ def cmd_section_ring(args):
 
 
 def cmd_veronese(args):
-    rows = [
-        tuple(int(x) for x in row.split(","))
-        for row in args.degree_matrix.split(";")
-    ]
-    q = IntMatrix(rows)
+    q = parse_matrix(args.degree_matrix)
     cone = load_cone(args.target_cone)
-    sub = None
-    if args.sublattice:
-        sub = IntMatrix(
-            [
-                tuple(int(x) for x in row.split(","))
-                for row in args.sublattice.split(";")
-            ]
-        )
+    sub = parse_matrix(args.sublattice) if args.sublattice else None
     gens = dv.veronese_generators(q, cone, sublattice=sub)
     return (
         {"generators": [list(g) for g in gens]},
@@ -378,6 +382,12 @@ def cmd_intersect_nef(args):
 
 def cmd_blowup_analyze(args):
     weights = parse_vector(args.weights) if args.weights else None
+    mode = "exact" if args.exact else "modular"
+    primes = (
+        modular_primes_from_env()
+        if args.h0_order is not None and mode == "modular"
+        else None
+    )
     if args.polygon:
         poly = load_polytope(args.polygon)
         doc = load_document(args.polygon)
@@ -403,10 +413,9 @@ def cmd_blowup_analyze(args):
     }
     if args.h0_order is not None:
         prob = bw.InterpolationProblem(poly, 1, args.h0_order)
-        mode = "exact" if args.exact else "modular"
         result["h0"] = {
             "order": args.h0_order,
-            "dimension": bw.h0(prob, mode, primes=modular_primes_from_env() if mode == "modular" else None),
+            "dimension": bw.h0(prob, mode, primes=primes),
             "mode": mode,
         }
     summary = (
@@ -480,8 +489,7 @@ def cmd_plot(args):
     else:
         poly = load_polytope(args.polygon)
         highlight = [
-            [tuple(int(x) for x in p.split(",")) for p in spec.split(";")]
-            for spec in args.points
+            [parse_vector(p) for p in spec.split(";")] for spec in args.points
         ]
         svg = svg_polygon(poly, highlight_sets=highlight)
         result = {

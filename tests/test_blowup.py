@@ -32,6 +32,7 @@ from coxkit.blowup import (
     order_at_e,
     vanishing_entry,
     vanishing_matrix,
+    vanishing_matrix_mod,
 )
 from coxkit.linalg import IntMatrix, rational_kernel_basis
 from coxkit.polyhedra import convex_hull_2d, lattice_points, polytope_from_points
@@ -86,6 +87,20 @@ def test_vanishing_matrix_row_structure():
         for jcol, (a, b) in enumerate(pts):
             if 0 <= a <= i - 1:
                 assert m[ri, jcol] == 0
+
+
+def test_vanishing_matrix_mod_is_exact_matrix_reduced():
+    """The vectorized residue matrix that h0 ranks equals the exact
+    vanishing matrix reduced mod p, on the seven-vertex LM10 polygon."""
+    for dilation in (1, 2):
+        prob = InterpolationProblem(DELTA_PRIME, dilation, 7)
+        exact = vanishing_matrix(prob)
+        for p in (1048583, 2097143):
+            got = vanishing_matrix_mod(prob.points(), prob.functionals(), p)
+            assert got.shape == (exact.rows, exact.cols)
+            assert got.tolist() == [
+                [int(x) % p for x in exact.row(i)] for i in range(exact.rows)
+            ]
 
 
 # ------------------------------------------------------------------- h0
@@ -233,6 +248,33 @@ def test_forced_vertex_multiples():
 def test_forced_vertex_refusal():
     tri = [(0, 0), (1, 0), (0, 1)]
     assert forced_vertex_coefficient(tri, 1, 1, (0, 0), (0, 0)) is None
+
+
+def test_forced_vertex_matches_bignum_oracle():
+    """Acceptance equals the definition evaluated with bignum falling
+    factorials: the entry vanishes at every other lattice point of the
+    translated polygon and not at the named point."""
+    rng = random.Random(52)
+    tri = [(0, 0), (3, 0), (0, 2)]
+    outcomes = set()
+    for _ in range(150):
+        m = rng.randint(1, 2)
+        tx, ty = rng.randint(-3, 2), rng.randint(-3, 2)
+        base = lattice_points(polytope_from_points(tri), m)
+        pts = [(a + tx, b + ty) for a, b in base]
+        vertex = rng.choice(pts)
+        i, j = rng.randint(0, 7), rng.randint(0, 5)
+
+        def entry(p):
+            return falling(p[0], i) * falling(p[1], j)
+
+        want = entry(vertex) != 0 and all(entry(p) == 0 for p in pts if p != vertex)
+        cert = forced_vertex_coefficient(tri, m, i + j + 1, vertex, (i, j), (tx, ty))
+        assert (cert is not None) == want
+        if cert is not None:
+            assert cert.verify() and cert.payload["vertex_value"] == entry(vertex)
+        outcomes.add((want, entry(vertex) == 0))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def test_forced_vertex_order_too_high():

@@ -354,3 +354,39 @@ def test_coxkit_primes_env(monkeypatch):
     )
     assert code == 0
     assert report["result"]["h0"] == {"order": 1, "dimension": 1347, "mode": "modular"}
+
+
+BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "1",
+             "--h0-order", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, primes, code",
+    [
+        (["veronese", "--degree-matrix", "1,x", "--target-cone",
+          data("cone_positive_ray.json")], None, 1),
+        (["veronese", "--degree-matrix", "1,1;2", "--target-cone",
+          data("cone_positive_ray.json")], None, 1),
+        (["plot", "--polygon", data("polytope_square.json"), "--points", "1,a"],
+         None, 1),
+        (["blowup-analyze", "--polygon", "TWO_FIELD_CURVE", "--k", "1"], None, 1),
+        (BLOWUP_H0, "1048583,abc,1048601", 1),
+        (BLOWUP_H0, "1048583,1048581,1048601", 2),  # 1048581 = 3 * 349527
+    ],
+    ids=["veronese-entry", "veronese-ragged", "plot-points", "curve-terms",
+         "primes-not-integers", "primes-composite"],
+)
+def test_malformed_input_reports_error(
+    argv, primes, code, tmp_path, monkeypatch, capsys
+):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({
+        "vertices": [[0, 0], [1, 0], [0, 1]],
+        "curve_terms": [[0, 0, "1"], [1, 0]],
+        "curve_order": 1,
+    }))
+    if primes is not None:
+        monkeypatch.setenv("COXKIT_PRIMES", primes)
+    argv = [str(curve) if arg == "TWO_FIELD_CURVE" else arg for arg in argv]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
+from coxkit.errors import PreconditionError
 from coxkit.linalg import (
+    MODULAR_PRIME_LIMIT,
+    PANEL_WIDTH,
     IntMatrix,
     PrimeDivideDenominator,
     RatMatrix,
@@ -14,8 +19,11 @@ from coxkit.linalg import (
     hermite_normal_form,
     in_row_lattice,
     int_inverse_unimodular,
+    int_rank,
+    int_rank_mod,
     integer_kernel_saturated,
     kernel_dimension,
+    modular_primes,
     primitive,
     rational_kernel_basis,
     rational_solve,
@@ -60,6 +68,34 @@ def invariant_factors_oracle(rows, ncols):
         out.append(g // prev_gcd)
         prev_gcd = g
     return out
+
+
+def int_rank_mod_oracle(rows, p):
+    """Rank over GF(p) by unblocked elimination, one pivot column at a
+    time, every row update reduced in int64; oracle-side only."""
+    M = np.array(rows, dtype=object).reshape(len(rows), -1) % p
+    M = M.astype(np.int64)
+    nr, nc = M.shape
+    rank = 0
+    r = 0
+    for c in range(nc):
+        nz = np.nonzero(M[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        inv = pow(int(M[r, c]), p - 2, p)
+        M[r, c:] = (M[r, c:] * inv) % p
+        colv = M[r + 1 :, c]
+        hit = np.nonzero(colv)[0]
+        if len(hit):
+            M[r + 1 + hit, c:] = (M[r + 1 + hit, c:] - colv[hit, None] * M[r, c:]) % p
+        rank += 1
+        r += 1
+        if r == nr:
+            break
+    return rank
 
 
 def is_unimodular(M):
@@ -304,6 +340,48 @@ def test_modular_prime_validation():
     assert kernel_dimension(mat, "modular", primes=ps) == 1
 
 
+def test_modular_primes_rejects_composites():
+    """A composite modulus has no inverses; it used to be accepted and gave
+    nullity 1 here where the rational nullity is 2."""
+    mat = RatMatrix(
+        [
+            [0, 0, 14, 2, -6],
+            [-9, 20, -27, 16, -17],
+            [-8, -15, 24, -22, 28],
+            [7, 15, -33, 20, -23],
+        ]
+    )
+    assert kernel_dimension(mat, "exact") == 2
+    assert kernel_dimension(mat, "modular") == 2
+    with pytest.raises(PreconditionError):
+        kernel_dimension(mat, "modular", primes=[1048577, 1048581, 1048587])
+    with pytest.raises(PreconditionError):
+        kernel_dimension(mat, "modular", primes=[1048583, 1048589, 1048581])
+
+
+def test_modular_primes_rejects_primes_outside_window():
+    """Primes above 2^31.5 used to overflow the int64 elimination silently
+    (nullity 0 here, rational nullity 3); the window is (2^20, 2^21)."""
+    rng = random.Random(31)
+    left = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(6)]
+    right = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)]
+    mat = RatMatrix(product(left, right, 6))
+    assert kernel_dimension(mat, "exact") == 3
+    for primes in (
+        [1099511627791, 1099511627803, 1099511627831],  # just above 2^40
+        [1048583, 1048589, 2097169],  # 2097169 > 2^21 is prime
+        [1048573, 1048583, 1048589],  # 1048573 < 2^20 is prime
+        [1048583, 1048589, 1048583],  # two distinct primes only
+    ):
+        with pytest.raises(PreconditionError):
+            kernel_dimension(mat, "modular", primes=primes)
+    assert modular_primes([1048583, 1048589, 1048583, 2097143]) == [
+        1048583,
+        1048589,
+        2097143,
+    ]
+
+
 def test_default_primes_deterministic():
     assert default_modular_primes() == [1048583, 1048589, 1048601]
 
@@ -330,3 +408,120 @@ def test_primitive():
     assert primitive((4, -6, 2)) == (2, -3, 1)
     assert primitive((0, 0)) == (0, 0)
     assert primitive((0, -5)) == (0, -1)
+
+
+# ------------------------------------------------------ blocked GF(p) rank
+
+WIDTHS = (1, PANEL_WIDTH - 1, PANEL_WIDTH, PANEL_WIDTH + 1, 2 * PANEL_WIDTH + 3)
+LARGEST_PRIME = 2097143  # the largest prime below 2^21
+
+
+def product(left, right, n):
+    """left (m x r) times right (r x n); r may be 0."""
+    return [
+        [sum(a * b[j] for a, b in zip(row, right)) for j in range(n)] for row in left
+    ]
+
+
+def random_rows(rng, m, n, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def with_zero_lines(rng, rows, n):
+    """Insert a few zero rows and zero columns at random positions."""
+    rows = [list(row) for row in rows]
+    for _ in range(rng.randint(0, 3)):
+        col = rng.randint(0, n)
+        rows = [row[:col] + [0] + row[col:] for row in rows]
+        n += 1
+    for _ in range(rng.randint(0, 3)):
+        rows.insert(rng.randint(0, len(rows)), [0] * n)
+    return rows
+
+
+def known_rank(rng, m, n, r):
+    """An m x n integer matrix of rank exactly r over Q and every GF(p):
+    [[I, X], [Y, Y X]] with rows and columns shuffled."""
+    x = random_rows(rng, r, n - r)
+    y = random_rows(rng, m - r, r)
+    top = [[int(i == j) for j in range(r)] + x[i] for i in range(r)]
+    rows = top + product(y, top, n)
+    rng.shuffle(rows)
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in rows]
+
+
+def test_panel_width_keeps_float64_updates_exact():
+    assert PANEL_WIDTH * (MODULAR_PRIME_LIMIT - 1) ** 2 + MODULAR_PRIME_LIMIT < 2**53
+    assert modular_primes([LARGEST_PRIME, 1048583, 1048589])[0] == LARGEST_PRIME
+
+
+def test_int_rank_mod_low_rank_products():
+    """Blocked kernel against the unblocked oracle and exact Bareiss, on
+    seeded low-rank products with zero rows and columns, at widths around
+    the panel width."""
+    rng = random.Random(20261018)
+    primes = default_modular_primes() + [LARGEST_PRIME]
+    for n in WIDTHS:
+        for trial in range(3):
+            m = rng.choice((1, max(1, n // 2), n, n + 5))
+            r = rng.randint(0, min(m, n, 8))
+            rows = product(random_rows(rng, m, r), random_rows(rng, r, n), n)
+            rows = with_zero_lines(rng, rows, n)
+            exact = int_rank(rows)
+            assert exact <= r
+            for p in primes:
+                assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p) == exact
+            assert int_rank_mod(np.array(rows, dtype=np.int64), primes[0]) == exact
+
+
+def test_int_rank_mod_ranks_above_the_panel_width():
+    rng = random.Random(7)
+    for n in WIDTHS:
+        half = max(1, n // 2)
+        for m, r in ((n + 4, n), (n + 4, max(0, n - 3)), (half, half - 1)):
+            rows = with_zero_lines(rng, known_rank(rng, m, n, r), n)
+            for p in (1048583, LARGEST_PRIME):
+                assert int_rank_mod(rows, p) == r
+                assert int_rank_mod_oracle(rows, p) == r
+
+
+def test_int_rank_mod_pivot_free_panel():
+    """The second panel holds combinations of the first panel's columns,
+    so it has no pivot; the three columns after it do."""
+    rng = random.Random(11)
+    b = PANEL_WIDTH
+    base = known_rank(rng, b + 10, b + 3, b + 3)
+    first = [row[:b] for row in base]
+    mix = random_rows(rng, b, b)
+    rows = [
+        f + c + row[b:] for f, c, row in zip(first, product(first, mix, b), base)
+    ]
+    assert len(rows[0]) == 2 * b + 3
+    for p in (1048583, LARGEST_PRIME):
+        assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p) == b + 3
+
+
+def test_int_rank_mod_largest_residues():
+    """All-(p-1) entries at the largest admissible prime, and a block
+    matrix whose trailing update sums PANEL_WIDTH products (p-1)^2."""
+    p, b = LARGEST_PRIME, PANEL_WIDTH
+    n = 2 * b + 3
+    assert int_rank_mod([[p - 1] * n for _ in range(n)], p) == 1
+    assert int_rank_mod(np.full((n, n), -1), p) == 1
+    extra = 5
+    rows = [[int(i == j) for j in range(b)] + [p - 1] * extra for i in range(b)]
+    rows += [
+        [p - 1] * b + [b + int(i == j) for j in range(extra)] for i in range(extra)
+    ]
+    assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p) == b + extra
+
+
+def test_int_rank_mod_degenerate_shapes():
+    p = 1048583
+    assert int_rank_mod([], p) == 0
+    assert int_rank_mod([[], []], p) == 0
+    assert int_rank_mod([[0] * 7 for _ in range(4)], p) == 0
+    assert int_rank_mod([[p, 2 * p], [3 * p, -p]], p) == 0
+    assert int_rank_mod([[5]], p) == 1
