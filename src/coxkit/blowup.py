@@ -132,6 +132,7 @@ def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
     out = np.ones((len(funcs), len(pts)), dtype=np.int64)
     for axis in (0, 1):
         coords, orders = pts[:, axis], funcs[:, axis]
+        # the value range spans 0, which keeps empty point lists valid
         lo = int(coords.min(initial=0))
         values = np.arange(lo, int(coords.max(initial=0)) + 1, dtype=np.int64)
         table = np.ones((int(orders.max(initial=0)) + 1, values.size), dtype=np.int64)
