@@ -482,8 +482,9 @@ def cmd_plot(args):
         raise InputError("plot needs exactly one of --chambers or --polygon")
     if args.chambers:
         spec = load_grading(args.chambers)
-        svg = svg_chambers(spec)
-        count = len(ch.enumerate_chambers(spec))
+        chambers = ch.enumerate_chambers(spec)
+        svg = svg_chambers(spec, chambers)
+        count = len(chambers)
         result = {"kind": "chambers", "chamber_count": count}
         summary = f"chamber plot with {count} chambers"
     else:

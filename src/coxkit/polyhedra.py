@@ -1,7 +1,11 @@
 """Exact rational polyhedral cones and lattice polytopes.
 
 Cones carry both a generator and a facet (inward normal) representation,
-kept consistent by exact double-description conversion.  Polytopes are
+kept consistent by exact double-description conversion: an incremental
+double description over Z (Motzkin et al. 1953) that decides adjacency of
+rays combinatorially from their zero sets (Fukuda and Prodon 1996).  A
+Smith normal form runs only when the cone has lineality, to lift the rays
+of the pointed quotient to canonical representatives.  Polytopes are
 vertex lists with exact rational coordinates; facet representations are
 derived through the cone over the polytope.  Hilbert bases are computed
 by triangulating a pointed cone and enumerating fundamental
@@ -18,13 +22,11 @@ from .errors import PreconditionError
 from .linalg import (
     IntMatrix,
     dot,
-    hermite_normal_form,
     int_inverse_unimodular,
     integer_kernel_saturated,
     primitive,
     rational_solve,
     smith_normal_form,
-    vec_gcd,
 )
 
 
@@ -52,13 +54,81 @@ HILBERT_DET_CAP = 10**6
 LATTICE_DIM_CAP = 4
 
 
+def _clear_denominators(v):
+    """Integer vector: v times the (positive) lcm of its denominators."""
+    if all(isinstance(x, int) for x in v):
+        return v
+    v = [Fraction(x) for x in v]
+    lcm = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (lcm // x.denominator) for x in v]
+
+
 def _scale_primitive(v):
     """Primitive integer vector on the ray through a rational vector v."""
-    v = [Fraction(x) for x in v]
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return primitive([int(x * lcm) for x in v])
+    return primitive(_clear_denominators(v))
+
+
+def _double_description(normals, dim):
+    """Incremental double description of {x : <n, x> >= 0 for all n}.
+
+    Starts from the whole space (no rays, lineality basis e_1..e_dim) and
+    adds one normal at a time.  A normal that is nonzero on a lineality
+    vector l, oriented so that <n, l> > 0, shrinks the lineality: the
+    other lineality vectors and every ray are projected onto n = 0 along
+    l, and l becomes a ray.  Otherwise the normal cuts: rays with
+    <n, r> < 0 are dropped, and each adjacent pair (p, m) with
+    <n, p> > 0 > <n, m> gives the new ray <n, p> m - <n, m> p.  Two rays
+    are adjacent when no third ray's zero set (the indices of the normals
+    vanishing on it) contains their common zero set; this combinatorial
+    test is exact because the rays are the extreme rays of the pointed
+    cone modulo the lineality (Fukuda and Prodon, 1996).  Integers only.
+
+    Returns (rays, lineality): primitive extreme rays modulo the lineality
+    space and a basis of that space.  With no lineality left the rays are
+    the cone's extreme rays.
+    """
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []  # (primitive vector, frozenset of indices of normals zero on it)
+    for k, n in enumerate(normals):
+        vals = [sum(a * b for a, b in zip(n, l)) for l in lineality]
+        pivot = next((i for i, v in enumerate(vals) if v), None)
+        if pivot is not None:
+            l, a = lineality.pop(pivot), vals.pop(pivot)
+            if a < 0:
+                l, a = tuple(-x for x in l), -a
+            lineality = [
+                primitive([a * x - b * y for x, y in zip(w, l)]) if b else w
+                for w, b in zip(lineality, vals)
+            ]
+            projected = []
+            for r, z in rays:
+                b = sum(x * y for x, y in zip(n, r))
+                if b:
+                    r = primitive([a * x - b * y for x, y in zip(r, l)])
+                projected.append((r, z | {k}))
+            projected.append((l, frozenset(range(k))))
+            rays = projected
+            continue
+        kept, pos, neg = [], [], []
+        for r, z in rays:
+            b = sum(x * y for x, y in zip(n, r))
+            if b > 0:
+                kept.append((r, z))
+                pos.append((r, z, b))
+            elif b < 0:
+                neg.append((r, z, b))
+            else:
+                kept.append((r, z | {k}))
+        zero_sets = [z for _, z in rays]
+        for p, zp, bp in pos:
+            for m, zm, bm in neg:
+                common = zp & zm
+                if sum(1 for z in zero_sets if common <= z) > 2:
+                    continue  # a third ray lies on the smallest common face
+                r = primitive([bp * x - bm * y for x, y in zip(m, p)])
+                kept.append((r, common | {k}))
+        rays = kept
+    return [r for r, _ in rays], lineality
 
 
 def _extreme_rays_of_halfspaces(normals, dim):
@@ -68,57 +138,33 @@ def _extreme_rays_of_halfspaces(normals, dim):
     the extreme rays of the pointed quotient by the lineality space,
     lifted back to Z^dim; together with +/- the lineality rows they
     generate the cone.
+
+    One incremental double description with the combinatorial adjacency
+    test finds the rays.  When no lineality remains they are the answer
+    and no normal form is computed.  Otherwise the lineality rows are the
+    saturated integer kernel of the normals, a Smith normal form gives a
+    unimodular map onto Z^s x 0, and the double description of the
+    pointed quotient in Z^(dim - s) gives the rays, which are lifted back.
     """
     normals = [tuple(int(x) for x in n) for n in normals]
     normals = sorted(set(n for n in normals if any(n)))
-    A = IntMatrix(normals, cols=dim)
-    lin = integer_kernel_saturated(A)
+    rays, lineality = _double_description(normals, dim)
+    if not lineality:
+        return sorted(rays), []
+    lin = integer_kernel_saturated(IntMatrix(normals, cols=dim))
     s = lin.rows
-    q = dim - s
-    if q == 0:
+    if s == dim:
         return [], lin.row_list()
-
-    if s == 0:
-        trans = None
-        qnormals = normals
-    else:
-        # unimodular T mapping the lineality lattice onto Z^s x 0
-        snf = smith_normal_form(lin.transpose())
-        T = snf.U
-        T_inv = int_inverse_unimodular(T)
-        tit = T_inv.transpose()
-        qnormals = []
-        for n in normals:
-            g = tit.apply(n)
-            assert all(x == 0 for x in g[:s])
-            qnormals.append(g[s:])
-        trans = T_inv
-
-    qnormals_u = sorted(set(qnormals))
-    rays_q = set()
-    if q == 1:
-        signs = {1 if n[0] > 0 else -1 for n in qnormals_u}
-        if len(signs) == 1:
-            rays_q.add((signs.pop(),))
-    else:
-        B = IntMatrix(qnormals_u, cols=q)
-        for subset in itertools.combinations(range(B.rows), q - 1):
-            sub = IntMatrix([B.row(i) for i in subset], cols=q)
-            ker = integer_kernel_saturated(sub)
-            if ker.rows != 1:
-                continue
-            v = ker.row(0)
-            for cand in (v, tuple(-x for x in v)):
-                if all(dot(n, cand) >= 0 for n in qnormals_u):
-                    rays_q.add(cand)
-    rays = []
-    for v in sorted(rays_q):
-        if trans is None:
-            rays.append(v)
-        else:
-            z = (0,) * s + v
-            rays.append(trans.apply(z))
-    return sorted(rays), lin.row_list()
+    # unimodular T mapping the lineality lattice onto Z^s x 0
+    T_inv = int_inverse_unimodular(smith_normal_form(lin.transpose()).U)
+    tit = T_inv.transpose()
+    qnormals = set()
+    for n in normals:
+        g = tit.apply(n)
+        assert all(x == 0 for x in g[:s])
+        qnormals.add(tuple(g[s:]))
+    rays_q, _ = _double_description(sorted(qnormals), dim - s)
+    return sorted(T_inv.apply((0,) * s + v) for v in rays_q), lin.row_list()
 
 
 def _with_lineality(rays, lin_rows):
@@ -165,7 +211,8 @@ class Cone:
         """'inside' (ambient interior), 'boundary', or 'outside'."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("point dimension mismatch")
-        vals = [sum(Fraction(f[i]) * Fraction(v[i]) for i in range(len(v))) for f in self.facets]
+        w = _clear_denominators(v)  # a positive multiple: the same signs
+        vals = [dot(f, w) for f in self.facets]
         if any(x < 0 for x in vals):
             return "outside"
         if all(x > 0 for x in vals):
@@ -250,14 +297,6 @@ def dd_convert(generators=None, facets=None, ambient_dim=None):
             return Cone(ambient_dim, (), facet_list, 0)
         frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
         return Cone(ambient_dim, gens, _with_lineality(frays, flin), len(glin))
-
-
-def cone_from_generators(generators, ambient_dim):
-    return dd_convert(generators=generators, ambient_dim=ambient_dim)
-
-
-def cone_from_facets(facets, ambient_dim):
-    return dd_convert(facets=facets, ambient_dim=ambient_dim)
 
 
 def zero_cone(ambient_dim):

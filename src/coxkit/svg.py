@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chambers import GradingSpec, RankTooLarge, effective_cone, enumerate_chambers
+from .chambers import GradingSpec, RankTooLarge
 from .polyhedra import Polytope, lattice_points
 
 CANVAS = 800
@@ -43,16 +43,15 @@ def _linf(v):
     return max(abs(Fraction(x)) for x in v)
 
 
-def svg_chambers(spec: GradingSpec) -> str:
+def svg_chambers(spec: GradingSpec, chambers) -> str:
     """Chamber decomposition of the effective cone of a rank-2 grading.
 
+    `chambers` is the list returned by `enumerate_chambers(spec)`.
     Chambers are shaded wedges, degree vectors are dots, chamber walls are
     rays from the origin.
     """
     if spec.free_rank != 2:
         raise RankTooLarge("chamber plots need free rank exactly 2")
-    eff = effective_cone(spec)
-    chambers = enumerate_chambers(spec)
     center = Fraction(CANVAS, 2)
     radius = Fraction(CANVAS, 2) - MARGIN
 

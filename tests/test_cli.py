@@ -300,6 +300,26 @@ def test_plot_chambers_golden():
     assert report["svg"].startswith("<svg")
 
 
+def test_plot_chambers_enumerates_once(monkeypatch):
+    from coxkit import chambers, svg
+
+    calls = []
+    real = chambers.enumerate_chambers
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    # also replace any copy of the name bound in the renderer
+    monkeypatch.setattr(chambers, "enumerate_chambers", counted)
+    monkeypatch.setattr(svg, "enumerate_chambers", counted, raising=False)
+    code, report = run(["plot", "--chambers", data("grading_f1.json")])
+    assert code == 0
+    assert len(calls) == 1
+    assert report["result"]["chamber_count"] == len(real(calls[0]))
+    assert report["svg"] == (GOLDENS / "chambers_f1.svg").read_text()
+
+
 def test_plot_polygon_highlight_golden():
     code, report = run(
         [

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from coxkit.linalg import dot, primitive
+from coxkit import linalg, polyhedra
+from coxkit.linalg import (
+    IntMatrix,
+    dot,
+    int_inverse_unimodular,
+    integer_kernel_saturated,
+    primitive,
+    smith_normal_form,
+)
 from coxkit.polyhedra import (
     Cone,
     DimensionMismatch,
@@ -108,6 +116,88 @@ def decomposes(point, basis, facets):
     return False
 
 
+def brute_force_extreme_rays(normals, dim):
+    """Extreme rays of {x : <n, x> >= 0} by trying every subset of normals.
+
+    Same contract as `polyhedra._extreme_rays_of_halfspaces`, exponential
+    in the number of normals: the lineality is the saturated kernel of the
+    normals, a Smith normal form maps it onto Z^s x 0, and in the pointed
+    quotient Z^q each (q-1)-subset of normals with a rank-one kernel gives
+    the candidates +/- its kernel vector.
+    """
+    normals = sorted(set(tuple(int(x) for x in n) for n in normals if any(n)))
+    lin = integer_kernel_saturated(IntMatrix(normals, cols=dim))
+    s = lin.rows
+    q = dim - s
+    if q == 0:
+        return [], lin.row_list()
+    trans = None
+    qnormals = normals
+    if s:
+        trans = int_inverse_unimodular(smith_normal_form(lin.transpose()).U)
+        tit = trans.transpose()
+        qnormals = [tit.apply(n)[s:] for n in normals]
+    qnormals = sorted(set(qnormals))
+    rays_q = set()
+    if q == 1:
+        signs = {1 if n[0] > 0 else -1 for n in qnormals}
+        if len(signs) == 1:
+            rays_q.add((signs.pop(),))
+    else:
+        for subset in itertools.combinations(qnormals, q - 1):
+            ker = integer_kernel_saturated(IntMatrix(list(subset), cols=q))
+            if ker.rows != 1:
+                continue
+            v = ker.row(0)
+            for cand in (v, tuple(-x for x in v)):
+                if all(dot(n, cand) >= 0 for n in qnormals):
+                    rays_q.add(cand)
+    if trans is None:
+        return sorted(rays_q), lin.row_list()
+    return sorted(trans.apply((0,) * s + v) for v in rays_q), lin.row_list()
+
+
+def oracle_dd_convert(monkeypatch, **kwargs):
+    """dd_convert with the brute-force ray search in place of the DD."""
+    with monkeypatch.context() as m:
+        m.setattr(polyhedra, "_extreme_rays_of_halfspaces", brute_force_extreme_rays)
+        return dd_convert(**kwargs)
+
+
+def cone_fields(c):
+    return c.generators, c.facets, c.lineality_dim
+
+
+def random_vector_family(rng, dim):
+    """Nonzero integer vectors of one of several shapes (see the cases)."""
+
+    def vec(bound=3):
+        return [rng.randint(-bound, bound) for _ in range(dim)]
+
+    shape = rng.choice(["generic", "low-rank", "duplicates", "pairs", "zero-cone"])
+    if shape == "generic":
+        vs = [vec() for _ in range(rng.randint(1, 7))]
+    elif shape == "low-rank":  # spans a proper subspace
+        base = [vec() for _ in range(rng.randint(1, max(1, dim - 1)))]
+        vs = [
+            [sum(rng.randint(-2, 2) * b[i] for b in base) for i in range(dim)]
+            for _ in range(rng.randint(1, 6))
+        ]
+    elif shape == "duplicates":  # repeated and positively scaled vectors
+        vs = [vec() for _ in range(rng.randint(1, 4))]
+        vs += [[rng.randint(1, 3) * x for x in rng.choice(vs)] for _ in range(3)]
+    elif shape == "pairs":  # +/- pairs: lines among generators, equations among facets
+        vs = [vec() for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.randint(1, 2)):
+            v = vec()
+            vs += [v, [-x for x in v]]
+    else:  # a basis and minus its sum: as facets, the zero cone
+        vs = [vec() for _ in range(dim)]
+        vs.append([-sum(v[i] for v in vs) for i in range(dim)])
+    vs = [tuple(v) for v in vs if any(v)]
+    return vs or [(1,) + (0,) * (dim - 1)]
+
+
 def random_cone(rng, dim):
     k = rng.randint(1, dim + 2)
     gens = []
@@ -142,6 +232,92 @@ def test_dd_empty_facets_whole_plane():
 def test_dd_empty_generators_rejected():
     with pytest.raises(EmptyInput):
         dd_convert(generators=[], ambient_dim=2)
+
+
+def test_dd_matches_brute_force_oracle(monkeypatch):
+    rng = random.Random(4171)
+    seen = set()
+    for trial in range(400):
+        dim = rng.randint(1, 4)
+        vs = random_vector_family(rng, dim)
+        for key in ("generators", "facets"):
+            got = dd_convert(**{key: vs}, ambient_dim=dim)
+            want = oracle_dd_convert(monkeypatch, **{key: vs}, ambient_dim=dim)
+            assert cone_fields(got) == cone_fields(want), (key, dim, vs)
+            if got.lineality_dim:
+                seen.add("lineality")
+            if not got.generators:
+                seen.add("zero cone")
+            elif got.dim() < dim:
+                seen.add("lower-dimensional")
+    for key, vs, dim in [
+        ("facets", [], 3),  # the whole space
+        ("facets", [(1, 2, 0)], 3),  # a half-space
+        ("facets", [(1, 0, 0), (0, 1, 0)], 3),  # a wedge times a line
+        ("generators", [(1, 0, 0)], 3),
+        ("generators", [(2, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 3),
+    ]:
+        got = dd_convert(**{key: vs}, ambient_dim=dim)
+        want = oracle_dd_convert(monkeypatch, **{key: vs}, ambient_dim=dim)
+        assert cone_fields(got) == cone_fields(want), (key, vs)
+    assert seen == {"lineality", "zero cone", "lower-dimensional"}
+
+
+def convex_polygon(directions):
+    """Vertices of the lattice polygon whose edges are the given directions.
+
+    The directions must be centrally symmetric with distinct angles; each
+    is used once, in angular order, so every partial sum is a vertex.
+    """
+    order = sorted(directions, key=lambda v: math.atan2(v[1], v[0]))
+    verts, cur = [], (0, 0)
+    for d in order:
+        verts.append(cur)
+        cur = (cur[0] + d[0], cur[1] + d[1])
+    assert cur == (0, 0)
+    return verts
+
+
+def test_pointed_conversion_makes_no_smith_normal_form(monkeypatch):
+    calls = []
+    real = linalg.smith_normal_form
+
+    def counted(M):
+        calls.append((M.rows, M.cols))
+        return real(M)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    monkeypatch.setattr(polyhedra, "smith_normal_form", counted)
+    directions = [
+        (a, b)
+        for a in range(-3, 4)
+        for b in range(-3, 4)
+        if math.gcd(a, b) == 1 and (a, b) not in ((3, 1), (-3, -1))
+    ]
+    verts = convex_polygon(directions)
+    assert len(verts) == 30
+    gens = [(x, y, 1) for x, y in verts]
+    cone = dd_convert(generators=gens, ambient_dim=3)
+    back = dd_convert(facets=cone.facets, ambient_dim=3)
+    assert calls == []
+    assert cone.generators == back.generators == tuple(sorted(gens))
+    # each facet is spanned by the cones over two consecutive vertices
+    want = []
+    for i, g in enumerate(gens):
+        h, other = gens[(i + 1) % 30], gens[(i + 2) % 30]
+        n = primitive(
+            (g[1] * h[2] - g[2] * h[1], g[2] * h[0] - g[0] * h[2], g[0] * h[1] - g[1] * h[0])
+        )
+        want.append(n if dot(n, other) > 0 else tuple(-x for x in n))
+    assert cone.facets == back.facets == tuple(sorted(want))
+    assert cone.lineality_dim == back.lineality_dim == 0
+
+    # only a cone with lineality goes through the Smith normal form quotient
+    wedge = dd_convert(facets=[(1, 0, 0), (1, 1, 0)], ambient_dim=3)
+    assert calls
+    want = oracle_dd_convert(monkeypatch, facets=[(1, 0, 0), (1, 1, 0)], ambient_dim=3)
+    assert cone_fields(wedge) == cone_fields(want)
+    assert wedge.lineality_dim == 1
 
 
 def test_dd_roundtrip():
@@ -206,6 +382,24 @@ def test_membership_cases():
     assert membership(quad, (1, 0)) == "boundary"
     assert membership(quad, (-1, 2)) == "outside"
     assert membership(quad, (Fraction(1, 3), Fraction(2, 7))) == "inside"
+
+
+def test_membership_fraction_coordinates():
+    cone = dd_convert(generators=[(1, 0), (1, 2)], ambient_dim=2)
+    assert cone.membership((Fraction(1, 3), Fraction(1, 5))) == "inside"
+    assert cone.membership((Fraction(1, 2), 1)) == "boundary"
+    assert cone.membership((Fraction(-1, 7), Fraction(1, 9))) == "outside"
+    assert cone.membership((Fraction(2, 3), Fraction(4, 3))) == "boundary"
+    assert cone.membership((Fraction(0), Fraction(0))) == "boundary"
+    half = dd_convert(facets=[(3, -1, 2)], ambient_dim=3)
+    rng = random.Random(93)
+    for _ in range(200):
+        v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3))
+        s = 3 * v[0] - v[1] + 2 * v[2]
+        want = "outside" if s < 0 else "boundary" if s == 0 else "inside"
+        assert half.membership(v) == want
+    with pytest.raises(DimensionMismatch):
+        cone.membership((Fraction(1, 2),))
 
 
 def test_relative_interior_point():
