@@ -1,11 +1,12 @@
 """Cone decompositions attached to a grading.
 
-Effective and moving cones of a graded polynomial ring, the chamber
-containing a given class (intersection of all generator-subset cones that
-contain it), full enumeration of full-dimensional chambers via the
-hyperplane arrangement spanned by the degrees, the two-condition test for
-a graded polynomial ring being a Cox ring, and semistable support
-families.
+Effective and moving cones of a graded polynomial ring, semistable
+support families (the inclusion-minimal degree subsets whose cone contains
+a class; by Caratheodory each has at most free_rank elements), the chamber
+containing a given class (the intersection of the cones of its minimal
+supports), full enumeration of full-dimensional chambers via the
+hyperplane arrangement spanned by the degrees, and the two-condition test
+for a graded polynomial ring being a Cox ring.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import PreconditionError
 from .linalg import IntMatrix, dot, primitive, smith_normal_form
@@ -124,24 +125,23 @@ def _as_fraction_vec(w, k):
     return w
 
 
-def _cone_contains(cone: Cone, w) -> bool:
-    return cone.membership(w) != "outside"
-
-
 def mori_chamber(spec: GradingSpec, w) -> Chamber:
-    """The chamber containing w: intersection of subset cones containing w."""
-    w = _as_fraction_vec(w, spec.free_rank)
-    if not _cone_contains(effective_cone(spec), w):
-        raise NotEffective(f"class {w} is not effective")
-    family = []
-    cone = None
-    for size in range(spec.r + 1):
-        for subset in itertools.combinations(range(spec.r), size):
-            ci = _subset_cone(spec, frozenset(subset))
-            if _cone_contains(ci, w):
-                family.append(frozenset(subset))
-                cone = ci if cone is None else intersect(cone, ci)
-    return Chamber(cone=cone, family=frozenset(family))
+    """The chamber containing w: intersection of subset cones containing w.
+
+    Every subset I with w in C_I contains a minimal support J of w, and
+    C_J lies in C_I, so the chamber is the intersection of the cones of the
+    minimal supports (`semistable_supports`) and its family is their
+    upward closure.
+    """
+    minimal = [frozenset(m) for m in semistable_supports(spec, w)]
+    cone = reduce(intersect, (_subset_cone(spec, m) for m in minimal))
+    family = frozenset(
+        frozenset(s)
+        for size in range(spec.r + 1)
+        for s in itertools.combinations(range(spec.r), size)
+        if any(m.issubset(s) for m in minimal)
+    )
+    return Chamber(cone=cone, family=family)
 
 
 def enumerate_chambers(spec: GradingSpec):
@@ -246,17 +246,19 @@ def semistable_supports(spec: GradingSpec, w):
 
     A point of the total coordinate space is semistable for w exactly when
     its support contains one of these sets; the family is constant on
-    chamber interiors.
+    chamber interiors.  The chamber of w is the intersection of their
+    cones (`mori_chamber`), and each set has at most free_rank elements.
     """
     w = _as_fraction_vec(w, spec.free_rank)
-    if not _cone_contains(effective_cone(spec), w):
+    if not effective_cone(spec).contains(w):
         raise NotEffective(f"class {w} is not effective")
     minimal = []
-    for size in range(spec.r + 1):
+    # a minimal support is linearly independent (Caratheodory): size <= free_rank
+    for size in range(min(spec.r, spec.free_rank) + 1):
         for subset in itertools.combinations(range(spec.r), size):
             s = set(subset)
             if any(set(m) <= s for m in minimal):
                 continue
-            if _cone_contains(_subset_cone(spec, frozenset(subset)), w):
+            if _subset_cone(spec, frozenset(subset)).contains(w):
                 minimal.append(tuple(subset))
     return sorted(minimal, key=lambda t: (len(t), t))

@@ -178,12 +178,12 @@ def fan_predicates(fan: Fan) -> FanPredicates:
     smooth = True
     for idx, cone in zip(fan.max_cones, cones):
         mat = IntMatrix([fan.rays[i] for i in idx], cols=d)
-        rank = smith_normal_form(mat).rank
-        if len(idx) != rank:
+        snf = smith_normal_form(mat)
+        if len(idx) != snf.rank:
             simplicial = False
             smooth = False
             continue
-        if set(smith_normal_form(mat).invariant_factors) - {1}:
+        if set(snf.invariant_factors) - {1}:
             smooth = False
 
     complete = bool(cones) and all(c.is_full_dimensional() for c in cones)

@@ -646,16 +646,17 @@ def kernel_dimension(M: RatMatrix, mode="exact", primes=None) -> int:
     return M.cols - int_rank(rows)
 
 
-def rational_kernel_basis(M: RatMatrix):
-    """Exact basis of the rational null space (list of Fraction tuples).
+def _gauss_jordan(a, cols):
+    """Reduce the Fraction rows `a` in place over their first `cols` columns.
 
-    Gauss-Jordan over Fraction; intended for small matrices.
+    Gauss-Jordan elimination over Q: each pivot row is scaled to a leading
+    1 and its column cleared in every other row.  Returns the pivot
+    columns; pivot row i is a[i].
     """
-    a = [[Fraction(x) for x in row] for row in M._r]
-    n, m = len(a), M.cols
+    n = len(a)
     pivots = []
     r = 0
-    for c in range(m):
+    for c in range(cols):
         piv = next((i for i in range(r, n) if a[i][c] != 0), None)
         if piv is None:
             continue
@@ -669,6 +670,17 @@ def rational_kernel_basis(M: RatMatrix):
         r += 1
         if r == n:
             break
+    return pivots
+
+
+def rational_kernel_basis(M: RatMatrix):
+    """Exact basis of the rational null space (list of Fraction tuples).
+
+    Gauss-Jordan over Fraction; intended for small matrices.
+    """
+    a = [[Fraction(x) for x in row] for row in M._r]
+    m = M.cols
+    pivots = _gauss_jordan(a, m)
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
@@ -689,27 +701,10 @@ def rational_solve(A, b):
     if isinstance(A, IntMatrix):
         A = A.row_list()
     a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    n = len(a)
     m = len(a[0]) - 1 if a else 0
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][m] != 0:
-            return None
+    pivots = _gauss_jordan(a, m)
+    if any(row[m] != 0 for row in a[len(pivots) :]):
+        return None
     x = [Fraction(0)] * m
     for i, c in enumerate(pivots):
         x[c] = a[i][m]
@@ -717,15 +712,15 @@ def rational_solve(A, b):
 
 
 def int_inverse_unimodular(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = M.rows
-    if n != M.cols:
+    """Exact inverse of a unimodular integer matrix.
+
+    The Hermite normal form of a unimodular matrix is the identity, so the
+    transform W with W * M = H is the inverse.  Raises ValueError for a
+    matrix that is not square or not unimodular.
+    """
+    if M.rows != M.cols:
         raise ValueError("not square")
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = rational_solve(M, e)
-        if x is None or any(v.denominator != 1 for v in map(Fraction, x)):
-            raise ValueError("matrix is not unimodular")
-        cols.append([int(v) for v in x])
-    return IntMatrix([[cols[j][i] for j in range(n)] for i in range(n)], cols=n)
+    h, w = hermite_normal_form(M)
+    if h != IntMatrix.identity(M.rows):
+        raise ValueError("matrix is not unimodular")
+    return w

@@ -180,16 +180,18 @@ class Cone:
 
     Facets are primitive inward normals.  A lower-dimensional cone's facet
     list contains +/- pairs spanning the orthogonal complement of the
-    cone's span, so the facets always cut out the cone exactly.
+    cone's span, so the facets always cut out the cone exactly.  The
+    dimension of the span is known to the conversion and stored.
     """
 
-    __slots__ = ("ambient_dim", "generators", "facets", "lineality_dim")
+    __slots__ = ("ambient_dim", "generators", "facets", "lineality_dim", "_dim")
 
-    def __init__(self, ambient_dim, generators, facets, lineality_dim):
+    def __init__(self, ambient_dim, generators, facets, lineality_dim, dim):
         self.ambient_dim = ambient_dim
         self.generators = tuple(tuple(int(x) for x in g) for g in generators)
         self.facets = tuple(tuple(int(x) for x in f) for f in facets)
         self.lineality_dim = lineality_dim
+        self._dim = dim
 
     def __repr__(self):
         return (
@@ -226,9 +228,7 @@ class Cone:
         return self.lineality_dim == 0
 
     def dim(self):
-        if not self.generators:
-            return 0
-        return smith_normal_form(IntMatrix(self.generators, cols=self.ambient_dim)).rank
+        return self._dim
 
     def is_full_dimensional(self):
         return self.dim() == self.ambient_dim
@@ -245,14 +245,8 @@ class Cone:
             ambient_dim=self.ambient_dim,
             generators=self.facets,
             facets=self.generators,
-            lineality_dim=self.ambient_dim
-            - (
-                smith_normal_form(
-                    IntMatrix(self.generators, cols=self.ambient_dim)
-                ).rank
-                if self.generators
-                else 0
-            ),
+            lineality_dim=self.ambient_dim - self._dim,
+            dim=self.ambient_dim - self.lineality_dim,
         )
 
     def canonical_key(self):
@@ -281,7 +275,7 @@ def dd_convert(generators=None, facets=None, ambient_dim=None):
         frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
         facet_list = _with_lineality(frays, flin)
         grays, glin = _extreme_rays_of_halfspaces(facet_list, ambient_dim)
-        return Cone(ambient_dim, _with_lineality(grays, glin), facet_list, len(glin))
+        gens = _with_lineality(grays, glin)
     else:
         fac = [primitive(f) for f in facets]
         if any(not any(f) for f in fac):
@@ -291,17 +285,17 @@ def dd_convert(generators=None, facets=None, ambient_dim=None):
         grays, glin = _extreme_rays_of_halfspaces(fac, ambient_dim)
         gens = _with_lineality(grays, glin)
         if not gens:
-            # the zero cone: facets +/- e_i cut it out exactly
-            eye = IntMatrix.identity(ambient_dim).row_list()
-            facet_list = _with_lineality([], eye)
-            return Cone(ambient_dim, (), facet_list, 0)
+            return zero_cone(ambient_dim)
         frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
-        return Cone(ambient_dim, gens, _with_lineality(frays, flin), len(glin))
+        facet_list = _with_lineality(frays, flin)
+    # flin spans the orthogonal complement of the cone's span
+    return Cone(ambient_dim, gens, facet_list, len(glin), ambient_dim - len(flin))
 
 
 def zero_cone(ambient_dim):
+    """The cone {0}: the facets +/- e_i cut it out exactly."""
     eye = IntMatrix.identity(ambient_dim).row_list()
-    return Cone(ambient_dim, (), _with_lineality([], eye), 0)
+    return Cone(ambient_dim, (), _with_lineality([], eye), 0, 0)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -438,11 +432,8 @@ class Polytope:
     def contains(self, point):
         if not self.vertices:
             return False
-        pt = [Fraction(x) for x in point]
-        return all(
-            sum(Fraction(ui) * xi for ui, xi in zip(u, pt)) + c >= 0
-            for u, c in self.inequalities()
-        )
+        x = _clear_denominators([*point, 1])  # (t * point, t) with t > 0
+        return all(dot((*u, c), x) >= 0 for u, c in self.inequalities())
 
     def dilate(self, m):
         return Polytope(

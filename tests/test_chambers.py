@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -16,9 +17,10 @@ from coxkit.chambers import (
     mori_chamber,
     moving_cone,
     semistable_supports,
+    _subset_cone,
 )
 from coxkit.linalg import IntMatrix, dot, primitive
-from coxkit.polyhedra import dd_convert, intersect
+from coxkit.polyhedra import dd_convert, intersect, zero_cone
 
 # the two standard Z^2-gradings of a four-variable polynomial ring
 FIRST_MATRIX = lambda n: GradingSpec.from_columns([(1, 0), (1, 0), (n, 1), (0, 1)])
@@ -43,16 +45,28 @@ def drop_one_intersection_oracle(spec):
 
 
 def subset_cones_containing(spec, w):
+    """(I, C_I) for every one of the 2^r index sets I with w in C_I."""
     out = []
-    for size in range(1, spec.r + 1):
+    for size in range(spec.r + 1):
         for subset in itertools.combinations(range(spec.r), size):
             gens = [spec.free_part(i) for i in subset if any(spec.free_part(i))]
-            if not gens:
-                continue
-            c = dd_convert(generators=gens, ambient_dim=spec.free_rank)
+            if gens:
+                c = dd_convert(generators=gens, ambient_dim=spec.free_rank)
+            else:
+                c = zero_cone(spec.free_rank)
             if c.membership(w) != "outside":
                 out.append((subset, c))
     return out
+
+
+def chamber_oracle(spec, w):
+    """(cone, family) of the chamber of w from all 2^r subset cones, or None
+    when w is not effective."""
+    found = subset_cones_containing(spec, w)
+    if not found:
+        return None
+    cone = reduce(intersect, (c for _, c in found))
+    return cone, frozenset(frozenset(subset) for subset, _ in found)
 
 
 def arrangement_cell_count_2d(spec):
@@ -204,6 +218,87 @@ def test_lambda_idempotence_random():
         ch2 = mori_chamber(spec, w2)
         assert ch2.cone == ch.cone
         done += 1
+
+
+def random_grading(rng, seen):
+    """Degrees in Z^k, sometimes with a Z/t part, with repeated degrees and
+    degrees of zero free part mixed in."""
+    k = rng.randint(1, 3)
+    torsion = (rng.choice((2, 3)),) if rng.random() < 0.25 else ()
+    degrees = []
+    for _ in range(rng.randint(1, 6)):
+        tors = tuple(rng.randint(0, t - 1) for t in torsion)
+        roll = rng.random()
+        if degrees and roll < 0.15:
+            degrees.append(rng.choice(degrees))
+            seen.add("repeated degree")
+        elif roll < 0.25:
+            degrees.append((0,) * k + tors)
+            seen.add("zero degree")
+        else:
+            degrees.append(tuple(rng.randint(-2, 3) for _ in range(k)) + tors)
+    seen.add(f"free rank {k}")
+    if torsion:
+        seen.add("torsion")
+    return GradingSpec(free_rank=k, torsion=torsion, degrees=tuple(degrees))
+
+
+def test_mori_chamber_matches_all_subsets_oracle():
+    rng = random.Random(5150)
+    seen = set()
+    for _ in range(70):
+        spec = random_grading(rng, seen)
+        k = spec.free_rank
+        frees = [spec.free_part(i) for i in range(spec.r)]
+        classes = [
+            tuple(map(sum, zip(*frees))),
+            frees[0],  # on a ray
+            tuple(a + b for a, b in zip(frees[0], frees[-1])),  # often on a wall
+            tuple(rng.randint(-2, 3) for _ in range(k)),
+            (0,) * k,
+        ]
+        for w in classes:
+            want = chamber_oracle(spec, w)
+            if want is None:
+                with pytest.raises(NotEffective):
+                    mori_chamber(spec, w)
+                seen.add("not effective")
+                continue
+            cone, family = want
+            ch = mori_chamber(spec, w)
+            assert ch.cone.generators == cone.generators, (spec, w)
+            assert ch.cone.facets == cone.facets, (spec, w)
+            assert ch.cone.lineality_dim == cone.lineality_dim, (spec, w)
+            assert ch.family == family, (spec, w)
+            if any(w) and not ch.full_dimensional:
+                seen.add("lower-dimensional chamber")
+            if effective_cone(spec).lineality_dim:
+                seen.add("Eff with lineality")
+    assert seen == {
+        "free rank 1",
+        "free rank 2",
+        "free rank 3",
+        "torsion",
+        "repeated degree",
+        "zero degree",
+        "not effective",
+        "lower-dimensional chamber",
+        "Eff with lineality",
+    }
+
+
+def test_mori_chamber_builds_only_minimal_support_cones():
+    # a cold chamber at r = 12, free rank 2 needs Eff and the subsets of
+    # size <= 2: at most 1 + 1 + 12 + 66 = 80 cones, not 2^12 = 4096
+    rng = random.Random(12)
+    degrees = [(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(12)]
+    spec = GradingSpec.from_columns(degrees)
+    w = tuple(map(sum, zip(*degrees)))
+    _subset_cone.cache_clear()
+    ch = mori_chamber(spec, w)
+    assert _subset_cone.cache_info().misses <= 80
+    assert ch.cone.membership(w) != "outside"
+    assert frozenset(range(12)) in ch.family
 
 
 def test_enumerate_chambers_hirzebruch():

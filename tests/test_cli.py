@@ -133,6 +133,19 @@ def test_chamber_of_class():
     gens = report["result"]["cone"]["generators"]
     assert sorted(tuple(g) for g in gens) == [(1, 0), (1, 1)]
     assert report["result"]["full_dimensional"] is True
+    # the degrees are (1,0), (1,0), (1,1), (0,1): (2,1) needs one of the
+    # first two with one of the last two, and any superset of such a pair
+    assert report["result"]["defining_subsets"] == [
+        [0, 2],
+        [0, 3],
+        [1, 2],
+        [1, 3],
+        [0, 1, 2],
+        [0, 1, 3],
+        [0, 2, 3],
+        [1, 2, 3],
+        [0, 1, 2, 3],
+    ]
 
 
 def test_chambers_golden():

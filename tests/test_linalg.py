@@ -404,6 +404,16 @@ def test_int_inverse_unimodular():
         assert u * ui == IntMatrix.identity(n)
 
 
+def test_int_inverse_unimodular_rejects():
+    for m in (
+        IntMatrix([[2, 0], [0, 1]]),  # determinant 2
+        IntMatrix([[1, 2], [2, 4]]),  # singular
+        IntMatrix([[1, 0, 0], [0, 1, 0]]),  # not square
+    ):
+        with pytest.raises(ValueError):
+            int_inverse_unimodular(m)
+
+
 def test_primitive():
     assert primitive((4, -6, 2)) == (2, -3, 1)
     assert primitive((0, 0)) == (0, 0)

@@ -349,6 +349,20 @@ def test_dual_dual_identity_random():
     assert count >= 100
 
 
+def test_stored_dimension_matches_rank():
+    rng = random.Random(4172)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        vs = random_vector_family(rng, dim)
+        for key in ("generators", "facets"):
+            c = dd_convert(**{key: vs}, ambient_dim=dim)
+            rank = smith_normal_form(IntMatrix(c.generators, cols=dim)).rank
+            assert c.dim() == rank, (key, vs)
+            d = c.dual()
+            assert d.dim() == smith_normal_form(IntMatrix(d.generators, cols=dim)).rank
+            assert d.lineality_dim == dim - rank
+
+
 def test_generators_satisfy_facets():
     rng = random.Random(708)
     for dim in (2, 3, 4):
@@ -615,6 +629,37 @@ def test_polytope_inequalities_roundtrip():
     tri = polytope_from_points(DELTA_VERTICES)
     back = polytope_from_inequalities(tri.inequalities(), 2)
     assert back == tri
+
+
+def test_polytope_contains_fraction_points():
+    def oracle(poly, p):
+        return all(
+            sum(Fraction(ui) * Fraction(x) for ui, x in zip(u, p)) + c >= 0
+            for u, c in poly.inequalities()
+        )
+
+    tri = polytope_from_points(DELTA_VERTICES)
+    assert tri.contains((20, Fraction(8, 3)))  # the centroid
+    assert tri.contains((Fraction(61, 2), -13))  # an edge midpoint
+    assert not tri.contains((Fraction(61, 2), Fraction(-92, 7)))  # just below it
+    assert tri.contains((50, 0)) and not tri.contains((51, 0))
+    segment = polytope_from_points([(0, 0, 0), (2, 1, 3)])
+    assert segment.contains((1, Fraction(1, 2), Fraction(3, 2)))
+    assert not segment.contains((1, Fraction(1, 2), Fraction(4, 3)))
+    rng = random.Random(94)
+    for poly in (tri, segment, polytope_from_points(DELTA_PRIME_COLUMNS)):
+        lo = min(min(v) for v in poly.vertices) - 1
+        hi = max(max(v) for v in poly.vertices) + 1
+        for _ in range(150):
+            den = rng.randint(1, 12)
+            p = tuple(
+                Fraction(rng.randint(int(lo) * den, int(hi) * den), den)
+                for _ in range(poly.ambient_dim)
+            )
+            assert poly.contains(p) == oracle(poly, p), p
+        for v in poly.vertices:
+            assert poly.contains(v)
+    assert not Polytope(2, []).contains((0, 0))
 
 
 def test_polytope_from_inequalities_empty():
