@@ -2,7 +2,7 @@
 toric varieties and their graded coordinate rings.
 
 Core layers: exact integer/rational linear algebra (Smith and Hermite
-normal forms, saturated kernels, modular ranks), rational polyhedral
+normal forms, saturated kernels, proved kernel dimensions), rational polyhedral
 cones and lattice polytopes (double description, Hilbert bases, lattice
 point enumeration), fans with class groups and divisor positivity, cone
 chamber decompositions of gradings, and interpolation certificates for

@@ -13,6 +13,7 @@ Losev-Manin fans.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +24,7 @@ from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fa
 from .linalg import (
     IntMatrix,
     RatMatrix,
-    int_rank_mod,
-    kernel_dimension,
-    modular_primes,
+    certified_nullity,
     primitive,
     smith_normal_form,
 )
@@ -143,33 +142,97 @@ def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
     return out
 
 
-def h0(problem: InterpolationProblem, mode="modular", primes=None) -> int:
-    """Dimension of the space of Laurent polynomials supported on the
-    dilated polygon vanishing to the given order at (1, 1).
+def _falling_table(values, order):
+    """Object array T[i, t] = (values[t])_i for 0 <= i < order, exact, by
+    the running product (a)_i = (a)_{i-1} * (a - i + 1)."""
+    v = np.array(values, dtype=object)
+    table = np.empty((order, v.size), dtype=object)
+    if order:
+        table[0] = 1
+    for i in range(1, order):
+        table[i] = table[i - 1] * (v - (i - 1))
+    return table
 
-    Equals the nullity of the vanishing matrix.  The modular mode takes the
-    GF(p) rank (`int_rank_mod`, blocked elimination with exact float64
-    updates) of `vanishing_matrix_mod` for each prime of `modular_primes`,
-    at least 3 distinct primes in (2^20, 2^21).  A GF(p) rank is at most
-    the rank over Q, so each modular h0 is an upper bound; agreement of all
-    primes is taken as the answer, a heuristic, not a proof.  Disagreement
-    escalates to the exact fraction-free rank.
+
+def functional_values(points, coeffs, order):
+    """V[i, j, c] = sum over points t of coeffs[t, c] * (a_t)_i * (b_t)_j for
+    i, j < order, exactly: the derivative functionals d_x^i d_y^j at (1, 1)
+    applied to the Laurent polynomials whose coefficients on the points
+    (a_t, b_t) are the columns of `coeffs`.
+
+    The sum over points is taken per distinct a, S[a, j, c] = sum of
+    coeffs[t, c] (b_t)_j over the points with a_t = a, and then
+    V[i] = sum over a of (a)_i S[a]: integer falling-factorial tables
+    instead of one product per matrix entry.
     """
-    pts = problem.points()
-    funcs = problem.functionals()
-    if not funcs:
-        return len(pts)
-    if mode == "exact":
-        return kernel_dimension(vanishing_matrix(problem), "exact")
-    if mode != "modular":
+    pts = np.array(points, dtype=np.int64).reshape(-1, 2)
+    coeffs = np.asarray(coeffs, dtype=object).reshape(len(pts), -1)
+    a_values, a_index = np.unique(pts[:, 0], return_inverse=True)
+    b_values, b_index = np.unique(pts[:, 1], return_inverse=True)
+    fb = _falling_table(b_values.tolist(), order)[:, b_index]
+    terms = coeffs[:, None, :] * fb.T[:, :, None]
+    sums = np.zeros((len(a_values), order, coeffs.shape[1]), dtype=object)
+    np.add.at(sums, a_index, terms)
+    fa = _falling_table(a_values.tolist(), order)
+    out = fa.dot(sums.reshape(len(a_values), -1))
+    return out.reshape(order, order, coeffs.shape[1])
+
+
+class VanishingOperator:
+    """The vanishing matrix of lattice points and derivative functionals
+    for `certified_nullity`, never built over Z: residues come from
+    `vanishing_matrix_mod`, columns from falling-factorial tables, and
+    products from `functional_values`."""
+
+    def __init__(self, points, functionals):
+        self.points = np.array(points, dtype=np.int64).reshape(-1, 2)
+        self.functionals = np.array(functionals, dtype=np.int64).reshape(-1, 2)
+        self.shape = (len(self.functionals), len(self.points))
+        self.order = int(self.functionals.max(initial=-1)) + 1
+
+    def residues(self, p):
+        return vanishing_matrix_mod(self.points, self.functionals, p)
+
+    def columns(self, cols):
+        pts = self.points[cols]
+        i, j = self.functionals.T
+        fa = _falling_table(pts[:, 0].tolist(), self.order)
+        fb = _falling_table(pts[:, 1].tolist(), self.order)
+        return fa[i] * fb[j]
+
+    def product(self, Z):
+        values = functional_values(self.points, Z, self.order)
+        i, j = self.functionals.T
+        return values[i, j]
+
+    def pivot_product(self, rows, cols):
+        pts = self.points[cols]
+        i, j = self.functionals[rows].T
+
+        def apply(x):
+            return functional_values(pts, x.astype(object), self.order)[i, j]
+
+        return apply
+
+
+def h0(problem: InterpolationProblem, mode="modular", primes=None, *, proof=False):
+    """Dimension of the space of Laurent polynomials supported on the
+    dilated polygon vanishing to the given order at (1, 1): the nullity of
+    the vanishing matrix, proved by `certified_nullity`.
+
+    One GF(p) elimination of `vanishing_matrix_mod` (the first prime of
+    `modular_primes(primes)`) gives the upper bound; kernel vectors lifted
+    from it and checked exactly against every functional (by
+    `functional_values`) give the lower bound.  The exact matrix is never
+    built.  Both modes, "modular" and "exact", run this proof; the mode is
+    kept for compatibility.  With proof=True the `NullityProof` is returned
+    instead of the dimension.
+    """
+    if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
-    ranks = {
-        int_rank_mod(vanishing_matrix_mod(pts, funcs, p), p)
-        for p in modular_primes(primes)
-    }
-    if len(ranks) == 1:
-        return len(pts) - ranks.pop()
-    return kernel_dimension(vanishing_matrix(problem), "exact")
+    op = VanishingOperator(problem.points(), problem.functionals())
+    found = certified_nullity(op, primes)
+    return found if proof else found.nullity
 
 
 # ------------------------------------------------------ laurent polynomials
@@ -250,7 +313,12 @@ def flagship_curve() -> LaurentPoly:
 
 def order_at_e(f: LaurentPoly) -> int:
     """Smallest total order i+j of a derivative functional at (1,1) that
-    does not annihilate f."""
+    does not annihilate f.
+
+    The coefficients are scaled to integers by the lcm of their
+    denominators, which changes no zero, and every functional of order at
+    most the support's width is evaluated at once by `functional_values`.
+    """
     if f.is_zero():
         raise ZeroPolynomial("order of the zero polynomial is undefined")
     supp = f.support()
@@ -260,15 +328,14 @@ def order_at_e(f: LaurentPoly) -> int:
         + max(b for _, b in supp)
         - min(b for _, b in supp)
     )
-    for total in range(bound + 1):
-        for i in range(total + 1):
-            j = total - i
-            val = sum(
-                c * vanishing_entry((i, j), k) for k, c in f.terms
-            )
-            if val != 0:
-                return total
-    raise AssertionError("vanishing order exceeded the support bound")
+    scale = math.lcm(*(c.denominator for _, c in f.terms))
+    coeffs = [int(c * scale) for _, c in f.terms]
+    values = functional_values(supp, coeffs, bound + 1)[:, :, 0]
+    i, j = np.nonzero(values != 0)
+    total = int((i + j).min(initial=bound + 1))
+    if total > bound:
+        raise AssertionError("vanishing order exceeded the support bound")
+    return total
 
 
 # ------------------------------------------------------------- certificates

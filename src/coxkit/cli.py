@@ -8,9 +8,11 @@ output are serialized as decimal strings so consumers never overflow;
 structured result against a golden file and exits 3 on mismatch.
 
 Exit codes: 0 success, 1 bad input, 2 violated precondition, 3 golden
-mismatch.  The environment variable COXKIT_PRIMES (comma-separated, at
-least 3 distinct primes in (2^20, 2^21)) overrides the modular prime list,
-for testing only.
+mismatch.  `blowup-analyze --h0-order` adds `h0_proof` to the report,
+beside the result: the prime, its rank and the bounds that prove h0.  The
+environment variable COXKIT_PRIMES (comma-separated, at least 3 distinct
+primes in (2^20, 2^21)) overrides the candidate primes of that proof, for
+testing only.
 """
 
 from __future__ import annotations
@@ -383,11 +385,7 @@ def cmd_intersect_nef(args):
 def cmd_blowup_analyze(args):
     weights = parse_vector(args.weights) if args.weights else None
     mode = "exact" if args.exact else "modular"
-    primes = (
-        modular_primes_from_env()
-        if args.h0_order is not None and mode == "modular"
-        else None
-    )
+    primes = modular_primes_from_env() if args.h0_order is not None else None
     if args.polygon:
         poly = load_polytope(args.polygon)
         doc = load_document(args.polygon)
@@ -411,20 +409,23 @@ def cmd_blowup_analyze(args):
         "verdict": "not a Mori dream space (paper-level conclusion)",
         "verified": cert.verify(),
     }
+    beside = {}
     if args.h0_order is not None:
         prob = bw.InterpolationProblem(poly, 1, args.h0_order)
+        proof = bw.h0(prob, mode, primes=primes, proof=True)
         result["h0"] = {
             "order": args.h0_order,
-            "dimension": bw.h0(prob, mode, primes=primes),
+            "dimension": proof.nullity,
             "mode": mode,
         }
+        beside["h0_proof"] = proof.report()
     summary = (
         f"nef-not-semiample certificate verified: C^2 = "
         f"{cert.payload['curve_self_intersection']}, D.C = 0, "
         f"D.E = {cert.payload['d_dot_e']}; multiples 1..{args.m_max} have base "
         f"points; verdict: not a Mori dream space (paper-level conclusion)"
     )
-    return result, summary
+    return result, summary, beside
 
 
 def cmd_mukai(args):
@@ -499,7 +500,7 @@ def cmd_plot(args):
             "highlight_sets": len(highlight),
         }
         summary = f"polygon plot with {len(poly.vertices)} vertices"
-    return result, summary, svg
+    return result, summary, {"svg": svg}
 
 
 # --------------------------------------------------------------- dispatcher
@@ -596,7 +597,9 @@ def build_parser():
     p.add_argument("--m-max", type=int, default=5)
     p.add_argument("--polygon", help="JSON with vertices, curve_terms, curve_order")
     p.add_argument("--h0-order", type=int, help="also compute h0 at this order")
-    p.add_argument("--exact", action="store_true", help="exact rank instead of modular")
+    p.add_argument(
+        "--exact", action="store_true", help="kept for compatibility; h0 is always proved"
+    )
     p.set_defaults(func=cmd_blowup_analyze)
 
     p = add_parser("mukai", help="finite generation inequality for point blow-ups")
@@ -637,18 +640,14 @@ def run(argv):
         return 1, {"error": str(exc)}
     except PreconditionError as exc:
         return 2, {"error": str(exc)}
-    if len(out) == 3:
-        result, summary, svg = out
-    else:
-        result, summary = out
-        svg = None
+    result, summary, *extras = out
     report = {
         "command": list(argv),
         "result": result,
         "summary": summary,
     }
-    if svg is not None:
-        report["svg"] = svg
+    for extra in extras:
+        report.update(extra)
     if args.expect:
         try:
             golden = json.loads(open(args.expect).read())

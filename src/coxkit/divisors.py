@@ -133,12 +133,6 @@ class ClassGroup:
             for i in range(r)
         )
 
-    @property
-    def degree_map(self) -> IntMatrix:
-        """r x (rank + #torsion) matrix; row i is the class of D_i."""
-        ncols = self.rank + len(self.torsion)
-        return IntMatrix([list(row) for row in self.degrees], cols=ncols)
-
     def class_of(self, divisor):
         """Class of a torus-invariant divisor in the fixed basis."""
         a = _check_divisor(self.fan, divisor)

@@ -1,15 +1,21 @@
 """Arbitrary-precision integer and rational linear algebra.
 
 Provides immutable integer/rational matrices, Smith and Hermite normal
-forms with transformation matrices, saturated integer kernels, and exact
-or multi-prime modular kernel dimension.  Everything is deterministic.
-Modular ranks use primes in (2^20, 2^21) and a blocked GF(p) elimination
-whose trailing updates are exact float64 matrix products; a GF(p) rank is
-at most the rank over Q, so a modular nullity is an upper bound.
-Before a rank computation each rational row is cleared of denominators and
-made primitive (divided by the gcd of its entries); elimination over the
-integers is then fraction-free (Bareiss) to control entry growth.  gmpy2
-bignums are used when gmpy2 is installed, Python ints otherwise.
+forms with transformation matrices, saturated integer kernels, and proved
+kernel dimensions.  Everything is deterministic.
+
+Every nullity is a proof with two bounds (`certified_nullity`).  One
+blocked GF(p) elimination gives the upper bound, since a GF(p) rank is at
+most the rank over Q; p is a prime in (2^20, 2^21), and the trailing
+updates are exact float64 matrix products.  Kernel vectors lifted p-adically from
+the same L U factors (Dixon) and checked by an exact product over Z on
+every row give the lower bound.  A prime whose check fails off the pivot
+rows is unlucky and the next one is tried; when the primes or the lifting
+steps run out, PreconditionError is raised.  Before a rank computation
+each rational row is cleared of denominators and made primitive (divided
+by the gcd of its entries).  Bareiss elimination remains for `det` and
+as the reference `int_rank`.  gmpy2 bignums are used there when gmpy2 is
+installed, Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -397,7 +403,10 @@ def det(M: IntMatrix):
 
 
 def int_rank(rows) -> int:
-    """Rank of an integer matrix given as a list of rows (Bareiss)."""
+    """Rank of an integer matrix given as a list of rows (Bareiss).
+
+    The reference the tests check `certified_nullity` against; no library
+    path calls it."""
     a = [[_bigint(x) for x in row] for row in rows]
     n = len(a)
     if n == 0:
@@ -427,16 +436,39 @@ def int_rank(rows) -> int:
     return rank
 
 
-def int_rank_mod(rows, p) -> int:
+@dataclass(frozen=True)
+class ModularLU:
+    """The elimination left by `int_rank_mod(rows, p, lu=True)`.
+
+    `lu` holds the rows of A mod p in the order `perm` (the original index
+    of each row), factored in place as A[perm] = L U over GF(p).  Row i of U
+    is row i of `lu` for i < rank, with its pivot at column `pivots[i]`;
+    below the pivots, in the pivot columns, sit the multipliers of the unit
+    lower triangular L.
+    """
+
+    p: int
+    lu: np.ndarray
+    perm: np.ndarray
+    pivots: tuple
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
+def int_rank_mod(rows, p, *, lu=False):
     """Rank over GF(p) of an integer matrix: a list of rows or an int array.
 
     p must be a prime below MODULAR_PRIME_LIMIT.  Blocked elimination, one
     panel of PANEL_WIDTH columns at a time.  A panel is eliminated with row
-    pivoting in int64, keeping the multipliers below its pivots; columns
-    without a pivot are skipped.  The pivot rows to the right of the panel
-    are forward-solved, U12 = L11^-1 A12, and the trailing block is updated
-    as one float64 product, A22 -= L21 @ U12, then reduced mod p.  Every
-    float64 value is an integer below 2^53, so the result is exact.
+    pivoting in int64 (whole rows are swapped), keeping the multipliers
+    below its pivots; columns without a pivot are skipped.  The pivot rows
+    to the right of the panel are forward-solved, U12 = L11^-1 A12, and the
+    trailing block is updated as one float64 product, A22 -= L21 @ U12, then
+    reduced mod p.  Every float64 value is an integer below 2^53, so the
+    result is exact.  With lu=True the `ModularLU` of this elimination is
+    returned instead of its rank.
     """
     if not 1 < p < MODULAR_PRIME_LIMIT:
         raise PreconditionError(f"GF(p) rank needs 1 < p < 2^21, got {p}")
@@ -447,44 +479,85 @@ def int_rank_mod(rows, p) -> int:
     else:
         A = (np.array(rows, dtype=object) % p).astype(np.int64)
     m, n = A.shape
-    r = 0
+    perm = np.arange(m)
+    pivots = []
     for c0 in range(0, n, PANEL_WIDTH):
-        if r == m:
+        r0 = len(pivots)
+        if r0 == m:
             break
         c1 = min(c0 + PANEL_WIDTH, n)
-        r0 = r
-        panel = A[r0:, c0:c1].copy()
-        pivots = []
+        panel = A[r0:, c0:c1]
         for c in range(c1 - c0):
-            k = r - r0
-            nz = np.flatnonzero(panel[k:, c])
+            r = len(pivots)
+            nz = np.flatnonzero(panel[r - r0 :, c])
             if not nz.size:
                 continue
-            piv = k + int(nz[0])
-            if piv != k:
-                panel[[k, piv]] = panel[[piv, k]]
-                A[[r, r0 + piv], c1:] = A[[r0 + piv, r], c1:]
-            below = panel[k + 1 :, c:]
-            below[:, 0] *= pow(int(panel[k, c]), p - 2, p)
+            piv = r + int(nz[0])
+            if piv != r:
+                A[[r, piv]] = A[[piv, r]]
+                perm[[r, piv]] = perm[[piv, r]]
+            below = panel[r - r0 + 1 :, c:]
+            below[:, 0] *= pow(int(panel[r - r0, c]), p - 2, p)
             below[:, 0] %= p
             rest = below[:, 1:]
-            rest -= np.multiply.outer(below[:, 0], panel[k, c + 1 :])
+            rest -= np.multiply.outer(below[:, 0], panel[r - r0, c + 1 :])
             rest %= p
-            pivots.append(c)
-            r += 1
-            if r == m:
+            pivots.append(c0 + c)
+            if r + 1 == m:
                 break
-        if not pivots or r == m or c1 == n:
+        k = len(pivots) - r0
+        if not k or c1 == n:
             continue
-        k = len(pivots)
-        lower = panel[:, pivots].astype(np.float64)
-        upper = A[r0:r, c1:].astype(np.float64)
+        lower = panel[:, [c - c0 for c in pivots[r0:]]].astype(np.float64)
+        upper = A[r0 : r0 + k, c1:].astype(np.float64)
         for t in range(1, k):
             upper[t] = (upper[t] - lower[t, :t] @ upper[:t]) % p
-        trailing = A[r:, c1:]
+        A[r0 : r0 + k, c1:] = upper
+        trailing = A[r0 + k :, c1:]
         np.subtract(trailing, lower[k:] @ upper, out=trailing, casting="unsafe")
         trailing %= p
-    return r
+    if lu:
+        return ModularLU(p, A, perm, tuple(pivots))
+    return len(pivots)
+
+
+class _PivotSolver:
+    """Solves A_PP y = b over GF(p), A_PP the pivot block of a ModularLU
+    (its pivot rows and pivot columns, so L U restricted to them).
+
+    Blocked like the elimination: each diagonal block of PANEL_WIDTH
+    columns of L and of U is inverted once, so a solve is a few float64
+    products of at most PANEL_WIDTH terms per block, each term below
+    2^21 * 2^21, which keeps every value an exact integer.
+    """
+
+    def __init__(self, f: ModularLU):
+        p, r = f.p, f.rank
+        self.p = p
+        self.T = f.lu[:r, list(f.pivots)].astype(np.float64)
+        self.blocks = [(i, min(i + PANEL_WIDTH, r)) for i in range(0, r, PANEL_WIDTH)]
+        self.linv, self.uinv = [], []
+        for i0, i1 in self.blocks:
+            D = self.T[i0:i1, i0:i1]
+            lo, up = np.eye(i1 - i0), np.eye(i1 - i0)
+            for i in range(1, i1 - i0):
+                lo[i] = (lo[i] - D[i, :i] @ lo[:i]) % p
+            for i in reversed(range(i1 - i0)):
+                row = (up[i] - D[i, i + 1 :] @ up[i + 1 :]) % p
+                up[i] = row * pow(int(D[i, i]), p - 2, p) % p
+            self.linv.append(lo)
+            self.uinv.append(up)
+
+    def __call__(self, b):
+        p, T = self.p, self.T
+        z = np.array(b, dtype=np.float64)
+        for (i0, i1), lo in zip(self.blocks, self.linv):
+            z[i0:i1] = (lo @ z[i0:i1]) % p
+            z[i1:] = (z[i1:] - T[i1:, i0:i1] @ z[i0:i1]) % p
+        for (i0, i1), up in zip(reversed(self.blocks), reversed(self.uinv)):
+            z[i0:i1] = (up @ z[i0:i1]) % p
+            z[:i0] = (z[:i0] - T[:i0, i0:i1] @ z[i0:i1]) % p
+        return z.astype(np.int64)
 
 
 def _is_prime(n: int) -> bool:
@@ -524,7 +597,7 @@ def default_modular_primes(avoid=(), count=3):
 
 
 def modular_primes(primes=None, denominators=()):
-    """The primes for a multi-prime GF(p) rank, checked.
+    """The candidate primes of `certified_nullity`, checked.
 
     `primes=None` selects the default primes avoiding `denominators`.
     Otherwise there must be at least 3 distinct primes, each in
@@ -617,33 +690,239 @@ class RatMatrix:
         return out
 
 
+# Lifting stops here: LIFTING_STEP_CAP digits mod p > 2^20 carry more than
+# 20,000 bits, room for kernel vectors whose numerators and common
+# denominator each have 10,000 bits.  The 200 x 200 order-52 submatrix of
+# acceptance criterion 5c needs a few hundred steps.
+LIFTING_STEP_CAP = 1000
+
+# A float64 product of residues is exact while it sums at most 2^53 / 2^42
+# terms below 2^21 * 2^21; exact integers are split into limbs of that size.
+EXACT_FLOAT_TERMS = 1 << 11
+_LIMB_BITS = 21
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+
+
+@dataclass(frozen=True)
+class NullityProof:
+    """The nullity of an integer matrix A (rows x cols), with the proof of
+    both of its bounds.
+
+    Upper bound: cols - rank_mod_p, since a GF(p) rank is at most the rank
+    over Q.  Lower bound: the columns of `kernel`, divided by
+    `denominator`, are the identity on the columns `free` (those without a
+    pivot mod p), so they are independent, and satisfy A x = 0 exactly over
+    Z on every row.  When rank_mod_p = min(rows, cols) no vector is needed: the
+    rank over Q cannot exceed min(rows, cols).  `steps` counts the p-adic
+    lifting steps, `rejected` the primes found unlucky (rank_mod_p below
+    the rank over Q) before `prime`.
+    """
+
+    nullity: int
+    prime: int | None
+    rank_mod_p: int
+    kernel: tuple = ()
+    denominator: int = 1
+    free: tuple = ()
+    steps: int = 0
+    rejected: tuple = ()
+
+    def report(self):
+        """The proof as a JSON-ready dict (without the vectors); a returned
+        proof has met bounds, so both equal the nullity."""
+        return {
+            "prime": self.prime,
+            "rank_mod_p": self.rank_mod_p,
+            "upper_bound": self.nullity,
+            "lower_bound": self.nullity,
+            "kernel_vectors": len(self.kernel),
+            "lifting_steps": self.steps,
+            "rejected_primes": list(self.rejected),
+        }
+
+
+class DenseOperator:
+    """An integer matrix held as an object array, for `certified_nullity`.
+
+    The pivot block used at every lifting step is split once into signed
+    21-bit limbs, so its product with a digit matrix is one exact float64
+    product per limb.
+    """
+
+    def __init__(self, rows, cols):
+        self.A = np.array(rows, dtype=object).reshape(len(rows), cols)
+        self.shape = self.A.shape
+
+    def residues(self, p):
+        return (self.A % p).astype(np.int64)
+
+    def columns(self, cols):
+        return self.A[:, cols]
+
+    def product(self, Z):
+        return self.A.dot(Z)
+
+    def pivot_product(self, rows, cols):
+        block = self.A[np.ix_(rows, cols)]
+        sign = np.where(block < 0, -1, 1)
+        mag = np.abs(block)
+        limbs = []
+        while mag.any():
+            limbs.append((mag & _LIMB_MASK).astype(np.int64) * sign)
+            mag = mag >> _LIMB_BITS
+        limbs = [limb.astype(np.float64) for limb in reversed(limbs)]
+
+        def apply(x):
+            out = np.zeros((len(rows), x.shape[1]), dtype=object)
+            for limb in limbs:
+                out = (out << _LIMB_BITS) + _exact_matmul(limb, x).astype(object)
+            return out
+
+        return apply
+
+
+def _exact_matmul(a, x):
+    """a @ x as int64 for float64 a, x of integers below 2^21 in absolute
+    value, summed in chunks of EXACT_FLOAT_TERMS terms."""
+    xf = x.astype(np.float64)
+    out = np.zeros((a.shape[0], x.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[1], EXACT_FLOAT_TERMS):
+        out += (a[:, s : s + EXACT_FLOAT_TERMS] @ xf[s : s + EXACT_FLOAT_TERMS]).astype(
+            np.int64
+        )
+    return out
+
+
+def _rational_reconstruction(u, M, bound):
+    """n/d = u mod M with |n| <= bound and 0 < d <= bound, or None."""
+    r0, r1, s0, s1 = M, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound:
+        return None
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    return (r1, s1) if math.gcd(r1, s1) == 1 else None
+
+
+def _common_denominator(X, M):
+    """(d, Y) with Y = d X mod M and every |Y| and d at most sqrt(M / 2),
+    or None.  Only entries still large after scaling by the current d are
+    reconstructed; d grows by each new denominator, rescaling all entries.
+    A few entries are probed first, so an unconverged X fails cheaply."""
+    bound = math.isqrt((M - 1) // 2)
+    d = 1
+    flat = X.ravel()
+    for part in (flat[:4], flat):
+        while True:
+            Y = part * d % M
+            Y = np.where(Y > M // 2, Y - M, Y)
+            big = np.flatnonzero(np.abs(Y) > bound)
+            if not big.size:
+                break
+            found = _rational_reconstruction(int(Y[big[0]]) % M, M, bound)
+            if found is None or d * found[1] > bound:
+                return None
+            d *= found[1]
+    return d, Y.reshape(X.shape)
+
+
+def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
+    """Proved nullity of the integer matrix behind `op`.
+
+    `op` has `shape` = (rows, cols) and exact access to the matrix A:
+    `residues(p)` (A mod p), `columns(cols)` and `product(Z)` (A[:, cols]
+    and A @ Z as object arrays), and `pivot_product(rows, cols)`, a function
+    x -> A[rows, cols] @ x for int64 digit matrices x with entries below
+    2^21.  The candidate primes are `modular_primes(primes, denominators)`.
+
+    One GF(p) elimination gives rank_p, so nullity <= cols - rank_p.  If
+    rank_p = min(rows, cols) this is the nullity.  Otherwise the k = cols -
+    rank_p kernel vectors that are the identity on the free columns solve
+    A_PP X = -A_PF (P the pivot rows and columns); X is lifted p-adically
+    (Dixon) from the kept L U factors, with rational reconstruction and
+    early termination.  A candidate X that makes A [X; I] = 0 exactly on
+    every row proves nullity >= k.  If it holds on the pivot rows but not on
+    another, X is the unique solution and rank_p < rank_Q: the prime was
+    unlucky and the next candidate is tried.  Raises PreconditionError when
+    the candidates run out or the lifting passes LIFTING_STEP_CAP steps.
+    """
+    m, n = op.shape
+    if min(m, n) == 0:
+        return NullityProof(n, None, 0)
+    rejected = []
+    for p in modular_primes(primes, denominators):
+        f = int_rank_mod(op.residues(p), p, lu=True)
+        r = f.rank
+        if r == min(m, n):
+            return NullityProof(n - r, p, r, rejected=tuple(rejected))
+        rows, piv = f.perm[:r], list(f.pivots)
+        free = sorted(set(range(n)) - set(piv))
+        k = len(free)
+        solve = _PivotSolver(f)
+        del f  # the rows x cols factors are not needed while lifting
+        step = op.pivot_product(rows, piv)
+        B = -op.columns(free)[rows]
+        X = np.zeros((r, k), dtype=object)
+        M = 1
+        steps, attempt = 0, 1
+        while True:
+            if steps == LIFTING_STEP_CAP:
+                raise PreconditionError(
+                    f"p-adic lifting mod {p} passed {LIFTING_STEP_CAP} steps "
+                    f"without an exact kernel ({k} vectors of {n} entries)"
+                )
+            x = solve((B % p).astype(np.int64))
+            X += x.astype(object) * M
+            M *= p
+            B = (B - step(x)) // p
+            steps += 1
+            # early termination: reconstruct after steps 1, 2, 3, 4, 6, 8,
+            # 11, ..., each time a quarter more steps on
+            if steps < attempt:
+                continue
+            attempt = steps + 1 + steps // 4
+            found = _common_denominator(X, M)
+            if found is None:
+                continue
+            d, Y = found
+            Z = np.zeros((n, k), dtype=object)
+            Z[piv] = Y
+            Z[free, np.arange(k)] = d
+            bad = np.flatnonzero((op.product(Z) != 0).any(axis=1))
+            if not bad.size:
+                kernel = tuple(tuple(int(v) for v in col) for col in Z.T)
+                return NullityProof(
+                    n - r, p, r, kernel, d, tuple(free), steps, tuple(rejected)
+                )
+            if not np.isin(bad, rows).any():
+                rejected.append(p)
+                break
+    raise PreconditionError(
+        f"every candidate prime {tuple(rejected)} has a GF(p) rank below the "
+        "rational rank; no nullity is proved"
+    )
+
+
 def kernel_dimension(M: RatMatrix, mode="exact", primes=None) -> int:
-    """Dimension of the rational null space of M.
+    """Proved dimension of the rational null space of M.
 
     Each row is first cleared of denominators and divided by its content
-    (the gcd of its entries).  Scaling a row by a nonzero rational leaves
-    the rank over Q unchanged, and it keeps the integers small: a row of a
-    vanishing matrix is divisible by i!*j!, which would otherwise inflate
-    every Bareiss intermediate.
-
-    mode="exact": fraction-free (Bareiss) elimination over Z of these
-    primitive rows.  mode="modular": rank over GF(p) (`int_rank_mod`) for
-    each prime of `modular_primes(primes, denominators)`, so at least 3
-    distinct primes in (2^20, 2^21) dividing no denominator.  A GF(p) rank
-    is at most the rank over Q, so each modular nullity is an upper bound
-    on the true one; agreement of all primes is taken as the answer, which
-    is a heuristic, not a proof.  Disagreement escalates to exact.
+    (the gcd of its entries); scaling a row by a nonzero rational leaves
+    the rank over Q unchanged and keeps the integers small.  The nullity is
+    then proved by `certified_nullity`: one GF(p) elimination gives the
+    upper bound, exactly checked kernel vectors (lifted p-adically from
+    it) the lower bound.  The candidate primes are `modular_primes(primes,
+    M.denominators())`: at least 3 distinct primes in (2^20, 2^21)
+    dividing no denominator.  Both modes, "exact" and "modular", run this
+    proof; the mode is kept for compatibility.
     """
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
     rows = [primitive(row) for row in M.cleared_rows()]
-    if mode == "exact":
-        return M.cols - int_rank(rows)
-    primes = modular_primes(primes, M.denominators())
-    ranks = {int_rank_mod(rows, p) for p in primes}
-    if len(ranks) == 1:
-        return M.cols - ranks.pop()
-    return M.cols - int_rank(rows)
+    op = DenseOperator(rows, M.cols)
+    return certified_nullity(op, primes, M.denominators()).nullity
 
 
 def _gauss_jordan(a, cols):

@@ -249,9 +249,6 @@ class Cone:
             dim=self.ambient_dim - self.lineality_dim,
         )
 
-    def canonical_key(self):
-        return (self.ambient_dim, self.facets, self.generators)
-
 
 def dd_convert(generators=None, facets=None, ambient_dim=None):
     """Build a Cone from generators or from facet normals.

@@ -5,6 +5,7 @@ the captured output) and asserts the stated runtime budget.
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -51,6 +52,7 @@ from coxkit.fans import (
     projective_space_fan,
     weighted_projective_fan,
 )
+from coxkit.cli import main
 from coxkit.linalg import RatMatrix, dot, kernel_dimension
 from coxkit.polyhedra import (
     convex_hull_2d,
@@ -227,6 +229,17 @@ def test_criterion_5_interpolation_flagship():
         exact = kernel_dimension(sub, "exact")
         modular = kernel_dimension(sub, "modular")
         assert exact == modular
+
+
+def test_exact_h0_flagship_finishes(capsys):
+    """`--exact` runs the same proof as the modular mode instead of an
+    uncapped Bareiss elimination of the order-52 matrix."""
+    with Budget("5d blowup-analyze --exact at order 52", 30.0):
+        argv = ["blowup-analyze", "--weights", "12,13,17", "--k", "51",
+                "--h0-order", "52", "--exact", "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["h0"] == {"order": "52", "dimension": "1", "mode": "exact"}
 
 
 def test_criterion_6_nef_not_semiample_certificate():

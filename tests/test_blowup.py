@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -213,6 +214,43 @@ def test_order_multiplicative_random():
     for _ in range(50):
         f, g = random_poly(), random_poly()
         assert order_at_e(f * g) == order_at_e(f) + order_at_e(g)
+
+
+def order_at_e_oracle(f):
+    """The Fraction loop order_at_e used to be: each functional summed over
+    the terms with exact falling factorials, by increasing total order."""
+    if f.is_zero():
+        raise ZeroPolynomial("order of the zero polynomial is undefined")
+    ff = functools.cache(falling)
+    total = 0
+    while True:
+        for i in range(total + 1):
+            if sum(c * (ff(a, i) * ff(b, total - i)) for (a, b), c in f.terms):
+                return total
+        total += 1
+
+
+def test_order_integer_tables_match_fraction_oracle():
+    """Seeded Laurent polynomials with Fraction coefficients and negative
+    exponents at orders 0 to 60: a random factor g times (1 - x)^s, s <= 1,
+    and (1 - x y^-1)^(w - s)."""
+    rng = random.Random(52)
+    one = LaurentPoly.monomial(0, 0)
+    x = LaurentPoly.monomial(1, 0)
+    x_over_y = LaurentPoly.monomial(1, -1)
+    for w in [0, 1, 2, 5, 9, 17, 30, 60] + [rng.randint(0, 60) for _ in range(2)]:
+        g = LaurentPoly.from_terms(
+            ((rng.randint(-5, 5), rng.randint(-5, 5)), Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+            for _ in range(rng.randint(1, 2))
+        )
+        if g.is_zero():
+            g = one
+        s = rng.randint(0, min(w, 1))
+        f = g * (one - x) ** s * (one - x_over_y) ** (w - s)
+        assert order_at_e(f) == order_at_e_oracle(f) >= w
+    assert order_at_e(flagship_curve()) == order_at_e_oracle(flagship_curve()) == 52
+    with pytest.raises(ZeroPolynomial):
+        order_at_e(LaurentPoly.from_terms([((1, 2), 1), ((1, 2), -1)]))
 
 
 # ------------------------------------------------------------ forced vertex

@@ -389,6 +389,20 @@ def test_coxkit_primes_env(monkeypatch):
     assert report["result"]["h0"] == {"order": 1, "dimension": 1347, "mode": "modular"}
 
 
+def test_blowup_h0_proof_beside_result(capsys):
+    """The proof of h0 at order 52 sits beside the result: one prime gives
+    the upper bound 1 and one exactly checked kernel vector the lower."""
+    argv = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "1",
+            "--h0-order", "52", "--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["h0"] == {"order": "52", "dimension": "1", "mode": "modular"}
+    proof = report["h0_proof"]
+    assert proof["upper_bound"] == proof["lower_bound"] == proof["kernel_vectors"] == "1"
+    assert proof["prime"] == "1048583" and proof["rank_mod_p"] == "1347"
+    assert proof["rejected_primes"] == []
+
+
 BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "1",
              "--h0-order", "1"]
 

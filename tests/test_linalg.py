@@ -8,13 +8,16 @@ import pytest
 import numpy as np
 
 from coxkit.errors import PreconditionError
+import coxkit.linalg as linalg
 from coxkit.linalg import (
     MODULAR_PRIME_LIMIT,
     PANEL_WIDTH,
+    DenseOperator,
     IntMatrix,
     PrimeDivideDenominator,
     RatMatrix,
     default_modular_primes,
+    certified_nullity,
     det,
     hermite_normal_form,
     in_row_lattice,
@@ -535,3 +538,93 @@ def test_int_rank_mod_degenerate_shapes():
     assert int_rank_mod([[0] * 7 for _ in range(4)], p) == 0
     assert int_rank_mod([[p, 2 * p], [3 * p, -p]], p) == 0
     assert int_rank_mod([[5]], p) == 1
+
+
+# ------------------------------------------------------ certified nullity
+
+
+def proved(rows, n, primes=None):
+    """certified_nullity of integer rows, checked against Bareiss: the
+    kernel vectors are the identity on the free columns and A x = 0."""
+    proof = certified_nullity(DenseOperator(rows, n), primes)
+    assert proof.nullity == n - int_rank(rows)
+    assert proof.kernel == () or len(proof.kernel) == proof.nullity
+    for t, vec in enumerate(proof.kernel):
+        assert [vec[c] for c in proof.free] == [
+            proof.denominator * (s == t) for s in range(len(proof.free))
+        ]
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    return proof
+
+
+def test_certified_nullity_against_bareiss():
+    """Seeded rank-deficient products with zero lines, wide, tall, 1 x 1
+    and empty shapes, and ranks above the panel width."""
+    rng = random.Random(606)
+    lifted = 0
+    for trial in range(60):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        r = rng.randint(0, min(m, n))
+        lo, hi = rng.choice(((-9, 9), (-10**12, 10**12)))
+        rows = product(random_rows(rng, m, r, lo, hi), random_rows(rng, r, n, lo, hi), n)
+        rows = with_zero_lines(rng, rows, n)
+        proof = proved(rows, len(rows[0]))
+        lifted += bool(proof.kernel)
+    assert lifted > 20
+    for rows, n in (([[5]], 1), ([[0]], 1), ([], 3), ([[], []], 0), ([[0, 0, 0]], 3)):
+        assert proved(rows, n).nullity == n - int_rank(rows)
+    for m, n, r in ((90, 80, 70), (70, 100, 66), (PANEL_WIDTH + 9, PANEL_WIDTH + 9, PANEL_WIDTH + 1)):
+        rows = known_rank(rng, m, n, r)
+        assert proved(rows, n).nullity == n - r
+
+
+def test_certified_nullity_fraction_rows():
+    """Rational rows through kernel_dimension, and their kernel vectors
+    checked over Q."""
+    rng = random.Random(707)
+    for trial in range(30):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [
+            [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(n)]
+            for _ in range(m)
+        ]
+        if m > 2:
+            rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+        mat = RatMatrix(rows)
+        want = len(rational_kernel_basis(mat))
+        assert kernel_dimension(mat, "exact") == kernel_dimension(mat, "modular") == want
+        proof = certified_nullity(DenseOperator(mat.cleared_rows(), n))
+        assert proof.nullity == want
+        for vec in proof.kernel:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+
+
+def test_certified_nullity_unlucky_prime():
+    """Nullity 0 over Q but 1 over GF(1048583): the lifted vector fails
+    off the pivot rows and the second prime proves 0."""
+    p = 1048583
+    mat = RatMatrix([[1, 1], [1, 1 + p]])
+    assert kernel_dimension(mat, "modular") == 0
+    proof = certified_nullity(DenseOperator([[1, 1], [1, 1 + p]], 2))
+    assert proof.rejected == (p,) and proof.prime == 1048589
+    assert proof.nullity == 0 and proof.rank_mod_p == 2
+
+
+def test_certified_nullity_all_primes_unlucky():
+    """Every default prime divides the entry's excess, so each sees nullity
+    1; three agreeing primes are no proof."""
+    entry = 1 + 1048583 * 1048589 * 1048601
+    for mode in ("exact", "modular"):
+        with pytest.raises(PreconditionError, match="every candidate prime"):
+            kernel_dimension(RatMatrix([[1, 1], [1, entry]]), mode)
+
+
+def test_certified_nullity_step_cap(monkeypatch):
+    """A kernel vector with 60-bit entries needs more than one lifting
+    step; past the cap the proof is refused."""
+    big = 2**60 + 1
+    rows = [[1, 0, big], [0, 1, 3 * big], [1, 1, 4 * big]]
+    assert certified_nullity(DenseOperator(rows, 3)).steps > 1
+    monkeypatch.setattr(linalg, "LIFTING_STEP_CAP", 1)
+    with pytest.raises(PreconditionError, match="passed 1 steps"):
+        certified_nullity(DenseOperator(rows, 3))
