@@ -1,26 +1,26 @@
 """Divisor theory on a fan.
 
 Class group and Cox grading via Smith normal form of the ray matrix,
-divisor polytopes and section counts, positivity predicates, nef
-intersection numbers on surfaces through mixed areas, irrelevant
-monomial supports, and Hilbert-basis generators of section rings and
-Veronese subalgebras.
+divisor polytopes and section counts, positivity predicates and nef
+intersection numbers on surfaces from integer support-function slacks,
+irrelevant monomial supports, and Hilbert-basis generators of section
+rings and Veronese subalgebras.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .fans import Fan, fan_predicates, normal_fan, validate_fan
+from .fans import Fan, fan_predicates, validate_fan
 from .linalg import (
     IntMatrix,
+    det,
+    dot,
     hermite_normal_form,
     int_inverse_unimodular,
     integer_kernel_saturated,
-    rational_solve,
     smith_normal_form,
 )
 from .polyhedra import (
@@ -158,7 +158,8 @@ class ClassGroup:
             y[pos] = cls[self.rank + t]
         a = self._U_inv.apply(y)
         div = ToricDivisor(a)
-        assert self.class_of(div) == tuple(cls)
+        if self.class_of(div) != cls:
+            raise AssertionError("divisor_with_class missed the requested class")
         return div
 
 
@@ -198,16 +199,11 @@ class PositivityRecord:
     ample: bool
 
 
-def positivity(fan: Fan, divisor) -> PositivityRecord:
-    """Basepoint-freeness / nefness / ampleness on a complete simplicial fan.
+def _witnesses(fan: Fan, divisor):
+    """Integer witnesses (sigma, delta, M, slacks), one per maximal cone.
 
-    For each maximal cone the linear system <m, v_i> = -a_i (i in the
-    cone) has a unique rational solution m_sigma; the divisor is nef when
-    every m_sigma lies in the divisor polytope, basepoint free when these
-    witnesses are integral, and ample when it is basepoint free with
-    pairwise distinct witnesses and the divisor polytope has the fan as
-    its normal fan.  (Requiring integral witnesses keeps ample => bpf on
-    singular fans, where a Q-ample Weil divisor can have base points.)
+    delta = |det V_sigma|, M = delta * m_sigma by Cramer's rule, where
+    <m_sigma, v_i> = -a_i on sigma, and slacks[j] = <M, v_j> + delta * a_j.
     """
     a = _check_divisor(fan, divisor)
     preds = fan_predicates(fan)
@@ -215,53 +211,56 @@ def positivity(fan: Fan, divisor) -> PositivityRecord:
         raise NotComplete("positivity tests need a complete fan")
     if not preds.simplicial:
         raise NotSimplicial("positivity tests need a simplicial fan")
-    poly = divisor_polytope(fan, divisor)
-    witnesses = []
     for idx in fan.max_cones:
         rows = [fan.rays[i] for i in idx]
-        rhs = [-a[i] for i in idx]
-        m = rational_solve(rows, rhs)
-        witnesses.append(m)
-    nef = (not poly.is_empty()) and all(
-        poly.contains(m) for m in witnesses
-    )
-    bpf = nef and all(
-        all(Fraction(x).denominator == 1 for x in m) for m in witnesses
-    )
-    ample = False
-    if bpf and len(set(witnesses)) == len(witnesses) and poly.dim() == fan.lattice_dim:
-        nf = normal_fan(poly)
-        same_rays = set(nf.rays) == set(fan.rays)
-        if same_rays:
-            fam1 = {frozenset(nf.rays[i] for i in c) for c in nf.max_cones}
-            fam2 = {frozenset(fan.rays[i] for i in c) for c in fan.max_cones}
-            ample = fam1 == fam2
+        det_v = det(IntMatrix(rows))
+        delta = abs(det_v)
+        M = [
+            det(IntMatrix([v[:k] + (-a[i],) + v[k + 1:] for v, i in zip(rows, idx)]))
+            * (det_v // delta)
+            for k in range(fan.lattice_dim)
+        ]
+        yield idx, delta, M, [dot(M, v) + delta * x for v, x in zip(fan.rays, a)]
+
+
+def positivity(fan: Fan, divisor) -> PositivityRecord:
+    """Basepoint-freeness / nefness / ampleness on a complete simplicial fan.
+
+    With the integer slacks s_sigma_j of `_witnesses`: nef iff every
+    s_sigma_j >= 0 (convex support function), bpf iff nef and every m_sigma
+    is integral, ample iff bpf and s_sigma_j > 0 for each j outside sigma
+    (strictly convex).  Exact, no polytope; Cox, Little and Schenck, Toric
+    Varieties, Theorems 6.1.7, 6.1.14 and 6.3.12, on a Cartier multiple.
+    Integral witnesses keep ample => bpf on singular fans.
+    """
+    witnesses = list(_witnesses(fan, divisor))
+    nef = all(s >= 0 for _, _, _, slacks in witnesses for s in slacks)
+    bpf = nef and all(x % delta == 0 for _, delta, M, _ in witnesses for x in M)
+    # nef slacks vanish on sigma; ample wants no other zero
+    ample = bpf and all(slacks.count(0) == len(idx) for idx, _, _, slacks in witnesses)
     return PositivityRecord(basepoint_free=bpf, nef=nef, ample=ample)
 
 
 def intersection_number_nef_surface(fan: Fan, d1, d2) -> Fraction:
     """Intersection number of two nef divisors on a complete toric surface.
 
-    Computed as the mixed area area(P1 + P2) - area(P1) - area(P2) of the
-    divisor polytopes, normalized so that D^2 is twice the area of its
-    polytope.
+    Exactly D1.D2 = sum_j a2_j D1.D_j.  For ray j in the maximal cones sigma
+    and tau = {j, q}, D1 - div(chi^m_sigma) meets D_j only in D_q, and
+    D_q.D_j = 1 / delta_tau (Cox, Little and Schenck, Toric Varieties, Lemma
+    6.4.2), so D1.D_j = s_sigma_q / (delta_sigma delta_tau) (`_witnesses`).
     """
     if fan.lattice_dim != 2:
         raise NotSurface("intersection numbers implemented for surfaces only")
     for d in (d1, d2):
         if not positivity(fan, d).nef:
             raise NotNef("intersection numbers require nef divisors")
-    a1 = _check_divisor(fan, d1)
-    a2 = _check_divisor(fan, d2)
-    total = tuple(x + y for x, y in zip(a1, a2))
-
-    def area_of(div):
-        poly = divisor_polytope(fan, div)
-        if poly.is_empty():
-            return Fraction(0)
-        return poly.area()
-
-    return area_of(total) - area_of(a1) - area_of(a2)
+    witnesses = list(_witnesses(fan, d1))
+    total = Fraction(0)
+    for j, coeff in enumerate(_check_divisor(fan, d2)):
+        sigma, tau = [w for w in witnesses if j in w[0]]
+        (q,) = set(tau[0]) - {j}
+        total += Fraction(coeff * sigma[3][q], sigma[1] * tau[1])
+    return total
 
 
 def irrelevant_monomials(fan: Fan):

@@ -33,6 +33,38 @@ CASES = {
         "--divisor",
         "0,0,1",
     ],
+    "positivity_p112.json": [
+        "positivity",
+        "--fan",
+        str(DATA / "fan_p112.json"),
+        "--divisor",
+        "0,-1,1",
+    ],
+    "positivity_f1_ample.json": [
+        "positivity",
+        "--fan",
+        str(DATA / "fan_f1.json"),
+        "--divisor",
+        "0,0,2,-1",
+    ],
+    "intersect_nef_p112.json": [
+        "intersect-nef",
+        "--fan",
+        str(DATA / "fan_p112.json"),
+        "--d1",
+        "0,-1,1",
+        "--d2",
+        "0,-1,1",
+    ],
+    "intersect_nef_f1.json": [
+        "intersect-nef",
+        "--fan",
+        str(DATA / "fan_f1.json"),
+        "--d1",
+        "0,0,1,0",
+        "--d2",
+        "0,0,2,-1",
+    ],
     "blowup_12_13_17.json": [
         "blowup-analyze",
         "--weights",

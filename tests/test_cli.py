@@ -266,6 +266,22 @@ def test_intersect_nef_cmd():
     assert report["result"]["intersection_number"] == 2
 
 
+@pytest.mark.parametrize(
+    "golden",
+    [
+        "positivity_p112.json",
+        "positivity_f1_ample.json",
+        "intersect_nef_p112.json",
+        "intersect_nef_f1.json",
+    ],
+)
+def test_positivity_and_intersection_goldens(golden):
+    from make_goldens import CASES
+
+    code, report = run(CASES[golden] + ["--expect", str(GOLDENS / golden)])
+    assert code == 0
+
+
 def test_blowup_analyze_golden():
     code, report = run(
         [
@@ -419,9 +435,16 @@ BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", 
         (["blowup-analyze", "--polygon", "TWO_FIELD_CURVE", "--k", "1"], None, 1),
         (BLOWUP_H0, "1048583,abc,1048601", 1),
         (BLOWUP_H0, "1048583,1048581,1048601", 2),  # 1048581 = 3 * 349527
+        (["positivity", "--fan", data("fan_octahedron.json"), "--divisor",
+          "1,1,1,1,1,1,1,1"], None, 2),
+        (["intersect-nef", "--fan", data("fan_p3.json"), "--d1", "0,0,0,1",
+          "--d2", "0,0,0,1"], None, 2),
+        (["intersect-nef", "--fan", data("fan_half_plane.json"), "--d1", "1,1,1",
+          "--d2", "1,1,1"], None, 2),
     ],
     ids=["veronese-entry", "veronese-ragged", "plot-points", "curve-terms",
-         "primes-not-integers", "primes-composite"],
+         "primes-not-integers", "primes-composite", "positivity-not-simplicial",
+         "intersect-not-surface", "intersect-not-complete"],
 )
 def test_malformed_input_reports_error(
     argv, primes, code, tmp_path, monkeypatch, capsys

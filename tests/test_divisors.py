@@ -1,11 +1,16 @@
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import find_gl2z
+from helpers import find_gl2z, intersection_by_mixed_area, positivity_by_polytope
 
+import coxkit
 from coxkit.divisors import (
     NotComplete,
     NotNef,
@@ -23,14 +28,20 @@ from coxkit.divisors import (
     veronese_generators,
 )
 from coxkit.fans import (
+    BadWeights,
     Fan,
     hirzebruch_fan,
     normal_fan_with_ample,
     projective_space_fan,
     weighted_projective_fan,
 )
-from coxkit.linalg import IntMatrix, dot
-from coxkit.polyhedra import dd_convert, lattice_points, polytope_from_points
+from coxkit.linalg import IntMatrix, dot, primitive
+from coxkit.polyhedra import (
+    convex_hull_2d,
+    dd_convert,
+    lattice_points,
+    polytope_from_points,
+)
 
 DELTA_VERTICES = [(11, -26), (50, 0), (-1, 34)]
 
@@ -86,6 +97,25 @@ def test_divisor_with_class_roundtrip():
             )
             div = cg.divisor_with_class(cls)
             assert cg.class_of(div) == cls
+
+
+def test_divisor_with_class_checks_itself_under_optimize():
+    # a broken inverse must still be caught when `python -O` strips asserts
+    script = (
+        "from coxkit.divisors import class_group\n"
+        "from coxkit.fans import hirzebruch_fan\n"
+        "from coxkit.linalg import IntMatrix\n"
+        "cg = class_group(hirzebruch_fan(1))\n"
+        "cg._U_inv = IntMatrix.zero(4, 4)\n"
+        "try:\n"
+        "    cg.divisor_with_class((2, 1))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(coxkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", script], env=env).returncode == 0
 
 
 # ------------------------------------------------------ principal divisors
@@ -253,6 +283,82 @@ def test_positivity_wps_non_cartier():
     assert rec1.nef and not rec1.basepoint_free
     rec2 = positivity(fan, 2 * d1)
     assert rec2.basepoint_free
+
+
+def _random_complete_surface(rng):
+    """Complete simplicial fan on random primitive rays in angular order.
+
+    Rays from a box of radius 4 give cones of determinant up to 32, so
+    most fans have singular cones.
+    """
+    while True:
+        rays = {
+            primitive((rng.randint(-4, 4), rng.randint(-4, 4)))
+            for _ in range(rng.randint(3, 7))
+        } - {(0, 0)}
+        rays = sorted(rays, key=lambda v: math.atan2(v[1], v[0]))
+        n = len(rays)
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+        if n >= 3 and all(
+            rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0] > 0 for i, j in pairs
+        ):
+            return Fan(2, rays, pairs)
+
+
+def _random_weighted_projective(rng, n):
+    while True:
+        try:
+            return weighted_projective_fan(*(rng.randint(1, 7) for _ in range(n + 1)))
+        except BadWeights:
+            continue
+
+
+def test_positivity_and_intersection_match_polytope_oracle():
+    """Slack criteria against the divisor polytope and its normal fan.
+
+    Random surfaces with singular cones and P(w) in dimensions 2 and 3 take
+    divisors from a coefficient box, which are seldom ample, so ample
+    divisors of normal fans of random lattice polygons are added.  Every
+    pair of nef divisors on a surface also checks the intersection number
+    against the mixed area.
+    """
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(25):
+        fan = _random_complete_surface(rng)
+        cases.append((fan, [[rng.randint(-3, 3) for _ in fan.rays] for _ in range(12)]))
+    for n in (2, 3):
+        for _ in range(8):
+            fan = _random_weighted_projective(rng, n)
+            cases.append((fan, [[rng.randint(-3, 6) for _ in fan.rays] for _ in range(6)]))
+    while len(cases) < 70:
+        pts = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 7))]
+        hull = convex_hull_2d(pts)
+        if hull.dim() == 2:
+            fan, ample = normal_fan_with_ample(hull)
+            extra = [[a + rng.randint(-1, 1) for a in ample] for _ in range(4)]
+            cases.append((fan, [ample, [2 * a for a in ample]] + extra))
+    disagreements = []
+    seen = {"not_bpf": 0, "ample": 0, "intersections": 0}
+    for fan, divisors in cases:
+        nef = []
+        for div in divisors:
+            got, want = positivity(fan, div), positivity_by_polytope(fan, div)
+            if got != want:
+                disagreements.append((fan, div, got, want))
+            seen["not_bpf"] += want.nef and not want.basepoint_free
+            seen["ample"] += want.ample
+            if want.nef and fan.lattice_dim == 2:
+                nef.append(div)
+        for d1, d2 in itertools.combinations_with_replacement(nef, 2):
+            got = intersection_number_nef_surface(fan, d1, d2)
+            want = intersection_by_mixed_area(fan, d1, d2)
+            if got != want:
+                disagreements.append((fan, d1, d2, got, want))
+            seen["intersections"] += 1
+    assert disagreements == []
+    assert seen["ample"] >= 40 and seen["not_bpf"] >= 10, seen
+    assert seen["intersections"] >= 200, seen
 
 
 # ------------------------------------------------------ intersection numbers
