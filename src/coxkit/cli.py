@@ -123,9 +123,7 @@ def load_fan(path) -> fn.Fan:
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad fan document {path}: {exc}") from exc
-    report = fn.validate_fan(fan)
-    if not report.ok:
-        raise PreconditionError("invalid fan: " + "; ".join(report.violations))
+    fn.fan_predicates(fan)  # raises InvalidFan, a PreconditionError
     return fan
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .fans import Fan, fan_predicates, validate_fan
+from .fans import Fan, fan_predicates
 from .linalg import (
     IntMatrix,
     det,
@@ -265,9 +265,7 @@ def intersection_number_nef_surface(fan: Fan, d1, d2) -> Fraction:
 
 def irrelevant_monomials(fan: Fan):
     """Variable supports of the irrelevant ideal: one per maximal cone."""
-    report = validate_fan(fan)
-    if not report.ok:
-        raise PreconditionError("; ".join(report.violations))
+    fan_predicates(fan)  # raises InvalidFan on an invalid fan
     r = len(fan.rays)
     return [tuple(sorted(set(range(r)) - set(c))) for c in fan.max_cones]
 

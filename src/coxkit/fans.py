@@ -71,9 +71,6 @@ class Fan:
             generators=[self.rays[i] for i in indices], ambient_dim=self.lattice_dim
         )
 
-    def max_cone_objects(self):
-        return [self.cone(c) for c in self.max_cones]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -85,25 +82,28 @@ class ValidationReport:
 
 
 def _is_face_of(face: Cone, cone: Cone) -> bool:
-    """Is `face` a face of `cone`?  Both must already satisfy face ⊆ cone."""
+    """Is `face` a face of `cone`?  Both must already satisfy face ⊆ cone.
+
+    The smallest face of `cone` containing `face` is cut out by the facets
+    of `cone` that vanish on `face`, and it is generated by the generators
+    of `cone` on which all of those facets vanish; `face` is a face iff it
+    contains each of those generators.
+    """
     tight = [
         f
         for f in cone.facets
         if all(dot(f, g) == 0 for g in face.generators)
     ]
-    sub_gens = [
-        g for g in cone.generators if all(dot(f, g) == 0 for f in tight)
-    ]
-    if not face.generators:
-        return not sub_gens
-    if not sub_gens:
-        return False
-    sub = dd_convert(generators=sub_gens, ambient_dim=cone.ambient_dim)
-    return sub == face
+    return all(
+        face.contains(g)
+        for g in cone.generators
+        if all(dot(f, g) == 0 for f in tight)
+    )
 
 
-def validate_fan(fan: Fan) -> ValidationReport:
-    """Check the fan axioms; names the offending cone pair on failure."""
+def _check_fan(fan: Fan):
+    """Violations of the fan axioms, and the maximal cones as Cone objects
+    (complete only when there are no violations)."""
     v = []
     seen = set()
     for i, r in enumerate(fan.rays):
@@ -117,7 +117,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
         if len(r) != fan.lattice_dim:
             v.append(f"ray {i} has wrong dimension")
     if v:
-        return ValidationReport(False, tuple(v))
+        return v, []
 
     used = set()
     cones = []
@@ -127,7 +127,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
             continue
         used.update(idx)
         cone = fan.cone(idx)
-        cones.append((ci, idx, cone))
+        cones.append(cone)
         if not cone.is_pointed():
             v.append(f"max cone {ci} = {idx} is not strictly convex")
         gens = set(cone.generators)
@@ -140,10 +140,10 @@ def validate_fan(fan: Fan) -> ValidationReport:
     for i in sorted(missing):
         v.append(f"ray {i} is not used by any maximal cone")
     if v:
-        return ValidationReport(False, tuple(v))
+        return v, cones
 
-    for (ci, idx_i, cone_i), (cj, idx_j, cone_j) in itertools.combinations(cones, 2):
-        if set(idx_i) == set(idx_j):
+    for (ci, cone_i), (cj, cone_j) in itertools.combinations(enumerate(cones), 2):
+        if set(fan.max_cones[ci]) == set(fan.max_cones[cj]):
             v.append(f"max cones {ci} and {cj} coincide")
             continue
         inter = intersect(cone_i, cone_j)
@@ -151,6 +151,12 @@ def validate_fan(fan: Fan) -> ValidationReport:
             v.append(
                 f"intersection of max cones {ci} and {cj} is not a common face"
             )
+    return v, cones
+
+
+def validate_fan(fan: Fan) -> ValidationReport:
+    """Check the fan axioms; names the offending cone pair on failure."""
+    v, _ = _check_fan(fan)
     return ValidationReport(not v, tuple(v))
 
 
@@ -163,16 +169,17 @@ class FanPredicates:
 
 @lru_cache(maxsize=1024)
 def fan_predicates(fan: Fan) -> FanPredicates:
-    """Complete / simplicial / smooth, for a validated fan.
+    """Complete / simplicial / smooth; validates the fan first.
 
-    Cached per fan (fans are frozen and hashable); an invalid fan raises
-    InvalidFan on every call, since exceptions are never cached.
+    The maximal cones built by validation are reused.  Cached per fan
+    (fans are frozen and hashable); an invalid fan raises InvalidFan,
+    whose message starts with "invalid fan: ", on every call, since
+    exceptions are never cached.
     """
-    report = validate_fan(fan)
-    if not report.ok:
-        raise InvalidFan("; ".join(report.violations))
+    violations, cones = _check_fan(fan)
+    if violations:
+        raise InvalidFan("invalid fan: " + "; ".join(violations))
     d = fan.lattice_dim
-    cones = fan.max_cone_objects()
 
     simplicial = True
     smooth = True
@@ -298,9 +305,8 @@ def weighted_projective_fan(*weights) -> Fan:
     for j, r in enumerate(rays):
         if vec_gcd(r) != 1:
             raise BadWeights(f"weights are not well-formed: ray {j} = {r}")
-    assert all(
-        sum(ai * ri[k] for ai, ri in zip(a, rays)) == 0 for k in range(n)
-    )
+    if any(sum(ai * ri[k] for ai, ri in zip(a, rays)) for k in range(n)):
+        raise AssertionError("rays do not satisfy the weight relation")
     max_cones = [tuple(sorted(set(range(n + 1)) - {i})) for i in range(n + 1)]
     return Fan(n, tuple(rays), tuple(max_cones))
 

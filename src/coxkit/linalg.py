@@ -14,8 +14,7 @@ rows is unlucky and the next one is tried; when the primes or the lifting
 steps run out, PreconditionError is raised.  Before a rank computation
 each rational row is cleared of denominators and made primitive (divided
 by the gcd of its entries).  Bareiss elimination remains for `det` and
-as the reference `int_rank`.  gmpy2 bignums are used there when gmpy2 is
-installed, Python ints otherwise.
+as the reference `int_rank`.
 """
 
 from __future__ import annotations
@@ -27,12 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-
-try:
-    from gmpy2 import mpz as _bigint
-except ImportError:  # pragma: no cover
-    _bigint = int
-
 
 class PrimeDivideDenominator(PreconditionError):
     pass
@@ -380,9 +373,9 @@ def det(M: IntMatrix):
     n = M.rows
     if n == 0:
         return 1
-    a = [[_bigint(x) for x in row] for row in M._r]
+    a = [list(row) for row in M._r]
     sign = 1
-    prev = _bigint(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -397,9 +390,9 @@ def det(M: IntMatrix):
             rowk = a[k]
             for j in range(k + 1, n):
                 rowi[j] = (pk * rowi[j] - aik * rowk[j]) // prev
-            rowi[k] = _bigint(0)
+            rowi[k] = 0
         prev = pk
-    return sign * int(a[n - 1][n - 1])
+    return sign * a[n - 1][n - 1]
 
 
 def int_rank(rows) -> int:
@@ -407,14 +400,14 @@ def int_rank(rows) -> int:
 
     The reference the tests check `certified_nullity` against; no library
     path calls it."""
-    a = [[_bigint(x) for x in row] for row in rows]
+    a = [[int(x) for x in row] for row in rows]
     n = len(a)
     if n == 0:
         return 0
     m = len(a[0])
     rank = 0
     r = 0
-    prev = _bigint(1)
+    prev = 1
     for c in range(m):
         piv = next((i for i in range(r, n) if a[i][c] != 0), None)
         if piv is None:
@@ -427,7 +420,7 @@ def int_rank(rows) -> int:
             rowr = a[r]
             for j in range(c + 1, m):
                 rowi[j] = (pv * rowi[j] - aic * rowr[j]) // prev
-            rowi[c] = _bigint(0)
+            rowi[c] = 0
         prev = pv
         rank += 1
         r += 1

@@ -7,15 +7,20 @@ rays combinatorially from their zero sets (Fukuda and Prodon 1996).  A
 Smith normal form runs only when the cone has lineality, to lift the rays
 of the pointed quotient to canonical representatives.  Polytopes are
 vertex lists with exact rational coordinates; facet representations are
-derived through the cone over the polytope.  Hilbert bases are computed
-by triangulating a pointed cone and enumerating fundamental
-parallelepipeds.
+derived through the cone over the polytope; lattice points are
+enumerated with integer bounds from those facets.  Hilbert bases are
+computed in integers by triangulating a pointed cone, listing the points
+of each simplicial piece's fundamental parallelepiped from its Smith form
+(a piece of index above HILBERT_DET_CAP = 10^4 is refused before its
+points are listed), and reducing the candidates in degree order against the
+basis found so far (Bruns and Ichim 2010).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import PreconditionError
@@ -50,7 +55,7 @@ class DeterminantTooLarge(PreconditionError):
     pass
 
 
-HILBERT_DET_CAP = 10**6
+HILBERT_DET_CAP = 10**4
 LATTICE_DIM_CAP = 4
 
 
@@ -161,7 +166,8 @@ def _extreme_rays_of_halfspaces(normals, dim):
     qnormals = set()
     for n in normals:
         g = tit.apply(n)
-        assert all(x == 0 for x in g[:s])
+        if any(g[:s]):
+            raise AssertionError("normal not zero on the lineality")
         qnormals.add(tuple(g[s:]))
     rays_q, _ = _double_description(sorted(qnormals), dim - s)
     return sorted(T_inv.apply((0,) * s + v) for v in rays_q), lin.row_list()
@@ -304,8 +310,6 @@ def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.ambient_dim != c2.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     fac = sorted(set(c1.facets) | set(c2.facets))
-    if not fac:
-        return dd_convert(facets=[], ambient_dim=c1.ambient_dim)
     return dd_convert(facets=fac, ambient_dim=c1.ambient_dim)
 
 
@@ -504,7 +508,12 @@ def polytope_from_inequalities(ineqs, ambient_dim):
 
 
 def lattice_points(poly: Polytope, dilation=1):
-    """All integer points of dilation * poly, sorted lexicographically."""
+    """All integer points of dilation * poly, sorted lexicographically.
+
+    For each prefix in the bounding box of the first d - 1 coordinates and
+    s = c + <u', prefix>, each integer facet <u, x> + c >= 0 bounds the last
+    coordinate by -(s // u_d) from below or s // -u_d from above.
+    """
     if poly.ambient_dim > LATTICE_DIM_CAP:
         raise DimensionTooLarge(
             f"lattice point enumeration capped at dimension {LATTICE_DIM_CAP}"
@@ -517,45 +526,28 @@ def lattice_points(poly: Polytope, dilation=1):
     d = q.ambient_dim
     if d == 0:
         return [()]
-    lows = [min(v[i] for v in q.vertices) for i in range(d)]
-    highs = [max(v[i] for v in q.vertices) for i in range(d)]
-    boxes = [
-        range(math.ceil(lows[i]), math.floor(highs[i]) + 1) for i in range(d)
-    ]
-    ineqs = q.inequalities() if len(q.vertices) > 1 else None
-    out = []
     if len(q.vertices) == 1:
         v = q.vertices[0]
-        if all(x.denominator == 1 for x in v):
-            out.append(tuple(int(x) for x in v))
-        return out
+        return [tuple(int(x) for x in v)] if all(x.denominator == 1 for x in v) else []
+    boxes = [
+        range(math.ceil(min(v[i] for v in q.vertices)),
+              math.floor(max(v[i] for v in q.vertices)) + 1)
+        for i in range(d)
+    ]
+    ineqs = q.inequalities()
+    out = []
     for prefix in itertools.product(*boxes[: d - 1]):
-        lo, hi = lows[d - 1], highs[d - 1]
-        lo = Fraction(math.ceil(lo))
-        hi = Fraction(math.floor(hi))
-        feasible = True
+        lo, hi = boxes[d - 1].start, boxes[d - 1].stop - 1
         for u, c in ineqs:
-            s = c + sum(Fraction(ui) * pi for ui, pi in zip(u[: d - 1], prefix))
-            ul = u[d - 1]
-            if ul == 0:
-                if s < 0:
-                    feasible = False
-                    break
-            elif ul > 0:
-                bound = Fraction(-s, ul)
-                if bound > lo:
-                    lo = bound
-            else:
-                bound = Fraction(s, -ul)
-                if bound < hi:
-                    hi = bound
-        if not feasible:
-            continue
-        start = math.ceil(lo)
-        stop = math.floor(hi)
-        for last in range(start, stop + 1):
-            out.append(tuple(prefix) + (last,))
-    out.sort()
+            s = c + sum(ui * pi for ui, pi in zip(u, prefix))
+            if u[d - 1] > 0:
+                lo = max(lo, -(s // u[d - 1]))
+            elif u[d - 1] < 0:
+                hi = min(hi, s // -u[d - 1])
+            elif s < 0:
+                break
+        else:
+            out.extend(prefix + (last,) for last in range(lo, hi + 1))
     return out
 
 
@@ -587,37 +579,47 @@ def _parallelepiped_points(ray_rows, dim):
 
     ray_rows: dim linearly independent integer vectors; returns all x in
     Z^dim with x = sum lambda_i r_i, 0 <= lambda_i < 1 (including 0).
+    With C the matrix whose columns are the rays and U C V = D its Smith
+    form, the points are U^-1 t reduced modulo C Z^dim for t in the
+    product of the Z/d_i, that is x = C lambda with lambda = V D^-1 t mod 1.
+    Over the common denominator delta = d_last this is
+    x = C ((V (t_i delta / d_i)) mod delta) / delta, all in integers.
+    Raises DeterminantTooLarge before enumerating when the index
+    |det C| = prod d_i exceeds HILBERT_DET_CAP.
     """
     C = IntMatrix(ray_rows, cols=dim).transpose()  # columns are the rays
     snf = smith_normal_form(C)
     diag = snf.D.diagonal()
-    detp = 1
-    for x in diag:
-        detp *= x
-    if detp > HILBERT_DET_CAP:
+    index = math.prod(diag)
+    if index > HILBERT_DET_CAP:
         raise DeterminantTooLarge(
-            f"simplicial piece has index {detp} > {HILBERT_DET_CAP}"
+            f"simplicial piece has index {index} > {HILBERT_DET_CAP}"
         )
-    U_inv = int_inverse_unimodular(snf.U)
+    delta = diag[-1]
     pts = set()
-    for combo in itertools.product(*[range(x) for x in diag]):
-        x0 = U_inv.apply(combo)
-        lam = rational_solve(C, x0)
-        frac = [Fraction(l) - (Fraction(l) // 1) for l in lam]
-        x = []
-        for i in range(dim):
-            val = sum(Fraction(ray_rows[j][i]) * frac[j] for j in range(dim))
-            assert val.denominator == 1
-            x.append(int(val))
-        pts.add(tuple(x))
+    for t in itertools.product(*[range(x) for x in diag]):
+        lam = snf.V.apply([ti * (delta // di) for ti, di in zip(t, diag)])
+        x = C.apply([li % delta for li in lam])
+        if any(xi % delta for xi in x):
+            raise AssertionError("parallelepiped point is not integral")
+        pts.add(tuple(xi // delta for xi in x))
     return pts
 
 
 def hilbert_basis(cone: Cone):
     """Minimal generating set of the monoid of lattice points of a cone.
 
-    The cone must be pointed and of ambient dimension at most 4; the
-    simplicial pieces of the triangulation must have index at most 10^6.
+    The cone must be pointed and of ambient dimension at most 4; each
+    simplicial piece of the triangulation must have index at most
+    HILBERT_DET_CAP = 10^4.  The candidates are the cone's generators and
+    the parallelepiped points of the pieces.  Each candidate x has facet
+    values F(x) = (<f, x>)_f, and they are visited in the order of
+    (sum F(x), x); the sum is positive on nonzero points of a pointed
+    full-dimensional cone.  x is kept unless F(x) >= F(b) componentwise,
+    i.e. x - b lies in the cone, for some b kept before it.  This is exact:
+    a reducible x is b + y for a Hilbert basis element b and a nonzero
+    monoid element y, so b has strictly smaller degree, is a candidate and
+    was kept before x.
     """
     if not cone.is_pointed():
         raise NotPointed("hilbert basis requires a pointed cone")
@@ -638,7 +640,8 @@ def hilbert_basis(cone: Cone):
         new_gens = []
         for g in cone.generators:
             y = rational_solve(bt, g)
-            assert y is not None and all(Fraction(x).denominator == 1 for x in y)
+            if y is None or any(Fraction(x).denominator != 1 for x in y):
+                raise AssertionError("generator outside the span lattice")
             new_gens.append(tuple(int(x) for x in y))
         sub = dd_convert(generators=new_gens, ambient_dim=k)
         hb = hilbert_basis(sub)
@@ -646,24 +649,12 @@ def hilbert_basis(cone: Cone):
 
     candidates = set(cone.generators)
     for simplex in _triangulate_pointed(list(cone.generators), d):
-        for p in _parallelepiped_points(simplex, d):
-            if any(p):
-                candidates.add(p)
-
-    # remove elements that split as a sum of two nonzero monoid elements
-    cands = sorted(candidates)
-    basis = []
-    for x in cands:
-        reducible = False
-        for c in cands:
-            if c == x or not any(c):
-                continue
-            diff = tuple(a - b for a, b in zip(x, c))
-            if not any(diff):
-                continue
-            if all(dot(f, diff) >= 0 for f in cone.facets):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(x)
-    return basis
+        candidates |= _parallelepiped_points(simplex, d)
+    candidates.discard((0,) * d)
+    values = {x: tuple(dot(f, x) for f in cone.facets) for x in candidates}
+    basis = {}  # element -> its facet values
+    for x in sorted(candidates, key=lambda x: (sum(values[x]), x)):
+        fx = values[x]
+        if not any(all(map(operator.ge, fx, fb)) for fb in basis.values()):
+            basis[x] = fx
+    return sorted(basis)

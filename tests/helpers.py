@@ -14,7 +14,16 @@ from coxkit.divisors import (
     divisor_polytope,
 )
 from coxkit.fans import fan_predicates, normal_fan
-from coxkit.linalg import IntMatrix, det, rational_solve
+from coxkit.linalg import (
+    IntMatrix,
+    det,
+    dot,
+    int_inverse_unimodular,
+    integer_kernel_saturated,
+    rational_solve,
+    smith_normal_form,
+)
+from coxkit.polyhedra import _triangulate_pointed, dd_convert
 
 
 def find_gl2z(src_cols, dst_cols):
@@ -110,3 +119,94 @@ def intersection_by_mixed_area(fan, d1, d2):
         return Fraction(0) if poly.is_empty() else poly.area()
 
     return area_of(total) - area_of(a1) - area_of(a2)
+
+
+def parallelepiped_points_by_solve(ray_rows, dim):
+    """Parallelepiped points of a simplicial cone, one rational solve each.
+
+    For each t in the product of the Z/d_i of the Smith form U C V = D,
+    x0 = U^-1 t, and x is C times the fractional part of C^-1 x0.
+    """
+    C = IntMatrix(ray_rows, cols=dim).transpose()  # columns are the rays
+    snf = smith_normal_form(C)
+    U_inv = int_inverse_unimodular(snf.U)
+    pts = set()
+    for combo in itertools.product(*[range(x) for x in snf.D.diagonal()]):
+        lam = rational_solve(C, U_inv.apply(combo))
+        frac = [Fraction(l) - (Fraction(l) // 1) for l in lam]
+        x = [sum(ray_rows[j][i] * frac[j] for j in range(dim)) for i in range(dim)]
+        assert all(v.denominator == 1 for v in x)
+        pts.add(tuple(int(v) for v in x))
+    return pts
+
+
+def hilbert_basis_all_pairs(cone):
+    """Hilbert basis of a pointed cone: every candidate against every other.
+
+    Lower-dimensional cones are moved into the saturated lattice of their
+    span.  A candidate is dropped when it minus some other nonzero
+    candidate is a nonzero point of the cone.
+    """
+    if not cone.generators:
+        return []
+    d, k = cone.ambient_dim, cone.dim()
+    if k < d:
+        orth = integer_kernel_saturated(IntMatrix(cone.generators, cols=d))
+        bt = integer_kernel_saturated(orth).transpose()
+        gens = [tuple(int(x) for x in rational_solve(bt, g)) for g in cone.generators]
+        sub = dd_convert(generators=gens, ambient_dim=k)
+        return sorted(bt.apply(h) for h in hilbert_basis_all_pairs(sub))
+    candidates = set(cone.generators)
+    for simplex in _triangulate_pointed(list(cone.generators), d):
+        candidates |= {p for p in parallelepiped_points_by_solve(simplex, d) if any(p)}
+    cands = sorted(candidates)
+    basis = []
+    for x in cands:
+        for c in cands:
+            diff = tuple(a - b for a, b in zip(x, c))
+            if c != x and any(diff) and all(dot(f, diff) >= 0 for f in cone.facets):
+                break
+        else:
+            basis.append(x)
+    return basis
+
+
+def lattice_points_by_fractions(poly, dilation=1):
+    """Integer points of dilation * poly: a box scan over the first d - 1
+    coordinates, with the last one bounded by Fraction arithmetic."""
+    q = poly.dilate(dilation)
+    if q.is_empty():
+        return []
+    d = q.ambient_dim
+    if len(q.vertices) == 1:
+        v = q.vertices[0]
+        return [tuple(int(x) for x in v)] if all(x.denominator == 1 for x in v) else []
+    lows = [min(v[i] for v in q.vertices) for i in range(d)]
+    highs = [max(v[i] for v in q.vertices) for i in range(d)]
+    boxes = [range(math.ceil(lows[i]), math.floor(highs[i]) + 1) for i in range(d)]
+    out = []
+    for prefix in itertools.product(*boxes[: d - 1]):
+        lo, hi = Fraction(math.ceil(lows[-1])), Fraction(math.floor(highs[-1]))
+        feasible = True
+        for u, c in q.inequalities():
+            s = c + sum(Fraction(ui) * pi for ui, pi in zip(u[: d - 1], prefix))
+            if u[-1] == 0:
+                feasible = feasible and s >= 0
+            elif u[-1] > 0:
+                lo = max(lo, Fraction(-s, u[-1]))
+            else:
+                hi = min(hi, Fraction(s, -u[-1]))
+        if feasible:
+            for last in range(math.ceil(lo), math.floor(hi) + 1):
+                out.append(tuple(prefix) + (last,))
+    return sorted(out)
+
+
+def is_face_by_conversion(face, cone):
+    """Is `face` (a subcone of `cone`) a face of it?  Converts the
+    generators of `cone` on the facets tight on `face` and compares."""
+    tight = [f for f in cone.facets if all(dot(f, g) == 0 for g in face.generators)]
+    sub_gens = [g for g in cone.generators if all(dot(f, g) == 0 for f in tight)]
+    if not face.generators or not sub_gens:
+        return not sub_gens and not face.generators
+    return dd_convert(generators=sub_gens, ambient_dim=cone.ambient_dim) == face

@@ -326,3 +326,13 @@ def test_criterion_10_property_suites():
         test_chambers.test_lambda_idempotence_random()
         test_chambers.test_enumerate_chambers_partition_2d()
         test_chambers.test_mori_chamber_idempotent_on_interior()
+
+
+def test_criterion_11_hilbert_basis_index_5000():
+    with Budget("11 Hilbert basis of an index-5000 cone", 10.0):
+        gens = [(1, 0, 0), (0, 1, 0), (7, 11, 5000)]
+        cone = dd_convert(generators=gens, ambient_dim=3)
+        basis = hilbert_basis(cone)
+        assert len(basis) == 1112
+        assert set(gens) <= set(basis)
+        assert all(cone.contains(b) for b in basis)

@@ -1,8 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import is_face_by_conversion
+
+from coxkit import fans
 from coxkit.fans import (
     BadWeights,
     Fan,
@@ -20,7 +24,7 @@ from coxkit.fans import (
     weighted_projective_fan,
 )
 from coxkit.linalg import IntMatrix, dot, primitive, smith_normal_form
-from coxkit.polyhedra import convex_hull_2d, polytope_from_points
+from coxkit.polyhedra import convex_hull_2d, dd_convert, intersect, polytope_from_points
 
 DELTA_VERTICES = [(11, -26), (50, 0), (-1, 34)]
 DELTA_PRIME_COLUMNS = [(-1, 6), (-4, 5), (-3, 1), (-2, 8), (-6, 0), (-7, 0), (0, 3)]
@@ -263,3 +267,42 @@ def test_unimodular_equivalence_self():
     for fan in (projective_space_fan(2), hirzebruch_fan(3), weighted_projective_fan(1, 1, 2)):
         T = fans_unimodular_equivalent(fan, fan)
         assert T is not None
+
+
+def random_small_fan(rng):
+    dim = rng.randint(2, 3)
+    rays = sorted({
+        primitive([rng.randint(-2, 2) for _ in range(dim)]) for _ in range(rng.randint(3, 6))
+    } - {(0,) * dim})
+    cones = {
+        tuple(sorted(rng.sample(range(len(rays)), rng.randint(1, min(dim + 1, len(rays))))))
+        for _ in range(rng.randint(1, 4))
+    }
+    return Fan(dim, tuple(rays), tuple(sorted(cones)))
+
+
+def test_face_test_matches_conversion_on_random_fans(monkeypatch):
+    rng = random.Random(31337)
+    faces, valid = set(), set()
+    for _ in range(150):
+        fan = random_small_fan(rng)
+        cones = [fan.cone(c) for c in fan.max_cones]
+        for ci, cj in itertools.product(cones, repeat=2):
+            subset = rng.sample(ci.generators, rng.randint(1, len(ci.generators)))
+            sub = dd_convert(generators=subset, ambient_dim=fan.lattice_dim)
+            for face in (intersect(ci, cj), sub):
+                got = fans._is_face_of(face, ci)
+                assert got == is_face_by_conversion(face, ci), (face, ci)
+                faces.add(got)
+        report = validate_fan(fan)
+        with monkeypatch.context() as m:
+            m.setattr(fans, "_is_face_of", is_face_by_conversion)
+            assert validate_fan(fan) == report
+        valid.add(report.ok)
+    assert faces == valid == {True, False}
+
+
+def test_invalid_fan_message():
+    bad = Fan(2, ((1, 0), (0, 1), (1, 1), (-1, 1)), ((0, 1), (2, 3)))
+    with pytest.raises(InvalidFan, match="^invalid fan: intersection of max cones 0 and 1"):
+        fan_predicates(bad)

@@ -1,9 +1,16 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+
+from helpers import (
+    hilbert_basis_all_pairs,
+    lattice_points_by_fractions,
+    parallelepiped_points_by_solve,
+)
 
 from coxkit import linalg, polyhedra
 from coxkit.linalg import (
@@ -684,3 +691,84 @@ def test_hilbert_determinant_cap():
     wide = dd_convert(generators=[(1, 0), (1, 2 * 10**6)], ambient_dim=2)
     with pytest.raises(DeterminantTooLarge):
         hilbert_basis(wide)
+
+
+def test_hilbert_cap_refused_at_once():
+    from coxkit.polyhedra import HILBERT_DET_CAP, DeterminantTooLarge
+
+    gens = [(1, 0, 0), (0, 1, 0), (1, 1, HILBERT_DET_CAP + 1)]
+    c = dd_convert(generators=gens, ambient_dim=3)
+    t0 = time.monotonic()
+    with pytest.raises(DeterminantTooLarge):
+        hilbert_basis(c)
+    assert time.monotonic() - t0 < 1.0
+
+
+def random_simplicial_rays(rng, dim, bound=4):
+    while True:
+        rays = [tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(dim)]
+        if linalg.det(IntMatrix(rays)) != 0:
+            return rays
+
+
+def test_parallelepiped_points_match_rational_solve():
+    rng = random.Random(8080)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        rays = random_simplicial_rays(rng, dim)
+        pts = polyhedra._parallelepiped_points(rays, dim)
+        assert pts == parallelepiped_points_by_solve(rays, dim)
+        assert len(pts) == abs(linalg.det(IntMatrix(rays)))
+
+
+def random_pointed_cone_for_hilbert(rng, dim):
+    """Pointed cone in Z^dim with small entries: its generators lie on the
+    positive side of a positive functional w.  About a third of the cones
+    lie in the span of fewer than dim random vectors."""
+    w = [rng.randint(1, 3) for _ in range(dim)]
+    span = dim if rng.random() < 0.65 else rng.randint(1, dim - 1)
+    basis = IntMatrix.identity(dim).row_list()
+    if span < dim:
+        basis = []
+        while len(basis) < span:
+            b = [rng.randint(-2, 2) for _ in range(dim)]
+            if dot(w, b) > 0:
+                basis.append(b)
+    gens = []
+    for _ in range(span + rng.randint(0, 3)):
+        g = [0] * dim
+        while dot(w, g) == 0:
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            g = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(dim)]
+        gens.append(g if dot(w, g) > 0 else [-x for x in g])
+    return dd_convert(generators=gens, ambient_dim=dim)
+
+
+def test_hilbert_basis_matches_all_pairs_oracle():
+    rng = random.Random(20261018)
+    lower = non_simplicial = 0
+    for _ in range(300):
+        c = random_pointed_cone_for_hilbert(rng, rng.randint(2, 4))
+        assert c.is_pointed()
+        lower += c.dim() < c.ambient_dim
+        non_simplicial += len(c.generators) > c.dim()
+        assert hilbert_basis(c) == hilbert_basis_all_pairs(c), c
+    assert lower >= 30 and non_simplicial >= 30
+
+
+def random_rational_polytope(rng, dim):
+    bound = (6, 6, 4, 2)[dim - 1]
+    pts = [
+        tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(dim))
+        for _ in range(rng.randint(1, dim + 3))
+    ]
+    return polytope_from_points(pts, ambient_dim=dim)
+
+
+def test_lattice_points_match_fraction_oracle():
+    rng = random.Random(4242)
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        poly = random_rational_polytope(rng, dim)
+        m = rng.randint(1, 3)
+        assert lattice_points(poly, m) == lattice_points_by_fractions(poly, m), (poly, m)
