@@ -1,12 +1,14 @@
 """coxkit: exact-arithmetic toolkit for the combinatorial geometry of
 toric varieties and their graded coordinate rings.
 
-Core layers: exact integer/rational linear algebra (Smith and Hermite
-normal forms, saturated kernels, proved kernel dimensions), rational polyhedral
-cones and lattice polytopes (double description, Hilbert bases, lattice
-point enumeration), fans with class groups and divisor positivity, cone
-chamber decompositions of gradings, and interpolation certificates for
-blow-ups of weighted projective planes at the unit of the torus.
+Core layers: exact integer linear algebra (Smith and Hermite normal
+forms, saturated kernels and lattice coordinates from Hermite forms with
+no elimination over Q, proved kernel dimensions of rational matrices),
+rational polyhedral cones and lattice polytopes (double description,
+Hilbert bases, lattice point enumeration), fans with class groups and
+divisor positivity, cone chamber decompositions of gradings, and
+interpolation certificates for blow-ups of weighted projective planes at
+the unit of the torus.
 """
 
 from .blowup import (

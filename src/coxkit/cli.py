@@ -77,7 +77,7 @@ def parse_number(text):
                 num, den = t.split("/")
                 return Fraction(int(num), int(den))
             return int(t)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad number {text!r}") from exc
     raise InputError(f"expected a number, got {text!r}")
 
@@ -106,11 +106,15 @@ def parse_matrix(text):
 
 
 def load_document(path):
+    """The JSON object in the file at `path`."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def load_fan(path) -> fn.Fan:
@@ -157,13 +161,18 @@ def load_cone(path) -> ph.Cone:
     facets = doc.get("facets")
     if (gens is None) == (facets is None):
         raise InputError(f"cone document {path} needs generators xor facets")
-    vecs = [tuple(parse_int(x) for x in v) for v in (gens if gens is not None else facets)]
+    try:
+        vecs = [tuple(parse_int(x) for x in v) for v in (gens if gens is not None else facets)]
+    except TypeError as exc:
+        raise InputError(f"bad cone document {path}: {exc}") from exc
     if gens is not None:
         return ph.dd_convert(generators=vecs, ambient_dim=dim)
     return ph.dd_convert(facets=vecs, ambient_dim=dim)
 
 
 def load_laurent(doc_terms) -> bw.LaurentPoly:
+    if not isinstance(doc_terms, list):
+        raise InputError(f"curve_terms {doc_terms!r} is not a list")
     terms = []
     for item in doc_terms:
         try:
@@ -437,10 +446,11 @@ def cmd_mukai(args):
 def cmd_lm_project(args):
     if args.matrix:
         doc = load_document(args.matrix)
-        pi = IntMatrix([[parse_int(x) for x in row] for row in doc["matrix"]])
-        v1 = tuple(parse_int(x) for x in doc["v1"])
-        v2 = tuple(parse_int(x) for x in doc["v2"])
-        v3 = tuple(parse_int(x) for x in doc["v3"])
+        try:
+            pi = IntMatrix([[parse_int(x) for x in row] for row in doc["matrix"]])
+            v1, v2, v3 = (tuple(parse_int(x) for x in doc[k]) for k in ("v1", "v2", "v3"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad projection document {args.matrix}: {exc}") from exc
     elif args.n == 10:
         pi = IntMatrix(bw.LM10_PROJECTION_MATRIX)
         v1, v2, v3 = bw.LM10_V1, bw.LM10_V2, bw.LM10_V3
@@ -626,18 +636,19 @@ def build_parser():
 
 
 def run(argv):
-    """Execute a command line; returns (exit_code, report dict)."""
+    """Execute a command line; returns (exit_code, report dict, parsed
+    arguments), the arguments None when argparse rejects argv."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return (0 if exc.code == 0 else 1), {"error": "argument parsing failed"}
+        return (0 if exc.code == 0 else 1), {"error": "argument parsing failed"}, None
     try:
         out = args.func(args)
     except InputError as exc:
-        return 1, {"error": str(exc)}
+        return 1, {"error": str(exc)}, args
     except PreconditionError as exc:
-        return 2, {"error": str(exc)}
+        return 2, {"error": str(exc)}, args
     result, summary, *extras = out
     report = {
         "command": list(argv),
@@ -650,40 +661,30 @@ def run(argv):
         try:
             golden = json.loads(open(args.expect).read())
         except (OSError, json.JSONDecodeError) as exc:
-            return 1, {"error": f"cannot read golden {args.expect}: {exc}"}
+            return 1, {"error": f"cannot read golden {args.expect}: {exc}"}, args
         got = json.loads(canonical_json(result))
         if got != golden:
             report["golden_mismatch"] = True
-            return 3, report
-    return 0, report
-
-
-def _flag_value(argv, name):
-    for i, arg in enumerate(argv):
-        if arg == name and i + 1 < len(argv):
-            return argv[i + 1]
-        if arg.startswith(name + "="):
-            return arg.split("=", 1)[1]
-    return None
+            return 3, report, args
+    return 0, report, args
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    code, report = run(argv)
+    code, report, args = run(argv)
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
         return code
     svg = report.get("svg")
-    out_path = _flag_value(argv, "--out")
-    if svg is not None and out_path:
-        with open(out_path, "w") as fh:
+    if svg is not None and args.out:
+        with open(args.out, "w") as fh:
             fh.write(svg)
-    if "--json" in argv:
+    if args.json:
         printable = {k: v for k, v in report.items() if k != "svg"}
         sys.stdout.write(canonical_json(printable))
     else:
         print(report["summary"])
-        if svg is not None and not out_path:
+        if svg is not None and not args.out:
             sys.stdout.write(svg)
     if code == 3:
         print("golden mismatch", file=sys.stderr)

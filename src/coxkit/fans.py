@@ -22,7 +22,7 @@ from .linalg import (
     dot,
     hermite_normal_form,
     integer_kernel_saturated,
-    rational_solve,
+    lattice_coordinates,
     smith_normal_form,
     vec_gcd,
 )
@@ -325,9 +325,12 @@ def standard_fan(kind: str, *params) -> Fan:
 def fans_unimodular_equivalent(f1: Fan, f2: Fan):
     """Lattice isomorphism mapping one fan onto the other, or None.
 
-    Searches assignments of a spanning ray subset of f1 to rays of f2 and
-    checks that the induced integral map with determinant +-1 matches ray
-    multisets and the maximal cone structure.  Desk scale: few rays only.
+    Searches assignments of d linearly independent rays s_k of f1 to rays
+    t_k of f2.  The map T with T s_k = t_k has as row j the integer
+    coordinates of (t_k[j])_k in the rows of S^T (S the matrix of the s_k),
+    from one Hermite form per assignment; there is none when some row is
+    not integral.  T is kept when det T = +-1 and it matches the ray sets
+    and the maximal cone structure.  Desk scale: few rays only.
     """
     if f1.lattice_dim != f2.lattice_dim or len(f1.rays) != len(f2.rays):
         return None
@@ -345,21 +348,13 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
             break
     if len(base) < d:
         return None
-    S = IntMatrix([f1.rays[i] for i in base], cols=d)
+    S_t = IntMatrix([f1.rays[i] for i in base], cols=d).transpose()
     ray_set2 = set(f2.rays)
     cone_family2 = {frozenset(f2.rays[i] for i in c) for c in f2.max_cones}
     for targets in itertools.permutations(range(len(f2.rays)), d):
         tmat = IntMatrix([f2.rays[i] for i in targets], cols=d)
-        # T s_k = t_k for the base rays: row j of T solves S x = (t_k[j])_k
-        t_rows = []
-        ok = True
-        for j in range(d):
-            x = rational_solve(S, tmat.col(j))
-            if x is None or any(Fraction(v).denominator != 1 for v in x):
-                ok = False
-                break
-            t_rows.append([int(v) for v in x])
-        if not ok:
+        t_rows = lattice_coordinates(S_t, [tmat.col(j) for j in range(d)])
+        if None in t_rows:
             continue
         T = IntMatrix(t_rows, cols=d)
         if abs(det(T)) != 1:

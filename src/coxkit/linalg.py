@@ -1,8 +1,11 @@
-"""Arbitrary-precision integer and rational linear algebra.
+"""Arbitrary-precision integer linear algebra, with rational input rows.
 
-Provides immutable integer/rational matrices, Smith and Hermite normal
-forms with transformation matrices, saturated integer kernels, and proved
-kernel dimensions.  Everything is deterministic.
+Provides immutable integer matrices, Smith and Hermite normal forms with
+transformation matrices, saturated integer kernels, lattice coordinates,
+and proved kernel dimensions of rational matrices.  Everything is
+deterministic.  Lattice questions (kernels, coordinates, membership) are
+answered from Hermite forms; the library does no elimination over Q, and
+`Fraction` appears only as `RatMatrix` input.
 
 Every nullity is a proof with two bounds (`certified_nullity`).  One
 blocked GF(p) elimination gives the upper bound, since a GF(p) rank is at
@@ -13,8 +16,7 @@ every row give the lower bound.  A prime whose check fails off the pivot
 rows is unlucky and the next one is tried; when the primes or the lifting
 steps run out, PreconditionError is raised.  Before a rank computation
 each rational row is cleared of denominators and made primitive (divided
-by the gcd of its entries).  Bareiss elimination remains for `det` and
-as the reference `int_rank`.
+by the gcd of its entries).  Bareiss elimination remains for `det`.
 """
 
 from __future__ import annotations
@@ -335,35 +337,45 @@ def hermite_normal_form(M: IntMatrix):
 
 
 def integer_kernel_saturated(M: IntMatrix) -> IntMatrix:
-    """Basis of {x in Z^cols : M x = 0} as a saturated sublattice.
+    """Basis of {x in Z^cols : M x = 0} as a saturated sublattice, in
+    Hermite normal form.
 
-    Rows of the result form the basis; the quotient of Z^cols by their
-    span is torsion-free because they are columns of a unimodular matrix.
+    With U M^T = H the Hermite form of M^T, the rows of U at the zero rows
+    of H span the kernel; they are rows of a unimodular matrix, so the
+    quotient of Z^cols by their span is torsion-free.
     """
-    snf = smith_normal_form(M)
-    r = snf.rank
-    # kernel = span of columns r..cols-1 of V
-    rows = [snf.V.col(j) for j in range(r, M.cols)]
+    h, u = hermite_normal_form(M.transpose())
+    rows = [u.row(i) for i in range(h.rows) if not any(h.row(i))]
     if not rows:
         return IntMatrix([], cols=M.cols)
-    h, _ = hermite_normal_form(IntMatrix(rows, cols=M.cols))
-    return IntMatrix([row for row in h._r if any(row)], cols=M.cols)
+    return hermite_normal_form(IntMatrix(rows, cols=M.cols))[0]
 
 
-def in_row_lattice(B: IntMatrix, v) -> bool:
-    """Is v an integer combination of the rows of B?"""
-    if B.rows == 0:
-        return not any(v)
-    h, _ = hermite_normal_form(B)
-    w = [int(x) for x in v]
-    for row in h._r:
-        piv = next((j for j, x in enumerate(row) if x != 0), None)
-        if piv is None:
-            continue
-        if w[piv] % row[piv] == 0:
-            q = w[piv] // row[piv]
-            w = [x - q * y for x, y in zip(w, row)]
-    return not any(w)
+def lattice_coordinates(B: IntMatrix, vectors):
+    """Integer coordinates of each vector in the rows of B.
+
+    For each v, a tuple x with x B = v, or None when v is not an integer
+    combination of the rows of B.  One Hermite form H = U B serves every
+    vector: v is reduced at the pivots of H, the quotients q must be exact
+    and leave nothing, and x = q U.  When the rows of B are dependent, x is
+    one of the solutions.
+    """
+    h, u = hermite_normal_form(B)
+    # nonzero rows of H lead and are in echelon form
+    pivots = [(row, next(j for j, x in enumerate(row) if x)) for row in h._r if any(row)]
+    out = []
+    for v in vectors:
+        w = [int(x) for x in v]
+        x = [0] * B.rows
+        for (row, c), urow in zip(pivots, u._r):
+            t, r = divmod(w[c], row[c])
+            if r:  # w[c] stays nonzero: v is not in the lattice
+                break
+            if t:
+                w = [a - t * b for a, b in zip(w, row)]
+                x = [a + t * b for a, b in zip(x, urow)]
+        out.append(None if any(w) else tuple(x))
+    return out
 
 
 def det(M: IntMatrix):
@@ -393,40 +405,6 @@ def det(M: IntMatrix):
             rowi[k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
-
-
-def int_rank(rows) -> int:
-    """Rank of an integer matrix given as a list of rows (Bareiss).
-
-    The reference the tests check `certified_nullity` against; no library
-    path calls it."""
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 0
-    m = len(a[0])
-    rank = 0
-    r = 0
-    prev = 1
-    for c in range(m):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        for i in range(r + 1, n):
-            aic = a[i][c]
-            rowi = a[i]
-            rowr = a[r]
-            for j in range(c + 1, m):
-                rowi[j] = (pv * rowi[j] - aic * rowr[j]) // prev
-            rowi[c] = 0
-        prev = pv
-        rank += 1
-        r += 1
-        if r == n:
-            break
-    return rank
 
 
 @dataclass(frozen=True)
@@ -916,71 +894,6 @@ def kernel_dimension(M: RatMatrix, mode="exact", primes=None) -> int:
     rows = [primitive(row) for row in M.cleared_rows()]
     op = DenseOperator(rows, M.cols)
     return certified_nullity(op, primes, M.denominators()).nullity
-
-
-def _gauss_jordan(a, cols):
-    """Reduce the Fraction rows `a` in place over their first `cols` columns.
-
-    Gauss-Jordan elimination over Q: each pivot row is scaled to a leading
-    1 and its column cleared in every other row.  Returns the pivot
-    columns; pivot row i is a[i].
-    """
-    n = len(a)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return pivots
-
-
-def rational_kernel_basis(M: RatMatrix):
-    """Exact basis of the rational null space (list of Fraction tuples).
-
-    Gauss-Jordan over Fraction; intended for small matrices.
-    """
-    a = [[Fraction(x) for x in row] for row in M._r]
-    m = M.cols
-    pivots = _gauss_jordan(a, m)
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def rational_solve(A, b):
-    """Solve A x = b exactly over Q; returns tuple of Fractions or None.
-
-    A is a list of rows (or IntMatrix), b a vector.  For underdetermined
-    systems an arbitrary solution (free variables at 0) is returned.
-    """
-    if isinstance(A, IntMatrix):
-        A = A.row_list()
-    a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    m = len(a[0]) - 1 if a else 0
-    pivots = _gauss_jordan(a, m)
-    if any(row[m] != 0 for row in a[len(pivots) :]):
-        return None
-    x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = a[i][m]
-    return tuple(x)
 
 
 def int_inverse_unimodular(M: IntMatrix) -> IntMatrix:

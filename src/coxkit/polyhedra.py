@@ -29,8 +29,8 @@ from .linalg import (
     dot,
     int_inverse_unimodular,
     integer_kernel_saturated,
+    lattice_coordinates,
     primitive,
-    rational_solve,
     smith_normal_form,
 )
 
@@ -636,15 +636,12 @@ def hilbert_basis(cone: Cone):
         G = IntMatrix(cone.generators, cols=d)
         orth = integer_kernel_saturated(G)
         span_basis = integer_kernel_saturated(orth)  # k x d rows
-        bt = span_basis.transpose()
-        new_gens = []
-        for g in cone.generators:
-            y = rational_solve(bt, g)
-            if y is None or any(Fraction(x).denominator != 1 for x in y):
-                raise AssertionError("generator outside the span lattice")
-            new_gens.append(tuple(int(x) for x in y))
+        new_gens = lattice_coordinates(span_basis, cone.generators)
+        if None in new_gens:
+            raise AssertionError("generator outside the span lattice")
         sub = dd_convert(generators=new_gens, ambient_dim=k)
         hb = hilbert_basis(sub)
+        bt = span_basis.transpose()
         return sorted(bt.apply(h) for h in hb)
 
     candidates = set(cone.generators)

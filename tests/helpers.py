@@ -20,10 +20,103 @@ from coxkit.linalg import (
     dot,
     int_inverse_unimodular,
     integer_kernel_saturated,
-    rational_solve,
     smith_normal_form,
 )
 from coxkit.polyhedra import _triangulate_pointed, dd_convert
+
+
+def int_rank(rows):
+    """Rank of an integer matrix given as a list of rows (Bareiss)."""
+    a = [[int(x) for x in row] for row in rows]
+    n = len(a)
+    if n == 0:
+        return 0
+    m = len(a[0])
+    rank = 0
+    r = 0
+    prev = 1
+    for c in range(m):
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        for i in range(r + 1, n):
+            aic = a[i][c]
+            rowi = a[i]
+            rowr = a[r]
+            for j in range(c + 1, m):
+                rowi[j] = (pv * rowi[j] - aic * rowr[j]) // prev
+            rowi[c] = 0
+        prev = pv
+        rank += 1
+        r += 1
+        if r == n:
+            break
+    return rank
+
+
+def _gauss_jordan(a, cols):
+    """Reduce the Fraction rows `a` in place over their first `cols` columns.
+
+    Gauss-Jordan elimination over Q: each pivot row is scaled to a leading
+    1 and its column cleared in every other row.  Returns the pivot
+    columns; pivot row i is a[i].
+    """
+    n = len(a)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return pivots
+
+
+def rational_kernel_basis(M):
+    """Exact basis of the rational null space of a RatMatrix (list of
+    Fraction tuples), by Gauss-Jordan over Fraction."""
+    a = [[Fraction(x) for x in M.row(i)] for i in range(M.rows)]
+    m = M.cols
+    pivots = _gauss_jordan(a, m)
+    free = [c for c in range(m) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * m
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def rational_solve(A, b):
+    """Solve A x = b exactly over Q; returns tuple of Fractions or None.
+
+    A is a list of rows (or IntMatrix), b a vector.  For underdetermined
+    systems an arbitrary solution (free variables at 0) is returned.
+    """
+    if isinstance(A, IntMatrix):
+        A = A.row_list()
+    a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
+    m = len(a[0]) - 1 if a else 0
+    pivots = _gauss_jordan(a, m)
+    if any(row[m] != 0 for row in a[len(pivots) :]):
+        return None
+    x = [Fraction(0)] * m
+    for i, c in enumerate(pivots):
+        x[c] = a[i][m]
+    return tuple(x)
 
 
 def find_gl2z(src_cols, dst_cols):

@@ -94,12 +94,12 @@ SVG_CASES = {
 def main():
     GOLDENS.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        code, report = run(argv)
+        code, report, _ = run(argv)
         assert code == 0, (name, report)
         (GOLDENS / name).write_text(canonical_json(report["result"]))
         print("wrote", name)
     for name, argv in SVG_CASES.items():
-        code, report = run(argv)
+        code, report, _ = run(argv)
         assert code == 0, (name, report)
         (GOLDENS / name).write_text(report["svg"])
         print("wrote", name)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import falling, shoelace
+from helpers import falling, rational_kernel_basis, shoelace
 
 from coxkit.blowup import (
     BadRange,
@@ -35,7 +35,7 @@ from coxkit.blowup import (
     vanishing_matrix,
     vanishing_matrix_mod,
 )
-from coxkit.linalg import IntMatrix, rational_kernel_basis
+from coxkit.linalg import IntMatrix
 from coxkit.polyhedra import convex_hull_2d, lattice_points, polytope_from_points
 
 TRIANGLE = polytope_from_points(WPS_12_13_17_TRIANGLE)

@@ -37,14 +37,14 @@ def test_parse_number():
 
 
 def test_classgroup_p2():
-    code, report = run(["classgroup", "--fan", data("fan_p2.json")])
+    code, report, _ = run(["classgroup", "--fan", data("fan_p2.json")])
     assert code == 0
     assert report["result"]["rank"] == 1
     assert report["result"]["degrees"] == [[1], [1], [1]]
 
 
 def test_classgroup_golden():
-    code, report = run(
+    code, report, _ = run(
         [
             "classgroup",
             "--fan",
@@ -57,7 +57,7 @@ def test_classgroup_golden():
 
 
 def test_golden_mismatch_exits_3():
-    code, report = run(
+    code, report, _ = run(
         [
             "classgroup",
             "--fan",
@@ -71,47 +71,47 @@ def test_golden_mismatch_exits_3():
 
 
 def test_bad_input_exits_1():
-    code, report = run(["classgroup", "--fan", data("does_not_exist.json")])
+    code, report, _ = run(["classgroup", "--fan", data("does_not_exist.json")])
     assert code == 1
-    code, report = run(["blowup-analyze", "--weights", "2,3,5", "--k", "4"])
+    code, report, _ = run(["blowup-analyze", "--weights", "2,3,5", "--k", "4"])
     assert code == 1  # no built-in curve data for these weights
 
 
 def test_precondition_exits_2():
-    code, report = run(["blowup-analyze", "--weights", "12,13,17", "--k", "50"])
+    code, report, _ = run(["blowup-analyze", "--weights", "12,13,17", "--k", "50"])
     assert code == 2
     assert "D.C" in report["error"]
-    code, report = run(
+    code, report, _ = run(
         ["sections", "--fan", data("fan_p2.json"), "--divisor", "1,2"]
     )
     assert code == 2  # wrong coefficient count
 
 
 def test_unknown_subcommand_exits_1():
-    code, _ = run(["no-such-command"])
+    code, _, _ = run(["no-such-command"])
     assert code == 1
 
 
 def test_deterministic_reports():
     argv = ["chambers", "--grading", data("grading_f1.json")]
-    code1, rep1 = run(argv)
-    code2, rep2 = run(argv)
+    code1, rep1, _ = run(argv)
+    code2, rep2, _ = run(argv)
     assert code1 == code2 == 0
     assert canonical_json(rep1) == canonical_json(rep2)
 
 
 def test_cox_grading_roundtrip(tmp_path):
-    code, report = run(["cox-grading", "--fan", data("fan_f1.json")])
+    code, report, _ = run(["cox-grading", "--fan", data("fan_f1.json")])
     assert code == 0
     doc = tmp_path / "grading.json"
     doc.write_text(canonical_json(report["result"]))
-    code2, rep2 = run(["eff", "--grading", str(doc)])
+    code2, rep2, _ = run(["eff", "--grading", str(doc)])
     assert code2 == 0
     assert len(rep2["result"]["cone"]["generators"]) == 2
 
 
 def test_mov_golden():
-    code, report = run(
+    code, report, _ = run(
         [
             "mov",
             "--grading",
@@ -126,7 +126,7 @@ def test_mov_golden():
 
 
 def test_chamber_of_class():
-    code, report = run(
+    code, report, _ = run(
         ["chamber", "--grading", data("grading_f1.json"), "--class", "2,1"]
     )
     assert code == 0
@@ -149,7 +149,7 @@ def test_chamber_of_class():
 
 
 def test_chambers_golden():
-    code, report = run(
+    code, report, _ = run(
         [
             "chambers",
             "--grading",
@@ -163,9 +163,9 @@ def test_chambers_golden():
 
 
 def test_is_cox_both_matrices():
-    code, report = run(["is-cox-grading", "--grading", data("grading_f1.json")])
+    code, report, _ = run(["is-cox-grading", "--grading", data("grading_f1.json")])
     assert code == 0 and report["result"]["is_cox"] is True
-    code, report = run(
+    code, report, _ = run(
         [
             "is-cox-grading",
             "--grading",
@@ -180,7 +180,7 @@ def test_is_cox_both_matrices():
 
 
 def test_hilbert_basis_cmd():
-    code, report = run(
+    code, report, _ = run(
         [
             "hilbert-basis",
             "--cone",
@@ -198,7 +198,7 @@ def test_hilbert_basis_cmd():
 
 
 def test_sections_golden():
-    code, report = run(
+    code, report, _ = run(
         [
             "sections",
             "--fan",
@@ -214,7 +214,7 @@ def test_sections_golden():
 
 
 def test_positivity_cmd():
-    code, report = run(
+    code, report, _ = run(
         ["positivity", "--fan", data("fan_p2.json"), "--divisor", "0,0,1"]
     )
     assert code == 0
@@ -222,7 +222,7 @@ def test_positivity_cmd():
 
 
 def test_section_ring_cmd():
-    code, report = run(
+    code, report, _ = run(
         ["section-ring", "--fan", data("fan_p2.json"), "--divisor", "0,0,1"]
     )
     assert code == 0
@@ -230,7 +230,7 @@ def test_section_ring_cmd():
 
 
 def test_veronese_cmd():
-    code, report = run(
+    code, report, _ = run(
         [
             "veronese",
             "--degree-matrix",
@@ -247,7 +247,7 @@ def test_veronese_cmd():
 
 
 def test_irrelevant_cmd():
-    code, report = run(["irrelevant", "--fan", data("fan_f1.json")])
+    code, report, _ = run(["irrelevant", "--fan", data("fan_f1.json")])
     assert code == 0
     fam = {frozenset(s) for s in report["result"]["supports"]}
     assert fam == {
@@ -259,7 +259,7 @@ def test_irrelevant_cmd():
 
 
 def test_intersect_nef_cmd():
-    code, report = run(
+    code, report, _ = run(
         ["intersect-nef", "--fan", data("fan_p2.json"), "--d1", "0,0,1", "--d2", "0,0,2"]
     )
     assert code == 0
@@ -278,12 +278,12 @@ def test_intersect_nef_cmd():
 def test_positivity_and_intersection_goldens(golden):
     from make_goldens import CASES
 
-    code, report = run(CASES[golden] + ["--expect", str(GOLDENS / golden)])
+    code, report, _ = run(CASES[golden] + ["--expect", str(GOLDENS / golden)])
     assert code == 0
 
 
 def test_blowup_analyze_golden():
-    code, report = run(
+    code, report, _ = run(
         [
             "blowup-analyze",
             "--weights",
@@ -306,7 +306,7 @@ def test_blowup_analyze_golden():
 
 
 def test_mukai_golden():
-    code, report = run(
+    code, report, _ = run(
         ["mukai", "--r", "3", "--n", "9", "--expect", str(GOLDENS / "mukai_3_9.json")]
     )
     assert code == 0
@@ -314,7 +314,7 @@ def test_mukai_golden():
 
 
 def test_lm_project_golden():
-    code, report = run(
+    code, report, _ = run(
         ["lm-project", "--n", "10", "--expect", str(GOLDENS / "lm_project_10.json")]
     )
     assert code == 0
@@ -323,7 +323,7 @@ def test_lm_project_golden():
 
 
 def test_plot_chambers_golden():
-    code, report = run(["plot", "--chambers", data("grading_f1.json")])
+    code, report, _ = run(["plot", "--chambers", data("grading_f1.json")])
     assert code == 0
     assert report["svg"] == (GOLDENS / "chambers_f1.svg").read_text()
     assert report["svg"].startswith("<svg")
@@ -342,7 +342,7 @@ def test_plot_chambers_enumerates_once(monkeypatch):
     # also replace any copy of the name bound in the renderer
     monkeypatch.setattr(chambers, "enumerate_chambers", counted)
     monkeypatch.setattr(svg, "enumerate_chambers", counted, raising=False)
-    code, report = run(["plot", "--chambers", data("grading_f1.json")])
+    code, report, _ = run(["plot", "--chambers", data("grading_f1.json")])
     assert code == 0
     assert len(calls) == 1
     assert report["result"]["chamber_count"] == len(real(calls[0]))
@@ -350,7 +350,7 @@ def test_plot_chambers_enumerates_once(monkeypatch):
 
 
 def test_plot_polygon_highlight_golden():
-    code, report = run(
+    code, report, _ = run(
         [
             "plot",
             "--polygon",
@@ -364,7 +364,7 @@ def test_plot_polygon_highlight_golden():
 
 
 def test_plot_square_no_overlay_golden():
-    code, report = run(["plot", "--polygon", data("polytope_square.json")])
+    code, report, _ = run(["plot", "--polygon", data("polytope_square.json")])
     assert code == 0
     assert report["svg"] == (GOLDENS / "polygon_square.svg").read_text()
 
@@ -386,9 +386,20 @@ def test_main_json_output(capsys):
     assert doc["result"]["finitely_generated"] is True
 
 
+def test_main_reads_abbreviated_flags(tmp_path, capsys):
+    """argparse accepts unique prefixes of --json and --out, and so must
+    the output handling."""
+    assert main(["classgroup", "--fan", data("fan_f1.json"), "--js"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["rank"] == "2"
+    out = tmp_path / "fig.svg"
+    assert main(["plot", "--polygon", data("polytope_square.json"), "--ou", str(out)]) == 0
+    assert out.read_text() == (GOLDENS / "polygon_square.svg").read_text()
+    assert capsys.readouterr().out == "polygon plot with 4 vertices\n"
+
+
 def test_coxkit_primes_env(monkeypatch):
     monkeypatch.setenv("COXKIT_PRIMES", "1048609,1048613,1048633")
-    code, report = run(
+    code, report, _ = run(
         [
             "blowup-analyze",
             "--weights",
@@ -422,6 +433,20 @@ def test_blowup_h0_proof_beside_result(capsys):
 BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "1",
              "--h0-order", "1"]
 
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+# Malformed documents, written to files named after their keys; an argument
+# equal to a key is replaced by the path of its file.
+MALFORMED_DOCUMENTS = {
+    "TWO_FIELD_CURVE": {
+        "vertices": TRIANGLE, "curve_terms": [[0, 0, "1"], [1, 0]], "curve_order": 1,
+    },
+    "CURVE_TERMS_NUMBER": {"vertices": TRIANGLE, "curve_terms": 5, "curve_order": 1},
+    "CONE_GENERATORS_NUMBER": {"ambient_dim": 2, "generators": 5},
+    "LIST_DOCUMENT": [[1, 0], [0, 1]],
+    "MATRIX_WITHOUT_V2": {"matrix": [[1, 0], [0, 1]], "v1": [1, 0], "v3": [0, 1]},
+    "ZERO_DENOMINATOR": {"vertices": [[0, 0], ["1/0", 0], [0, 1]]},
+}
+
 
 @pytest.mark.parametrize(
     "argv, primes, code",
@@ -433,6 +458,13 @@ BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", 
         (["plot", "--polygon", data("polytope_square.json"), "--points", "1,a"],
          None, 1),
         (["blowup-analyze", "--polygon", "TWO_FIELD_CURVE", "--k", "1"], None, 1),
+        (["blowup-analyze", "--polygon", "CURVE_TERMS_NUMBER", "--k", "1"], None, 1),
+        (["hilbert-basis", "--cone", "CONE_GENERATORS_NUMBER"], None, 1),
+        (["hilbert-basis", "--cone", "LIST_DOCUMENT"], None, 1),
+        (["veronese", "--degree-matrix", "1,1", "--target-cone", "LIST_DOCUMENT"], None, 1),
+        (["lm-project", "--n", "10", "--matrix", "MATRIX_WITHOUT_V2"], None, 1),
+        (["lm-project", "--n", "10", "--matrix", "LIST_DOCUMENT"], None, 1),
+        (["plot", "--polygon", "ZERO_DENOMINATOR"], None, 1),
         (BLOWUP_H0, "1048583,abc,1048601", 1),
         (BLOWUP_H0, "1048583,1048581,1048601", 2),  # 1048581 = 3 * 349527
         (["positivity", "--fan", data("fan_octahedron.json"), "--divisor",
@@ -443,20 +475,21 @@ BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", 
           "--d2", "1,1,1"], None, 2),
     ],
     ids=["veronese-entry", "veronese-ragged", "plot-points", "curve-terms",
+         "curve-terms-number", "cone-generators-number", "cone-list",
+         "veronese-cone-list", "lm-matrix-missing-v2", "lm-matrix-list",
+         "polytope-zero-denominator",
          "primes-not-integers", "primes-composite", "positivity-not-simplicial",
          "intersect-not-surface", "intersect-not-complete"],
 )
 def test_malformed_input_reports_error(
     argv, primes, code, tmp_path, monkeypatch, capsys
 ):
-    curve = tmp_path / "curve.json"
-    curve.write_text(json.dumps({
-        "vertices": [[0, 0], [1, 0], [0, 1]],
-        "curve_terms": [[0, 0, "1"], [1, 0]],
-        "curve_order": 1,
-    }))
+    paths = {}
+    for name, doc in MALFORMED_DOCUMENTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
     if primes is not None:
         monkeypatch.setenv("COXKIT_PRIMES", primes)
-    argv = [str(curve) if arg == "TWO_FIELD_CURVE" else arg for arg in argv]
+    argv = [str(paths.get(arg, arg)) for arg in argv]
     assert main(argv) == code
     assert capsys.readouterr().err.startswith("error: ")

@@ -23,7 +23,7 @@ from coxkit.fans import (
     validate_fan,
     weighted_projective_fan,
 )
-from coxkit.linalg import IntMatrix, dot, primitive, smith_normal_form
+from coxkit.linalg import IntMatrix, det, dot, primitive, smith_normal_form
 from coxkit.polyhedra import convex_hull_2d, dd_convert, intersect, polytope_from_points
 
 DELTA_VERTICES = [(11, -26), (50, 0), (-1, 34)]
@@ -267,6 +267,57 @@ def test_unimodular_equivalence_self():
     for fan in (projective_space_fan(2), hirzebruch_fan(3), weighted_projective_fan(1, 1, 2)):
         T = fans_unimodular_equivalent(fan, fan)
         assert T is not None
+
+
+def random_gl(rng, d):
+    """A random matrix of GL(d, Z): a signed permutation times elementary
+    row operations."""
+    perm = rng.sample(range(d), d)
+    rows = [[rng.choice((-1, 1)) * (j == perm[i]) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        q = rng.randint(-2, 2)
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+def test_unimodular_equivalence_of_mapped_fans():
+    """P(w) fans (d = 2, 3) and normal fans of random lattice polygons,
+    mapped by a random GL(d, Z) matrix with rays and cones shuffled: the
+    map found has determinant +-1 and carries rays and cones onto the
+    image's."""
+    rng = random.Random(2718)
+    fans_seen = {2: 0, 3: 0}
+    while min(fans_seen.values()) < 12:
+        if rng.random() < 0.5:
+            weights = [rng.randint(1, 7) for _ in range(rng.choice((3, 4)))]
+            try:
+                fan = weighted_projective_fan(*weights)
+            except BadWeights:
+                continue
+        else:
+            pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 6))]
+            hull = convex_hull_2d(pts)
+            if hull.dim() != 2:
+                continue
+            fan = normal_fan(hull)
+        d = fan.lattice_dim
+        A = random_gl(rng, d)
+        order = rng.sample(range(len(fan.rays)), len(fan.rays))
+        where = {old: new for new, old in enumerate(order)}
+        image = Fan(
+            d,
+            tuple(A.apply(fan.rays[i]) for i in order),
+            tuple(tuple(where[i] for i in c) for c in rng.sample(fan.max_cones, len(fan.max_cones))),
+        )
+        T = fans_unimodular_equivalent(fan, image)
+        assert T is not None
+        assert abs(det(T)) == 1
+        assert {T.apply(r) for r in fan.rays} == set(image.rays)
+        assert {frozenset(T.apply(fan.rays[i]) for i in c) for c in fan.max_cones} == {
+            frozenset(image.rays[i] for i in c) for c in image.max_cones
+        }
+        fans_seen[d] += 1
 
 
 def random_small_fan(rng):

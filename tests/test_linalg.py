@@ -9,6 +9,7 @@ import numpy as np
 
 from coxkit.errors import PreconditionError
 import coxkit.linalg as linalg
+from helpers import int_rank, rational_kernel_basis, rational_solve
 from coxkit.linalg import (
     MODULAR_PRIME_LIMIT,
     PANEL_WIDTH,
@@ -20,16 +21,13 @@ from coxkit.linalg import (
     certified_nullity,
     det,
     hermite_normal_form,
-    in_row_lattice,
     int_inverse_unimodular,
-    int_rank,
     int_rank_mod,
     integer_kernel_saturated,
     kernel_dimension,
+    lattice_coordinates,
     modular_primes,
     primitive,
-    rational_kernel_basis,
-    rational_solve,
     smith_normal_form,
 )
 
@@ -236,8 +234,7 @@ def test_kernel_of_weights_12_13_17():
     # stacking the basis yields all invariant factors 1 (saturation)
     assert smith_normal_form(k).invariant_factors == (1, 1)
     # the stated spanning vectors lie in the computed lattice
-    assert in_row_lattice(k, (13, -12, 0))
-    assert in_row_lattice(k, (17, 0, -12))
+    assert None not in lattice_coordinates(k, [(13, -12, 0), (17, 0, -12)])
     # and conversely: saturation of their span equals the kernel lattice
     span = IntMatrix([[13, -12, 0], [17, 0, -12]])
     for row in k.row_list():
@@ -258,7 +255,7 @@ def test_kernel_lm_projection_matrix():
     v3 = tuple(-x for x in (1, 0, 1, 0, 0, 1, 0))
     combo = tuple(12 * a + 17 * b + 13 * c for a, b, c in zip(v1, v2, v3))
     assert pi.apply(combo) == (0, 0)
-    assert in_row_lattice(k, combo)
+    assert lattice_coordinates(k, [combo]) != [None]
 
 
 def test_kernel_saturation_random():
@@ -270,6 +267,52 @@ def test_kernel_saturation_random():
             assert all(x == 0 for x in m.apply(row))
         if k.rows:
             assert set(smith_normal_form(k).invariant_factors) <= {1}
+        # the lattice is the one the Smith form gives: columns rank.. of V
+        snf = smith_normal_form(m)
+        want = [snf.V.col(j) for j in range(snf.rank, m.cols)]
+        assert k == (hermite_normal_form(IntMatrix(want))[0] if want else IntMatrix([], cols=m.cols))
+
+
+def test_lattice_coordinates_match_rational_solve():
+    """Seeded lattices B = M B0 (independent rows, |det M| >= 1) in
+    dimensions 1-5: integer combinations of B are members with exactly the
+    oracle's coordinates; integer points y B0 whose coordinates in B are
+    not integral, and vectors off the span, are not."""
+    rng = random.Random(909)
+    kinds = {"member": 0, "non-integral": 0, "off-span": 0}
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, n)
+        b0 = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+        m = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if int_rank(b0) < k or det(IntMatrix(m)) == 0:
+            continue
+        B = IntMatrix(m) * IntMatrix(b0)
+
+        def combination(rows):
+            cs = [rng.randint(-4, 4) for _ in range(k)]
+            return tuple(sum(c * x for c, x in zip(cs, col)) for col in zip(*rows))
+
+        vectors = [combination(B.row_list()) for _ in range(3)]  # members
+        vectors += [combination(b0) for _ in range(3)]  # in the span
+        vectors += [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(2)]
+        got = lattice_coordinates(B, vectors)
+        for v, x in zip(vectors, got):
+            y = rational_solve(B.transpose(), v)
+            if y is None:
+                kinds["off-span"] += 1
+            elif any(c.denominator != 1 for c in y):
+                kinds["non-integral"] += 1
+            else:
+                kinds["member"] += 1
+                assert x == y
+                continue
+            assert x is None
+    assert min(kinds.values()) >= 50, kinds
+    assert lattice_coordinates(IntMatrix([], cols=2), [(0, 0), (1, 0)]) == [(), None]
+    dependent = IntMatrix([[2, 4], [3, 6], [0, 0]])  # one solution of many
+    x, off = lattice_coordinates(dependent, [(1, 2), (1, 1)])
+    assert dependent.transpose().apply(x) == (1, 2) and off is None
 
 
 # --------------------------------------------------------- rank / nullity
