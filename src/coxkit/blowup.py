@@ -364,26 +364,22 @@ class Certificate:
 
 
 def _translated_points(polygon_vertices, m, translation):
-    poly = polytope_from_points(polygon_vertices)
-    pts = lattice_points(poly, m)
-    tx, ty = translation
-    return [(a + tx, b + ty) for a, b in pts]
+    """The lattice points of m * polygon moved by translation, as an int64
+    array of shape (count, 2)."""
+    pts = lattice_points(polytope_from_points(polygon_vertices), m)
+    return np.array(pts, dtype=np.int64).reshape(-1, 2) + translation
 
 
 def _singles_out(functional, pts, vertex) -> bool:
     """Whether the vertex is one of pts and the functional's entry
     (a)_i * (b)_j vanishes at every other point but not at the vertex.
-    Decided without bignums: (a)_i vanishes exactly when 0 <= a < i."""
+    Decided without bignums, in one pass over the point array: (a)_i
+    vanishes exactly when 0 <= a < i."""
     i, j = functional
-
-    def vanishes(a, b):
-        return 0 <= a < i or 0 <= b < j
-
-    return (
-        vertex in pts
-        and not vanishes(*vertex)
-        and all(vanishes(*p) for p in pts if p != vertex)
-    )
+    a, b = pts[:, 0], pts[:, 1]
+    vanishes = ((0 <= a) & (a < i)) | ((0 <= b) & (b < j))
+    at_vertex = (a == vertex[0]) & (b == vertex[1])
+    return bool(at_vertex.any() and (vanishes != at_vertex).all())
 
 
 def _verify_forced_vertex(payload) -> bool:

@@ -637,12 +637,14 @@ def build_parser():
 
 def run(argv):
     """Execute a command line; returns (exit_code, report dict, parsed
-    arguments), the arguments None when argparse rejects argv."""
+    arguments).  When argparse exits, after printing the help (exit code 0)
+    or its usage error (exit code 1), the report is empty and the arguments
+    are None."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return (0 if exc.code == 0 else 1), {"error": "argument parsing failed"}, None
+        return (0 if exc.code == 0 else 1), {}, None
     try:
         out = args.func(args)
     except InputError as exc:
@@ -672,6 +674,8 @@ def run(argv):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     code, report, args = run(argv)
+    if args is None:
+        return code
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
         return code

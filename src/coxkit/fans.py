@@ -326,10 +326,11 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
     """Lattice isomorphism mapping one fan onto the other, or None.
 
     Searches assignments of d linearly independent rays s_k of f1 to rays
-    t_k of f2.  The map T with T s_k = t_k has as row j the integer
-    coordinates of (t_k[j])_k in the rows of S^T (S the matrix of the s_k),
-    from one Hermite form per assignment; there is none when some row is
-    not integral.  T is kept when det T = +-1 and it matches the ray sets
+    t_k of f2.  The map T with T s_k = t_k has as row j the coordinates of
+    (t_k[j])_k in the rows of S^T (S the matrix of the s_k): that vector
+    times the adjugate D (S^T)^-1, D = det S, divided by D.  The adjugate
+    comes from one Hermite form per call; there is no T when some quotient
+    is not exact.  T is kept when det T = +-1 and it matches the ray sets
     and the maximal cone structure.  Desk scale: few rays only.
     """
     if f1.lattice_dim != f2.lattice_dim or len(f1.rays) != len(f2.rays):
@@ -349,14 +350,19 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
     if len(base) < d:
         return None
     S_t = IntMatrix([f1.rays[i] for i in base], cols=d).transpose()
+    D = det(S_t)
+    # x S_t = D e_k is solved by row k of the adjugate D S_t^-1
+    adj = IntMatrix(
+        lattice_coordinates(S_t, [[D * (j == k) for j in range(d)] for k in range(d)]),
+        cols=d,
+    )
     ray_set2 = set(f2.rays)
     cone_family2 = {frozenset(f2.rays[i] for i in c) for c in f2.max_cones}
-    for targets in itertools.permutations(range(len(f2.rays)), d):
-        tmat = IntMatrix([f2.rays[i] for i in targets], cols=d)
-        t_rows = lattice_coordinates(S_t, [tmat.col(j) for j in range(d)])
-        if None in t_rows:
+    for targets in itertools.permutations(f2.rays, d):
+        scaled = (IntMatrix(targets, cols=d).transpose() * adj).row_list()
+        if any(x % D for row in scaled for x in row):
             continue
-        T = IntMatrix(t_rows, cols=d)
+        T = IntMatrix([[x // D for x in row] for row in scaled], cols=d)
         if abs(det(T)) != 1:
             continue
         if {T.apply(r) for r in f1.rays} != ray_set2:

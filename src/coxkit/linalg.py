@@ -10,9 +10,12 @@ answered from Hermite forms; the library does no elimination over Q, and
 Every nullity is a proof with two bounds (`certified_nullity`).  One
 blocked GF(p) elimination gives the upper bound, since a GF(p) rank is at
 most the rank over Q; p is a prime in (2^20, 2^21), and the trailing
-updates are exact float64 matrix products.  Kernel vectors lifted p-adically from
-the same L U factors (Dixon) and checked by an exact product over Z on
-every row give the lower bound.  A prime whose check fails off the pivot
+updates are exact float64 matrix products.  Reduction mod p is delayed: an
+entry is reduced when the elimination reads it, and the trailing block
+only when the products summed into it since its last reduction would
+pass EXACT_FLOAT_TERMS.  Kernel vectors lifted p-adically from the same
+L U factors (Dixon) and checked by an exact product over Z on every row
+give the lower bound.  A prime whose check fails off the pivot
 rows is unlucky and the next one is tried; when the primes or the lifting
 steps run out, PreconditionError is raised.  Before a rank computation
 each rational row is cleared of denominators and made primitive (divided
@@ -37,11 +40,18 @@ class PrimeDivideDenominator(PreconditionError):
 MODULAR_PRIME_BOUND = 1 << 20
 MODULAR_PRIME_LIMIT = 1 << 21
 
-# Panel width of int_rank_mod.  A trailing-update entry is a residue minus
-# a sum of PANEL_WIDTH products of residues below MODULAR_PRIME_LIMIT, so
-# its float64 value is exact for any width up to 2^53 / 2^42 = 2^11.  64 was
-# the fastest width from 48 to 160 on the 1378 x 1348 order-52 flagship
-# matrix (2-core x86, OpenBLAS).
+# A float64 value is an exact integer while it is a residue plus at most
+# EXACT_FLOAT_TERMS products of residues below MODULAR_PRIME_LIMIT, since
+# 2^21 + 2^11 (2^21 - 1)^2 < 2^53.  int_rank_mod reduces its trailing block
+# before the products summed into it would pass this count, and
+# _exact_matmul sums its products in chunks of this many terms.
+EXACT_FLOAT_TERMS = 1 << 11
+
+# Panel width of int_rank_mod.  A panel entry takes at most PANEL_WIDTH
+# products of residues, below 2^48, between reductions, which int64 holds.
+# 48 and 64 were the fastest widths from 48 to 160 on the 1378 x 1348
+# order-52 flagship matrix (0.29 s median elimination, against 0.30 s at
+# 80, 0.33 s at 96, 0.36 s at 128 and 0.41 s at 160; 2-core x86, OpenBLAS).
 PANEL_WIDTH = 64
 
 
@@ -436,10 +446,21 @@ def int_rank_mod(rows, p, *, lu=False):
     pivoting in int64 (whole rows are swapped), keeping the multipliers
     below its pivots; columns without a pivot are skipped.  The pivot rows
     to the right of the panel are forward-solved, U12 = L11^-1 A12, and the
-    trailing block is updated as one float64 product, A22 -= L21 @ U12, then
-    reduced mod p.  Every float64 value is an integer below 2^53, so the
-    result is exact.  With lu=True the `ModularLU` of this elimination is
-    returned instead of its rank.
+    trailing block is updated as one float64 product, A22 -= L21 @ U12.
+
+    Entries are reduced mod p only when they are read (delayed reduction):
+    a panel's columns when it starts, the pivot column before the pivot
+    search, the pivot row before its rank-1 update, and the rows of U12
+    before the forward solve; the updates themselves are not reduced.
+    Between reductions a panel entry takes at most PANEL_WIDTH products of
+    residues (below 2^48 in int64).  The trailing block is reduced only before the products
+    summed into it since its last reduction would pass EXACT_FLOAT_TERMS,
+    so every float64 value is an exact integer of at most 2^53.  The
+    returned factors are reduced residues.  On the 1378 x 1348 order-52
+    flagship matrix the elimination takes 0.25-0.29 s, against 0.49-0.51 s
+    with a reduction after every update (2-core x86, OpenBLAS).  With
+    lu=True the `ModularLU` of this elimination is returned instead of its
+    rank.
     """
     if not 1 < p < MODULAR_PRIME_LIMIT:
         raise PreconditionError(f"GF(p) rank needs 1 < p < 2^21, got {p}")
@@ -452,27 +473,31 @@ def int_rank_mod(rows, p, *, lu=False):
     m, n = A.shape
     perm = np.arange(m)
     pivots = []
+    terms = 0  # products summed into the trailing block since its last reduction
     for c0 in range(0, n, PANEL_WIDTH):
         r0 = len(pivots)
         if r0 == m:
             break
         c1 = min(c0 + PANEL_WIDTH, n)
         panel = A[r0:, c0:c1]
+        panel %= p
         for c in range(c1 - c0):
             r = len(pivots)
-            nz = np.flatnonzero(panel[r - r0 :, c])
+            column = panel[r - r0 :, c]
+            column %= p
+            nz = np.flatnonzero(column)
             if not nz.size:
                 continue
             piv = r + int(nz[0])
             if piv != r:
                 A[[r, piv]] = A[[piv, r]]
                 perm[[r, piv]] = perm[[piv, r]]
+            row = panel[r - r0, c + 1 :]
+            row %= p
             below = panel[r - r0 + 1 :, c:]
             below[:, 0] *= pow(int(panel[r - r0, c]), p - 2, p)
             below[:, 0] %= p
-            rest = below[:, 1:]
-            rest -= np.multiply.outer(below[:, 0], panel[r - r0, c + 1 :])
-            rest %= p
+            below[:, 1:] -= np.multiply.outer(below[:, 0], row)
             pivots.append(c0 + c)
             if r + 1 == m:
                 break
@@ -480,13 +505,16 @@ def int_rank_mod(rows, p, *, lu=False):
         if not k or c1 == n:
             continue
         lower = panel[:, [c - c0 for c in pivots[r0:]]].astype(np.float64)
-        upper = A[r0 : r0 + k, c1:].astype(np.float64)
+        upper = (A[r0 : r0 + k, c1:] % p).astype(np.float64)
         for t in range(1, k):
             upper[t] = (upper[t] - lower[t, :t] @ upper[:t]) % p
         A[r0 : r0 + k, c1:] = upper
         trailing = A[r0 + k :, c1:]
+        if terms + k > EXACT_FLOAT_TERMS:
+            trailing %= p
+            terms = 0
         np.subtract(trailing, lower[k:] @ upper, out=trailing, casting="unsafe")
-        trailing %= p
+        terms += k
     if lu:
         return ModularLU(p, A, perm, tuple(pivots))
     return len(pivots)
@@ -667,9 +695,7 @@ class RatMatrix:
 # acceptance criterion 5c needs a few hundred steps.
 LIFTING_STEP_CAP = 1000
 
-# A float64 product of residues is exact while it sums at most 2^53 / 2^42
-# terms below 2^21 * 2^21; exact integers are split into limbs of that size.
-EXACT_FLOAT_TERMS = 1 << 11
+# Exact integers are split into limbs of residue size for float64 products.
 _LIMB_BITS = 21
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 

@@ -92,6 +92,21 @@ def test_unknown_subcommand_exits_1():
     assert code == 1
 
 
+def test_help_prints_only_the_help(capsys):
+    assert main(["classgroup", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:")
+    assert captured.err == ""
+
+
+def test_usage_error_printed_once(capsys):
+    assert main(["classgroup", "--fan", data("fan_p2.json"), "--no-such-flag"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "unrecognized arguments: --no-such-flag" in err
+    assert "argument parsing failed" not in err
+
+
 def test_deterministic_reports():
     argv = ["chambers", "--grading", data("grading_f1.json")]
     code1, rep1, _ = run(argv)

@@ -11,6 +11,7 @@ from coxkit.errors import PreconditionError
 import coxkit.linalg as linalg
 from helpers import int_rank, rational_kernel_basis, rational_solve
 from coxkit.linalg import (
+    EXACT_FLOAT_TERMS,
     MODULAR_PRIME_LIMIT,
     PANEL_WIDTH,
     DenseOperator,
@@ -73,30 +74,34 @@ def invariant_factors_oracle(rows, ncols):
 
 def int_rank_mod_oracle(rows, p):
     """Rank over GF(p) by unblocked elimination, one pivot column at a
-    time, every row update reduced in int64; oracle-side only."""
+    time, every row update reduced in int64; oracle-side only.  Returns
+    (rank, perm, pivots): the original index of each row in the final row
+    order, and the pivot columns."""
     M = np.array(rows, dtype=object).reshape(len(rows), -1) % p
     M = M.astype(np.int64)
     nr, nc = M.shape
-    rank = 0
+    perm = list(range(nr))
+    pivots = []
     r = 0
     for c in range(nc):
+        if r == nr:
+            break
         nz = np.nonzero(M[r:, c])[0]
         if len(nz) == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
+            perm[r], perm[piv] = perm[piv], perm[r]
         inv = pow(int(M[r, c]), p - 2, p)
         M[r, c:] = (M[r, c:] * inv) % p
         colv = M[r + 1 :, c]
         hit = np.nonzero(colv)[0]
         if len(hit):
             M[r + 1 + hit, c:] = (M[r + 1 + hit, c:] - colv[hit, None] * M[r, c:]) % p
-        rank += 1
+        pivots.append(c)
         r += 1
-        if r == nr:
-            break
-    return rank
+    return len(pivots), perm, tuple(pivots)
 
 
 def is_unimodular(M):
@@ -513,6 +518,62 @@ def test_panel_width_keeps_float64_updates_exact():
     assert modular_primes([LARGEST_PRIME, 1048583, 1048589])[0] == LARGEST_PRIME
 
 
+def test_delayed_reduction_bound():
+    """The trailing block sums at most EXACT_FLOAT_TERMS products between
+    reductions, and every such sum stays an exact float64 integer."""
+    assert EXACT_FLOAT_TERMS * (MODULAR_PRIME_LIMIT - 1) ** 2 + MODULAR_PRIME_LIMIT <= 2**53
+    assert PANEL_WIDTH <= EXACT_FLOAT_TERMS
+
+
+def test_int_rank_mod_delayed_reduction_reaches_the_bound():
+    """A[i][j] = min(i, j + 1) - [i <= j] is L U with every stored entry of
+    L and U congruent to -1, so without a reduction the trailing sums of
+    (p-1)^2 would pass 2^53 after EXACT_FLOAT_TERMS columns."""
+    p, n = LARGEST_PRIME, 2200
+    assert n > EXACT_FLOAT_TERMS + PANEL_WIDTH
+    i = np.arange(n)
+    A = np.minimum.outer(i, i + 1) - (i[:, None] <= i[None, :])
+    f = int_rank_mod(A, p, lu=True)
+    assert f.rank == n
+    assert (f.perm == i).all()
+    assert (f.lu == p - 1).all()
+
+
+def lu_product(f, n):
+    """L U of a ModularLU in exact integers: L is unit lower triangular
+    with the multipliers stored below the pivots, U is row i of lu from
+    column pivots[i] on."""
+    m, r = len(f.perm), f.rank
+    lower = np.zeros((m, r), dtype=object)
+    upper = np.zeros((r, n), dtype=object)
+    for j, c in enumerate(f.pivots):
+        lower[j, j] = 1
+        lower[j + 1 :, j] = [int(x) for x in f.lu[j + 1 :, c]]
+        upper[j, c:] = [int(x) for x in f.lu[j, c:]]
+    return lower.dot(upper)
+
+
+def test_int_rank_mod_factors_match_oracle():
+    """On seeded low-rank products with zero lines, wide and tall, the
+    blocked factors have the unblocked oracle's row order and pivot
+    columns, and A[perm] = L U mod p holds in exact integers."""
+    rng = random.Random(20261019)
+    primes = default_modular_primes() + [LARGEST_PRIME]
+    for n in WIDTHS:
+        for m in (max(1, n // 2), n + 7):
+            r = rng.randint(0, min(m, n, PANEL_WIDTH + 4))
+            rows = product(random_rows(rng, m, r), random_rows(rng, r, n), n)
+            rows = with_zero_lines(rng, rows, n)
+            cols = len(rows[0])
+            for p in primes:
+                f = int_rank_mod(rows, p, lu=True)
+                rank, perm, pivots = int_rank_mod_oracle(rows, p)
+                assert f.perm.tolist() == perm and f.pivots == pivots
+                assert ((0 <= f.lu) & (f.lu < p)).all()
+                A = np.array(rows, dtype=object)[perm]
+                assert ((lu_product(f, cols) - A) % p == 0).all()
+
+
 def test_int_rank_mod_low_rank_products():
     """Blocked kernel against the unblocked oracle and exact Bareiss, on
     seeded low-rank products with zero rows and columns, at widths around
@@ -528,7 +589,7 @@ def test_int_rank_mod_low_rank_products():
             exact = int_rank(rows)
             assert exact <= r
             for p in primes:
-                assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p) == exact
+                assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p)[0] == exact
             assert int_rank_mod(np.array(rows, dtype=np.int64), primes[0]) == exact
 
 
@@ -540,7 +601,7 @@ def test_int_rank_mod_ranks_above_the_panel_width():
             rows = with_zero_lines(rng, known_rank(rng, m, n, r), n)
             for p in (1048583, LARGEST_PRIME):
                 assert int_rank_mod(rows, p) == r
-                assert int_rank_mod_oracle(rows, p) == r
+                assert int_rank_mod_oracle(rows, p)[0] == r
 
 
 def test_int_rank_mod_pivot_free_panel():
@@ -556,7 +617,7 @@ def test_int_rank_mod_pivot_free_panel():
     ]
     assert len(rows[0]) == 2 * b + 3
     for p in (1048583, LARGEST_PRIME):
-        assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p) == b + 3
+        assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p)[0] == b + 3
 
 
 def test_int_rank_mod_largest_residues():
@@ -571,7 +632,7 @@ def test_int_rank_mod_largest_residues():
     rows += [
         [p - 1] * b + [b + int(i == j) for j in range(extra)] for i in range(extra)
     ]
-    assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p) == b + extra
+    assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p)[0] == b + extra
 
 
 def test_int_rank_mod_degenerate_shapes():
