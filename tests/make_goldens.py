@@ -20,6 +20,20 @@ CASES = {
     "classgroup_f1.json": ["classgroup", "--fan", str(DATA / "fan_f1.json")],
     "mov_f1.json": ["mov", "--grading", str(DATA / "grading_f1.json")],
     "chambers_f1.json": ["chambers", "--grading", str(DATA / "grading_f1.json")],
+    "chamber_f1_2_1.json": [
+        "chamber",
+        "--grading",
+        str(DATA / "grading_f1.json"),
+        "--class",
+        "2,1",
+    ],
+    "chamber_f1_1_1.json": [
+        "chamber",
+        "--grading",
+        str(DATA / "grading_f1.json"),
+        "--class",
+        "1,1",
+    ],
     "is_cox_second.json": [
         "is-cox-grading",
         "--grading",

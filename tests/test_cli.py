@@ -297,6 +297,20 @@ def test_positivity_and_intersection_goldens(golden):
     assert code == 0
 
 
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDENS.iterdir()))
+def test_every_golden(golden):
+    """Each file under tests/goldens/ is what its make_goldens case prints."""
+    from make_goldens import CASES, SVG_CASES
+
+    if golden.endswith(".svg"):
+        code, report, _ = run(SVG_CASES[golden])
+        assert code == 0
+        assert report["svg"] == (GOLDENS / golden).read_text()
+    else:
+        code, report, _ = run(CASES[golden] + ["--expect", str(GOLDENS / golden)])
+        assert code == 0, report
+
+
 def test_blowup_analyze_golden():
     code, report, _ = run(
         [
