@@ -1,10 +1,10 @@
 """Cone decompositions attached to a grading.
 
 Effective and moving cones of a graded polynomial ring, semistable
-support families (the inclusion-minimal degree subsets whose cone contains
-a class; by Caratheodory each has at most free_rank elements), the chamber
-containing a given class (the intersection of the cones of its minimal
-supports), full enumeration of full-dimensional chambers via the
+supports (the inclusion-minimal degree subsets whose cone contains a
+class; by Caratheodory each has at most free_rank elements), the chamber
+containing a given class (one conversion of the facets of its minimal
+supports' cones), full enumeration of full-dimensional chambers via the
 hyperplane arrangement spanned by the degrees, and the two-condition test
 for a graded polynomial ring being a Cox ring.
 """
@@ -14,11 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import PreconditionError
-from .linalg import IntMatrix, dot, primitive, smith_normal_form
-from .polyhedra import Cone, dd_convert, intersect, zero_cone
+from .linalg import IntMatrix, dot, integer_kernel_saturated, primitive, smith_normal_form
+from .polyhedra import Cone, _clear_denominators, dd_convert, intersect, zero_cone
+
+DEFINING_SUBSETS_CAP = 10**4
 
 
 class TooFewGenerators(PreconditionError):
@@ -86,7 +88,7 @@ class Chamber:
     """A chamber: the intersection of all subset cones containing a class."""
 
     cone: Cone
-    family: frozenset  # the index sets I with the class in C_I
+    supports: tuple  # the minimal supports of the class (`semistable_supports`)
 
     @property
     def full_dimensional(self):
@@ -111,18 +113,8 @@ def moving_cone(spec: GradingSpec) -> Cone:
     """Intersection of the r cones that drop one generator each."""
     if spec.r < 2:
         raise TooFewGenerators("moving cone needs at least two generators")
-    out = None
-    for i in range(spec.r):
-        ci = _subset_cone(spec, frozenset(range(spec.r)) - {i})
-        out = ci if out is None else intersect(out, ci)
-    return out
-
-
-def _as_fraction_vec(w, k):
-    w = tuple(Fraction(x) for x in w)
-    if len(w) != k:
-        raise PreconditionError("class vector has wrong length")
-    return w
+    everything = frozenset(range(spec.r))
+    return intersect(*(_subset_cone(spec, everything - {i}) for i in range(spec.r)))
 
 
 def mori_chamber(spec: GradingSpec, w) -> Chamber:
@@ -130,26 +122,40 @@ def mori_chamber(spec: GradingSpec, w) -> Chamber:
 
     Every subset I with w in C_I contains a minimal support J of w, and
     C_J lies in C_I, so the chamber is the intersection of the cones of the
-    minimal supports (`semistable_supports`) and its family is their
-    upward closure.
+    minimal supports (`semistable_supports`), and the sets I are their
+    upward closure (`defining_subsets`).
     """
-    minimal = [frozenset(m) for m in semistable_supports(spec, w)]
-    cone = reduce(intersect, (_subset_cone(spec, m) for m in minimal))
-    family = frozenset(
-        frozenset(s)
-        for size in range(spec.r + 1)
-        for s in itertools.combinations(range(spec.r), size)
-        if any(m.issubset(s) for m in minimal)
-    )
-    return Chamber(cone=cone, family=family)
+    supports = tuple(semistable_supports(spec, w))
+    cone = intersect(*(_subset_cone(spec, frozenset(m)) for m in supports))
+    return Chamber(cone=cone, supports=supports)
+
+
+def defining_subsets(supports, r):
+    """The index sets of range(r) containing one of `supports` (for a
+    chamber's supports: every I with the class in C_I), by size and then
+    lexicographically.  Grown one added index at a time, at most r set
+    unions per set found; past DEFINING_SUBSETS_CAP sets it raises
+    PreconditionError.
+    """
+    found = {frozenset(m) for m in supports}
+    todo = list(found)
+    while todo:
+        s = todo.pop()
+        for t in (s | {i} for i in range(r)):
+            if t not in found:
+                found.add(t)
+                todo.append(t)
+        if len(found) > DEFINING_SUBSETS_CAP:
+            raise PreconditionError(f"more than {DEFINING_SUBSETS_CAP} defining subsets")
+    return sorted((sorted(s) for s in found), key=lambda s: (len(s), s))
 
 
 def enumerate_chambers(spec: GradingSpec):
     """All full-dimensional chambers, each tagged by an interior class.
 
-    Cuts the effective cone by every hyperplane spanned by degree subsets,
-    then identifies the chamber of one interior point per cell.  Requires
-    free rank at most 3.
+    Cuts the effective cone by every hyperplane spanned by free_rank - 1
+    degrees (at free rank 1 the point 0), then identifies the chamber of
+    one interior point per cell.  Requires free rank at most 3.
     """
     k = spec.free_rank
     if k > 3:
@@ -157,40 +163,29 @@ def enumerate_chambers(spec: GradingSpec):
     eff = effective_cone(spec)
     if eff.dim() < k:
         return []
+    directions = {primitive(spec.free_part(i)) for i in range(spec.r)} - {(0,) * k}
     normals = set()
-    frees = [spec.free_part(i) for i in range(spec.r)]
-    if k == 2:
-        for w in frees:
-            if any(w):
-                normals.add(primitive((-w[1], w[0])))
-    elif k == 3:
-        for w1, w2 in itertools.combinations(frees, 2):
-            n = (
-                w1[1] * w2[2] - w1[2] * w2[1],
-                w1[2] * w2[0] - w1[0] * w2[2],
-                w1[0] * w2[1] - w1[1] * w2[0],
-            )
-            if any(n):
-                normals.add(primitive(n))
+    for span in itertools.combinations(sorted(directions), max(k - 1, 0)):
+        kernel = integer_kernel_saturated(IntMatrix(list(span), cols=k))
+        if kernel.rows == 1:  # a hyperplane; Hermite form: leading entry > 0
+            normals.add(tuple(kernel.row(0)))
     cells = [eff]
     for n in sorted(normals):
-        half_pos = dd_convert(facets=[n], ambient_dim=k)
-        half_neg = dd_convert(facets=[tuple(-x for x in n)], ambient_dim=k)
         nxt = []
         for cell in cells:
-            for half in (half_pos, half_neg):
-                piece = intersect(cell, half)
-                if piece.dim() == k:
-                    nxt.append(piece)
+            values = [dot(n, g) for g in cell.generators]
+            if min(values) < 0 < max(values):
+                # n = 0 meets the interior, so both halves are full-dimensional
+                for m in (n, tuple(-x for x in n)):
+                    nxt.append(dd_convert(facets=cell.facets + (m,), ambient_dim=k))
+            else:
+                nxt.append(cell)
         cells = nxt
     chambers = {}
     for cell in cells:
-        w = cell.relative_interior_point()
-        ch = mori_chamber(spec, w)
-        if not ch.full_dimensional:
-            continue
-        key = ch.cone.facets
-        chambers.setdefault(key, ch)
+        ch = mori_chamber(spec, cell.relative_interior_point())
+        if ch.full_dimensional:
+            chambers.setdefault(ch.cone.facets, ch)
     return [chambers[key] for key in sorted(chambers)]
 
 
@@ -249,8 +244,11 @@ def semistable_supports(spec: GradingSpec, w):
     chamber interiors.  The chamber of w is the intersection of their
     cones (`mori_chamber`), and each set has at most free_rank elements.
     """
-    w = _as_fraction_vec(w, spec.free_rank)
-    if not effective_cone(spec).contains(w):
+    w = tuple(Fraction(x) for x in w)
+    if len(w) != spec.free_rank:
+        raise PreconditionError("class vector has wrong length")
+    v = _clear_denominators(w)  # a positive multiple: the same cones contain it
+    if not effective_cone(spec).contains(v):
         raise NotEffective(f"class {w} is not effective")
     minimal = []
     # a minimal support is linearly independent (Caratheodory): size <= free_rank
@@ -259,6 +257,6 @@ def semistable_supports(spec: GradingSpec, w):
             s = set(subset)
             if any(set(m) <= s for m in minimal):
                 continue
-            if _subset_cone(spec, frozenset(subset)).contains(w):
+            if _subset_cone(spec, frozenset(subset)).contains(v):
                 minimal.append(tuple(subset))
     return sorted(minimal, key=lambda t: (len(t), t))

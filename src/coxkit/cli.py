@@ -305,9 +305,7 @@ def cmd_chamber(args):
     result = {
         "cone": cone_doc(chamber.cone),
         "full_dimensional": chamber.full_dimensional,
-        "defining_subsets": sorted(
-            [sorted(s) for s in chamber.family], key=lambda s: (len(s), s)
-        ),
+        "defining_subsets": ch.defining_subsets(chamber.supports, spec.r),
     }
     return result, (
         f"chamber of {list(w)}: {len(chamber.cone.generators)} generators, "

@@ -305,12 +305,13 @@ def dual_cone(c: Cone) -> Cone:
     return c.dual()
 
 
-def intersect(c1: Cone, c2: Cone) -> Cone:
+def intersect(*cones: Cone) -> Cone:
     """Intersection as the cone cut out by the union of the facet lists."""
-    if c1.ambient_dim != c2.ambient_dim:
+    dims = {c.ambient_dim for c in cones}
+    if len(dims) != 1:
         raise DimensionMismatch("ambient dimensions differ")
-    fac = sorted(set(c1.facets) | set(c2.facets))
-    return dd_convert(facets=fac, ambient_dim=c1.ambient_dim)
+    fac = sorted({f for c in cones for f in c.facets})
+    return dd_convert(facets=fac, ambient_dim=dims.pop())
 
 
 def membership(c: Cone, v):

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from coxkit.chambers import effective_cone, mori_chamber
 from coxkit.divisors import (
     NotComplete,
     NotNef,
@@ -20,9 +21,10 @@ from coxkit.linalg import (
     dot,
     int_inverse_unimodular,
     integer_kernel_saturated,
+    primitive,
     smith_normal_form,
 )
-from coxkit.polyhedra import _triangulate_pointed, dd_convert
+from coxkit.polyhedra import _triangulate_pointed, dd_convert, intersect
 
 
 def int_rank(rows):
@@ -303,3 +305,45 @@ def is_face_by_conversion(face, cone):
     if not face.generators or not sub_gens:
         return not sub_gens and not face.generators
     return dd_convert(generators=sub_gens, ambient_dim=cone.ambient_dim) == face
+
+
+def enumerate_chambers_by_pairwise_cuts(spec):
+    """Full-dimensional chambers from a cell sweep with a cross product or
+    perpendicular per hyperplane (free rank 2 or 3), cutting every cell by
+    both half-spaces of every hyperplane with a two-cone `intersect`."""
+    k = spec.free_rank
+    eff = effective_cone(spec)
+    if eff.dim() < k:
+        return []
+    normals = set()
+    frees = [spec.free_part(i) for i in range(spec.r)]
+    if k == 2:
+        for w in frees:
+            if any(w):
+                normals.add(primitive((-w[1], w[0])))
+    elif k == 3:
+        for w1, w2 in itertools.combinations(frees, 2):
+            n = (
+                w1[1] * w2[2] - w1[2] * w2[1],
+                w1[2] * w2[0] - w1[0] * w2[2],
+                w1[0] * w2[1] - w1[1] * w2[0],
+            )
+            if any(n):
+                normals.add(primitive(n))
+    cells = [eff]
+    for n in sorted(normals):
+        half_pos = dd_convert(facets=[n], ambient_dim=k)
+        half_neg = dd_convert(facets=[tuple(-x for x in n)], ambient_dim=k)
+        nxt = []
+        for cell in cells:
+            for half in (half_pos, half_neg):
+                piece = intersect(cell, half)
+                if piece.dim() == k:
+                    nxt.append(piece)
+        cells = nxt
+    chambers = {}
+    for cell in cells:
+        ch = mori_chamber(spec, cell.relative_interior_point())
+        if ch.full_dimensional:
+            chambers.setdefault(ch.cone.facets, ch)
+    return [chambers[key] for key in sorted(chambers)]

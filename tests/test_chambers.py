@@ -5,12 +5,15 @@ from functools import reduce
 
 import pytest
 
+from helpers import enumerate_chambers_by_pairwise_cuts
+
 from coxkit.chambers import (
     Chamber,
     GradingSpec,
     NotEffective,
     RankTooLarge,
     TooFewGenerators,
+    defining_subsets,
     effective_cone,
     enumerate_chambers,
     is_cox_grading,
@@ -269,7 +272,11 @@ def test_mori_chamber_matches_all_subsets_oracle():
             assert ch.cone.generators == cone.generators, (spec, w)
             assert ch.cone.facets == cone.facets, (spec, w)
             assert ch.cone.lineality_dim == cone.lineality_dim, (spec, w)
-            assert ch.family == family, (spec, w)
+            minimal = {s for s in family if not any(t < s for t in family)}
+            assert {frozenset(m) for m in ch.supports} == minimal, (spec, w)
+            assert list(ch.supports) == sorted(ch.supports, key=lambda m: (len(m), m))
+            closure = defining_subsets(ch.supports, spec.r)
+            assert {frozenset(s) for s in closure} == family, (spec, w)
             if any(w) and not ch.full_dimensional:
                 seen.add("lower-dimensional chamber")
             if effective_cone(spec).lineality_dim:
@@ -298,7 +305,11 @@ def test_mori_chamber_builds_only_minimal_support_cones():
     ch = mori_chamber(spec, w)
     assert _subset_cone.cache_info().misses <= 80
     assert ch.cone.membership(w) != "outside"
-    assert frozenset(range(12)) in ch.family
+    # each support's cone holds w and no smaller subset's does
+    for m in ch.supports:
+        assert len(m) <= 2 and _subset_cone(spec, frozenset(m)).contains(w)
+        assert not any(_subset_cone(spec, frozenset(m) - {i}).contains(w) for i in m)
+    assert list(range(12)) in defining_subsets(ch.supports, 12)
 
 
 def test_enumerate_chambers_hirzebruch():
@@ -322,6 +333,40 @@ def test_enumerate_chambers_all_ones():
     ones = GradingSpec.from_columns([(1,), (1,), (1,)])
     chambers = enumerate_chambers(ones)
     assert len(chambers) == 1
+
+
+def test_enumerate_chambers_low_free_rank():
+    # degrees of both signs: Eff is the whole line, and the point 0 cuts it
+    # into the two chambers
+    spec = GradingSpec.from_columns([(-2,), (2,), (4,)])
+    chambers = enumerate_chambers(spec)
+    assert [c.cone.generators for c in chambers] == [((-1,),), ((1,),)]
+    assert [c.cone for c in chambers] == [
+        mori_chamber(spec, (-1,)).cone,
+        mori_chamber(spec, (1,)).cone,
+    ]
+    # a torsion grading has one chamber, the point
+    torsion = GradingSpec(free_rank=0, torsion=(2,), degrees=((1,), (0,)))
+    assert [c.cone for c in enumerate_chambers(torsion)] == [zero_cone(0)]
+
+
+def test_enumerate_chambers_matches_pairwise_cut_oracle():
+    rng = random.Random(2024)
+    seen = set()
+    done = 0
+    while done < 80:
+        spec = random_grading(rng, seen)
+        if spec.free_rank == 1:
+            continue
+        got = enumerate_chambers(spec)
+        want = enumerate_chambers_by_pairwise_cuts(spec)
+        assert [(c.cone.generators, c.cone.facets, c.supports) for c in got] == [
+            (c.cone.generators, c.cone.facets, c.supports) for c in want
+        ], spec
+        seen.add(f"{min(len(got), 3)} chambers")
+        done += 1
+    assert {"free rank 2", "free rank 3", "torsion", "zero degree", "repeated degree",
+            "0 chambers", "1 chambers", "3 chambers"} <= seen
 
 
 def test_enumerate_chambers_rank3():

@@ -163,6 +163,16 @@ def test_chamber_of_class():
     ]
 
 
+def test_chamber_defining_subsets_capped(tmp_path):
+    # with 24 degrees (1,) every nonempty subset defines the chamber of 1:
+    # 2^24 - 1 sets, refused past the cap instead of listed
+    doc = tmp_path / "ones.json"
+    doc.write_text(json.dumps({"free_rank": 1, "torsion": [], "degrees": [[1]] * 24}))
+    code, report, _ = run(["chamber", "--grading", str(doc), "--class", "1"])
+    assert code == 2
+    assert "defining subsets" in report["error"]
+
+
 def test_chambers_golden():
     code, report, _ = run(
         [
