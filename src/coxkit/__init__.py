@@ -16,13 +16,13 @@ from .blowup import (
     InterpolationProblem,
     LaurentPoly,
     blowup_certificate,
+    find_curve,
     forced_vertex_coefficient,
     h0,
     lm_projection,
     lm_rays,
     mukai_predicate,
     order_at_e,
-    vanishing_matrix,
 )
 from .chambers import (
     Chamber,

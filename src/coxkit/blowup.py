@@ -3,10 +3,12 @@
 Fat-point interpolation: matrices of derivative functionals at (1,1)
 against Laurent monomials supported on a dilated polygon, their kernel
 dimensions (section counts of m*H - k*E pullback classes), vanishing
-orders of explicit Laurent polynomials, forced-vertex base point
-certificates, the full nef-but-not-semiample certificate for blown-up
-weighted projective planes, the blow-up finite-generation inequality for
-point configurations in projective space, and ray projections of the
+orders of Laurent polynomials, the negative curve that D = H - k*E must
+meet trivially (found from k alone by one proved kernel, see
+`find_curve`), forced-vertex base point certificates, the full
+nef-but-not-semiample certificate for blown-up weighted projective
+planes, the blow-up finite-generation inequality for point
+configurations in projective space, and ray projections of the
 Losev-Manin fans.
 """
 
@@ -21,13 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
-from .linalg import (
-    IntMatrix,
-    RatMatrix,
-    certified_nullity,
-    primitive,
-    smith_normal_form,
-)
+from .linalg import IntMatrix, certified_nullity, primitive, smith_normal_form
 from .polyhedra import Polytope, lattice_points, polytope_from_points
 
 
@@ -51,9 +47,8 @@ class NotSurjective(PreconditionError):
     pass
 
 
-# input data for the blown-up P(12,13,17) analysis
+# the polygon of the blown-up P(12,13,17) analysis
 WPS_12_13_17_TRIANGLE = ((11, -26), (50, 0), (-1, 34))
-WPS_12_13_17_CURVE_ORDER = 52
 
 # the 7-vertex polygon and lattice projection used for the Losev-Manin
 # reduction from 10 marked points
@@ -105,21 +100,10 @@ class InterpolationProblem:
         return derivative_functionals(self.order)
 
 
-def vanishing_matrix(problem: InterpolationProblem) -> RatMatrix:
-    """Rows: derivative functionals of total order < k; columns: lattice
-    points of the dilated polygon; entries are products of falling
-    factorials (integers, possibly huge)."""
-    pts = problem.points()
-    rows = []
-    for i, j in problem.functionals():
-        rows.append([vanishing_entry((i, j), p) for p in pts])
-    return RatMatrix(rows, cols=len(pts))
-
-
 def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
     """The vanishing matrix of these lattice points and derivative
-    functionals reduced mod p, as an int64 array; for a problem's own
-    points and functionals it is `vanishing_matrix(problem)` mod p.
+    functionals reduced mod p, as an int64 array: row (i, j), column (a, b)
+    holds (a)_i * (b)_j mod p.
 
     Falling factorials mod p are tabulated per coordinate value by a
     running product, (a)_i = (a)_{i-1} * (a - i + 1), and each entry is the
@@ -253,62 +237,18 @@ class LaurentPoly:
         terms = tuple(sorted((k, v) for k, v in acc.items() if v != 0))
         return cls(terms)
 
-    @classmethod
-    def monomial(cls, a, b, coeff=1):
-        return cls.from_terms([((a, b), coeff)])
-
     def is_zero(self):
         return not self.terms
 
     def support(self):
         return [k for k, _ in self.terms]
 
-    def coeff(self, a, b):
-        for k, v in self.terms:
-            if k == (a, b):
-                return v
-        return Fraction(0)
 
-    def __add__(self, other):
-        return LaurentPoly.from_terms(list(self.terms) + list(other.terms))
-
-    def __neg__(self):
-        return LaurentPoly(tuple((k, -v) for k, v in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.from_terms(
-                [(k, v * Fraction(other)) for k, v in self.terms]
-            )
-        items = []
-        for (a1, b1), c1 in self.terms:
-            for (a2, b2), c2 in other.terms:
-                items.append(((a1 + a2, b1 + b2), c1 * c2))
-        return LaurentPoly.from_terms(items)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = LaurentPoly.monomial(0, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-
-def flagship_curve() -> LaurentPoly:
-    """x^11 y^-26 (1 - y)^52, the explicit order-52 section on the
-    triangle of the blown-up P(12,13,17) analysis."""
-    one_minus_y = LaurentPoly.from_terms([((0, 0), 1), ((0, 1), -1)])
-    return LaurentPoly.monomial(11, -26) * one_minus_y**52
+def _width(points):
+    """Width in x plus width in y of a set of points: a bound on the
+    vanishing order at (1,1) of a nonzero polynomial supported on them."""
+    xs, ys = zip(*points)
+    return max(xs) - min(xs) + max(ys) - min(ys)
 
 
 def order_at_e(f: LaurentPoly) -> int:
@@ -322,12 +262,7 @@ def order_at_e(f: LaurentPoly) -> int:
     if f.is_zero():
         raise ZeroPolynomial("order of the zero polynomial is undefined")
     supp = f.support()
-    bound = (
-        max(a for a, _ in supp)
-        - min(a for a, _ in supp)
-        + max(b for _, b in supp)
-        - min(b for _, b in supp)
-    )
+    bound = _width(supp)
     scale = math.lcm(*(c.denominator for _, c in f.terms))
     coeffs = [int(c * scale) for _, c in f.terms]
     values = functional_values(supp, coeffs, bound + 1)[:, :, 0]
@@ -468,6 +403,65 @@ def forced_vertex_coefficient(
     return Certificate("forced_vertex", payload, transcript)
 
 
+def _lattice_polygon(polygon) -> Polytope:
+    """The polygon as a Polytope; raises PreconditionFailed unless it is a
+    2-dimensional lattice polygon."""
+    poly = (
+        polygon
+        if isinstance(polygon, Polytope)
+        else polytope_from_points(polygon)
+    )
+    if poly.dim() != 2 or not poly.is_lattice():
+        raise PreconditionFailed("polygon must be a 2-dimensional lattice polygon")
+    return poly
+
+
+def find_curve(polygon, k, primes=None):
+    """The negative curve C with D.C = 0 for D = pullback(H) - k E, found
+    from k alone.
+
+    A Laurent polynomial f supported on the polygon with vanishing order w
+    at (1,1) gives a curve of class (1/w) pullback(H) - E, so D.C = H^2/w -
+    k = 0 forces w = H^2/k, and C^2 = H^2/w^2 - 1 < 0 needs w > k.  A
+    nonzero f has order at most the polygon's width in x plus its width in
+    y (the bound of `order_at_e`), so above that no f exists.  Otherwise
+    one `h0` proof at order w must give nullity 1: an irreducible negative
+    curve is alone in its linear system.  The first failed condition
+    raises PreconditionFailed.  Returns (w, f, proof): f is the proof's one
+    kernel vector on the lattice points and proof its `NullityProof`,
+    whose candidate primes are `primes`.  `blowup_certificate` judges f.
+    """
+    poly = _lattice_polygon(polygon)
+    h2 = int(2 * poly.area())
+    if k < 1:
+        raise PreconditionFailed(f"D.E = k = {k} is not positive")
+    if h2 % k:
+        raise PreconditionFailed(
+            f"D.C = H^2/w - k = 0 needs w = H^2/k, but k = {k} does not "
+            f"divide H^2 = {h2}"
+        )
+    w = h2 // k
+    if w <= k:
+        raise PreconditionFailed(
+            f"w = H^2/k = {w} <= k = {k}, so C^2 = H^2/w^2 - 1 is not negative"
+        )
+    width = _width(poly.vertices)
+    if w > width:
+        raise PreconditionFailed(
+            f"no nonzero section has order w = {w} > {width}, the polygon's "
+            f"width in x plus its width in y"
+        )
+    problem = InterpolationProblem(poly, 1, w)
+    proof = h0(problem, primes=primes, proof=True)
+    if proof.nullity != 1:
+        raise PreconditionFailed(
+            f"h0 at order w = {w} is {proof.nullity}, not 1: no irreducible "
+            f"negative curve of that order"
+        )
+    f = LaurentPoly.from_terms(zip(problem.points(), proof.kernel[0]))
+    return w, f, proof
+
+
 def blowup_certificate(weights, polygon, curve, k, m_max=5):
     """Certify that pulled-back ample minus k times the exceptional class
     is nef but not basepoint free at multiples 1..m_max.
@@ -479,13 +473,7 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
     PreconditionFailed.  The statement for all multiples m is recorded as
     an external conclusion, certified here for m <= m_max.
     """
-    poly = (
-        polygon
-        if isinstance(polygon, Polytope)
-        else polytope_from_points(polygon)
-    )
-    if poly.dim() != 2 or not poly.is_lattice():
-        raise PreconditionFailed("polygon must be a 2-dimensional lattice polygon")
+    poly = _lattice_polygon(polygon)
     w, f = curve
     if f.is_zero():
         raise PreconditionFailed("curve polynomial is zero")

@@ -8,11 +8,14 @@ output are serialized as decimal strings so consumers never overflow;
 structured result against a golden file and exits 3 on mismatch.
 
 Exit codes: 0 success, 1 bad input, 2 violated precondition, 3 golden
-mismatch.  `blowup-analyze --h0-order` adds `h0_proof` to the report,
-beside the result: the prime, its rank and the bounds that prove h0.  The
+mismatch.  `blowup-analyze` finds its negative curve from `--k`: the
+curve's order is w = H^2/k, and its Laurent polynomial is the one kernel
+vector of a proved h0 at order w (`blowup.find_curve`).  `--h0-order` adds
+`h0_proof` to the report, beside the result: the prime, its rank and the
+bounds that prove h0; at `--h0-order` w it is the curve's own proof.  The
 environment variable COXKIT_PRIMES (comma-separated, at least 3 distinct
-primes in (2^20, 2^21)) overrides the candidate primes of that proof, for
-testing only.
+primes in (2^20, 2^21)) overrides the candidate primes of both proofs,
+for testing only.
 """
 
 from __future__ import annotations
@@ -168,19 +171,6 @@ def load_cone(path) -> ph.Cone:
     if gens is not None:
         return ph.dd_convert(generators=vecs, ambient_dim=dim)
     return ph.dd_convert(facets=vecs, ambient_dim=dim)
-
-
-def load_laurent(doc_terms) -> bw.LaurentPoly:
-    if not isinstance(doc_terms, list):
-        raise InputError(f"curve_terms {doc_terms!r} is not a list")
-    terms = []
-    for item in doc_terms:
-        try:
-            a, b, c = item
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"curve term {item!r} is not [a, b, coefficient]") from exc
-        terms.append(((parse_int(a), parse_int(b)), parse_number(c)))
-    return bw.LaurentPoly.from_terms(terms)
 
 
 def modular_primes_from_env():
@@ -390,24 +380,22 @@ def cmd_intersect_nef(args):
 def cmd_blowup_analyze(args):
     weights = parse_vector(args.weights) if args.weights else None
     mode = "exact" if args.exact else "modular"
-    primes = modular_primes_from_env() if args.h0_order is not None else None
+    primes = modular_primes_from_env()
     if args.polygon:
         poly = load_polytope(args.polygon)
-        doc = load_document(args.polygon)
-        if "curve_terms" not in doc or "curve_order" not in doc:
+        extra = sorted(load_document(args.polygon).keys() - {"vertices"})
+        if extra:
             raise InputError(
-                "custom blow-up polygons need curve_terms and curve_order"
+                f"{args.polygon}: only vertices are read, not {extra}; "
+                "the curve is now found from --k"
             )
-        f = load_laurent(doc["curve_terms"])
-        w = parse_int(doc["curve_order"])
     elif weights == (12, 13, 17):
         poly = ph.polytope_from_points(bw.WPS_12_13_17_TRIANGLE)
-        f = bw.flagship_curve()
-        w = bw.WPS_12_13_17_CURVE_ORDER
     else:
         raise InputError(
-            "only weights 12,13,17 have built-in curve data; pass --polygon"
+            "only weights 12,13,17 have a built-in polygon; pass --polygon"
         )
+    w, f, proof = bw.find_curve(poly, args.k, primes)
     cert = bw.blowup_certificate(weights, poly, (w, f), args.k, m_max=args.m_max)
     result = {
         "certificate": certificate_doc(cert),
@@ -416,8 +404,9 @@ def cmd_blowup_analyze(args):
     }
     beside = {}
     if args.h0_order is not None:
-        prob = bw.InterpolationProblem(poly, 1, args.h0_order)
-        proof = bw.h0(prob, mode, primes=primes, proof=True)
+        if args.h0_order != w:
+            prob = bw.InterpolationProblem(poly, 1, args.h0_order)
+            proof = bw.h0(prob, mode, primes=primes, proof=True)
         result["h0"] = {
             "order": args.h0_order,
             "dimension": proof.nullity,
@@ -601,7 +590,7 @@ def build_parser():
     p.add_argument("--weights", help="comma-separated weights, e.g. 12,13,17")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--polygon", help="JSON with vertices, curve_terms, curve_order")
+    p.add_argument("--polygon", help="JSON with the vertices of a lattice polygon")
     p.add_argument("--h0-order", type=int, help="also compute h0 at this order")
     p.add_argument(
         "--exact", action="store_true", help="kept for compatibility; h0 is always proved"

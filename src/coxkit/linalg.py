@@ -710,7 +710,8 @@ class NullityProof:
     `denominator`, are the identity on the columns `free` (those without a
     pivot mod p), so they are independent, and satisfy A x = 0 exactly over
     Z on every row.  When rank_mod_p = min(rows, cols) no vector is needed: the
-    rank over Q cannot exceed min(rows, cols).  `steps` counts the p-adic
+    rank over Q cannot exceed min(rows, cols); a nullity of 1 still carries
+    its vector.  `steps` counts the p-adic
     lifting steps, `rejected` the primes found unlucky (rank_mod_p below
     the rank over Q) before `prime`.
     """
@@ -835,10 +836,12 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
     2^21.  The candidate primes are `modular_primes(primes, denominators)`.
 
     One GF(p) elimination gives rank_p, so nullity <= cols - rank_p.  If
-    rank_p = min(rows, cols) this is the nullity.  Otherwise the k = cols -
-    rank_p kernel vectors that are the identity on the free columns solve
-    A_PP X = -A_PF (P the pivot rows and columns); X is lifted p-adically
-    (Dixon) from the kept L U factors, with rational reconstruction and
+    rank_p = cols, or rank_p = rows < cols - 1, the rank over Q cannot
+    exceed rank_p either and this is the nullity.  Otherwise, so that a
+    nullity of 1 always carries its vector, the k = cols - rank_p kernel
+    vectors that are the identity on the free columns solve A_PP X = -A_PF
+    (P the pivot rows and columns); X is lifted p-adically (Dixon) from
+    the kept L U factors, with rational reconstruction and
     early termination.  A candidate X that makes A [X; I] = 0 exactly on
     every row proves nullity >= k.  If it holds on the pivot rows but not on
     another, X is the unique solution and rank_p < rank_Q: the prime was
@@ -852,7 +855,7 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
     for p in modular_primes(primes, denominators):
         f = int_rank_mod(op.residues(p), p, lu=True)
         r = f.rank
-        if r == min(m, n):
+        if r == n or (r == m and n - r > 1):
             return NullityProof(n - r, p, r, rejected=tuple(rejected))
         rows, piv = f.perm[:r], list(f.pivots)
         free = sorted(set(range(n)) - set(piv))

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from coxkit import blowup
 from coxkit.chambers import effective_cone, mori_chamber
 from coxkit.divisors import (
     NotComplete,
@@ -17,6 +18,7 @@ from coxkit.divisors import (
 from coxkit.fans import fan_predicates, normal_fan
 from coxkit.linalg import (
     IntMatrix,
+    RatMatrix,
     det,
     dot,
     int_inverse_unimodular,
@@ -161,6 +163,71 @@ def falling(a, i):
     for t in range(i):
         out *= a - t
     return out
+
+
+class LaurentPoly(blowup.LaurentPoly):
+    """The library's Laurent polynomial with ring arithmetic, for building
+    test polynomials by products."""
+
+    @classmethod
+    def monomial(cls, a, b, coeff=1):
+        return cls.from_terms([((a, b), coeff)])
+
+    def coeff(self, a, b):
+        return dict(self.terms).get((a, b), Fraction(0))
+
+    def __add__(self, other):
+        return LaurentPoly.from_terms(list(self.terms) + list(other.terms))
+
+    def __neg__(self):
+        return LaurentPoly(tuple((k, -v) for k, v in self.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly.from_terms(
+                [(k, v * Fraction(other)) for k, v in self.terms]
+            )
+        items = []
+        for (a1, b1), c1 in self.terms:
+            for (a2, b2), c2 in other.terms:
+                items.append(((a1 + a2, b1 + b2), c1 * c2))
+        return LaurentPoly.from_terms(items)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative powers not supported")
+        out = LaurentPoly.monomial(0, 0)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+def flagship_curve():
+    """x^11 y^-26 (1 - y)^52, the order-52 section on the triangle of the
+    blown-up P(12,13,17) analysis, by Fraction products."""
+    one_minus_y = LaurentPoly.from_terms([((0, 0), 1), ((0, 1), -1)])
+    return LaurentPoly.monomial(11, -26) * one_minus_y**52
+
+
+def vanishing_matrix(problem):
+    """The exact vanishing matrix of an InterpolationProblem: rows the
+    derivative functionals of total order < k, columns the lattice points
+    of the dilated polygon, entries products of falling factorials."""
+    pts = problem.points()
+    rows = [
+        [blowup.vanishing_entry(func, p) for p in pts]
+        for func in problem.functionals()
+    ]
+    return RatMatrix(rows, cols=len(pts))
 
 
 def positivity_by_polytope(fan, divisor):

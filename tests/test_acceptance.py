@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import find_gl2z, shoelace
+from helpers import find_gl2z, flagship_curve, shoelace
 
 from coxkit.blowup import (
     InterpolationProblem,
@@ -23,7 +23,6 @@ from coxkit.blowup import (
     WPS_12_13_17_TRIANGLE,
     blowup_certificate,
     derivative_functionals,
-    flagship_curve,
     h0,
     lm_projection,
     lm_rays,

@@ -4,14 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import falling, rational_kernel_basis, shoelace
+from helpers import (
+    LaurentPoly,
+    falling,
+    flagship_curve,
+    rational_kernel_basis,
+    shoelace,
+    vanishing_matrix,
+)
 
 from coxkit.blowup import (
     BadRange,
     Certificate,
     FunctionalOrderTooHigh,
     InterpolationProblem,
-    LaurentPoly,
     LM10_POLYGON_COLUMNS,
     LM10_PROJECTION_MATRIX,
     LM10_V1,
@@ -24,7 +30,6 @@ from coxkit.blowup import (
     blowup_certificate,
     derivative_functionals,
     falling_factorial,
-    flagship_curve,
     forced_vertex_coefficient,
     h0,
     lm_projection,
@@ -32,7 +37,6 @@ from coxkit.blowup import (
     mukai_predicate,
     order_at_e,
     vanishing_entry,
-    vanishing_matrix,
     vanishing_matrix_mod,
 )
 from coxkit.linalg import IntMatrix

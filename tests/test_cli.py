@@ -1,10 +1,23 @@
 import json
 import os
 import pathlib
+import random
 
 import pytest
 
+from coxkit import linalg
+from coxkit.blowup import (
+    LM10_POLYGON_COLUMNS,
+    WPS_12_13_17_TRIANGLE,
+    blowup_certificate,
+    derivative_functionals,
+    find_curve,
+    order_at_e,
+    vanishing_entry,
+)
 from coxkit.cli import canonical_json, encode, main, parse_number, run
+from coxkit.errors import PreconditionError
+from coxkit.polyhedra import convex_hull_2d
 
 HERE = pathlib.Path(__file__).resolve().parent
 DATA = HERE / "data"
@@ -469,6 +482,95 @@ def test_blowup_h0_proof_beside_result(capsys):
     assert proof["rejected_primes"] == []
 
 
+@pytest.mark.parametrize("order, eliminations", [("52", 1), ("51", 2)])
+def test_blowup_analyze_elimination_count(order, eliminations, monkeypatch):
+    """The proof that finds the curve is reused as h0 at the curve's order
+    52, so the flagship command runs one GF(p) elimination; h0 at any
+    other order runs a second one."""
+    calls = []
+    rank_mod = linalg.int_rank_mod
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rank_mod(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "int_rank_mod", counted)
+    code, report, _ = run(["blowup-analyze", "--weights", "12,13,17", "--k", "51",
+                           "--m-max", "1", "--h0-order", order])
+    assert code == 0, report
+    assert len(calls) == eliminations, calls
+
+
+def killed_below(f, w):
+    """Whether every functional of order < w annihilates f, summed term by
+    term with exact falling factorials."""
+    return all(
+        sum(c * vanishing_entry(func, p) for p, c in f.terms) == 0
+        for func in derivative_functionals(w)
+    )
+
+
+def test_found_curve(tmp_path):
+    """The curve comes from --k alone.  The flagship triangle moved by
+    (5, -7) verifies at w = 52 with the golden's intersection numbers.  On
+    seeded small lattice polygons at every k in 1..H^2, and on two fixed
+    ones, `find_curve` and `blowup_certificate` refuse or give a curve of
+    order w that every functional of lower order kills."""
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(
+        {"vertices": [[a + 5, b - 7] for a, b in WPS_12_13_17_TRIANGLE]}
+    ))
+    code, report, _ = run(["blowup-analyze", "--weights", "12,13,17", "--k", "51",
+                           "--polygon", str(moved)])
+    assert code == 0, report
+    assert report["result"]["verified"] is True
+    payload = report["result"]["certificate"]["payload"]
+    golden = json.loads((GOLDENS / "blowup_12_13_17.json").read_text())
+    for key in ("curve_order", "k", "h_self_intersection",
+                "curve_self_intersection", "d_dot_c", "d_dot_e"):
+        assert encode(payload[key]) == golden["certificate"]["payload"][key]
+    assert payload["curve_order"] == 52
+
+    rng = random.Random(12)
+    polygons = [
+        # 3 conditions on 4 points: the proof's one vector is (1 - y)^2
+        [(0, 0), (1, 0), (0, 2)],
+        # y^-2 (1 - y)^6, C^2 = -1/6, and every forced vertex holds
+        [(-1, 4), (0, -2), (4, 1), (0, 4)],
+    ]
+    while len(polygons) < 40:
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 5))]
+        if convex_hull_2d(pts).dim() == 2:
+            polygons.append(pts)
+    found = verified = 0
+    for pts in polygons:
+        hull = convex_hull_2d(pts)
+        for k in range(1, int(2 * hull.area()) + 1):
+            try:
+                w, f, proof = find_curve(hull, k)
+            except PreconditionError:
+                continue
+            found += 1
+            assert proof.nullity == 1 and w == 2 * hull.area() / k
+            assert order_at_e(f) == w and killed_below(f, w)
+            try:
+                cert = blowup_certificate(None, hull, (w, f), k)
+            except PreconditionError:
+                continue
+            assert cert.verify()
+            verified += 1
+    assert found > 5 and verified >= 1
+
+    delta = tmp_path / "delta.json"
+    delta.write_text(json.dumps(
+        {"vertices": [list(v) for v in convex_hull_2d(LM10_POLYGON_COLUMNS).vertices]},
+        default=int,
+    ))
+    for k in ("6", "7", "8"):
+        code, report, _ = run(["blowup-analyze", "--polygon", str(delta), "--k", k])
+        assert code == 2, report
+
+
 BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "1",
              "--h0-order", "1"]
 
@@ -504,6 +606,8 @@ MALFORMED_DOCUMENTS = {
         (["lm-project", "--n", "10", "--matrix", "MATRIX_WITHOUT_V2"], None, 1),
         (["lm-project", "--n", "10", "--matrix", "LIST_DOCUMENT"], None, 1),
         (["plot", "--polygon", "ZERO_DENOMINATOR"], None, 1),
+        (["blowup-analyze", "--weights", "12,13,17", "--k", "0"], None, 2),
+        (["blowup-analyze", "--weights", "12,13,17", "--k", "-51"], None, 2),
         (BLOWUP_H0, "1048583,abc,1048601", 1),
         (BLOWUP_H0, "1048583,1048581,1048601", 2),  # 1048581 = 3 * 349527
         (["positivity", "--fan", data("fan_octahedron.json"), "--divisor",
@@ -516,7 +620,7 @@ MALFORMED_DOCUMENTS = {
     ids=["veronese-entry", "veronese-ragged", "plot-points", "curve-terms",
          "curve-terms-number", "cone-generators-number", "cone-list",
          "veronese-cone-list", "lm-matrix-missing-v2", "lm-matrix-list",
-         "polytope-zero-denominator",
+         "polytope-zero-denominator", "blowup-k-zero", "blowup-k-negative",
          "primes-not-integers", "primes-composite", "positivity-not-simplicial",
          "intersect-not-surface", "intersect-not-complete"],
 )
