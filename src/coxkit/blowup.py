@@ -9,7 +9,10 @@ meet trivially (found from k alone by one proved kernel, see
 nef-but-not-semiample certificate for blown-up weighted projective
 planes, the blow-up finite-generation inequality for point
 configurations in projective space, and ray projections of the
-Losev-Manin fans.
+Losev-Manin fans.  Each certificate kind has one judge, which decides
+every identity of a payload for its builder and for `Certificate.verify`
+alike; the forced-vertex judge counts lattice points per column and
+lists none.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
 from .linalg import IntMatrix, certified_nullity, primitive, smith_normal_form
-from .polyhedra import Polytope, lattice_points, polytope_from_points
+from .polyhedra import Polytope, lattice_columns, lattice_points, polytope_from_points
 
 
 class ZeroPolynomial(PreconditionError):
@@ -281,7 +284,8 @@ class Certificate:
     """Exact, re-verifiable payload for one of the blow-up conclusions.
 
     kinds: forced_vertex, negative_curve, nef_not_semiample.  verify()
-    re-runs every check from the payload alone.
+    runs the kind's judge on the payload alone; the builders assemble
+    payloads and ask the same judge, which decides every identity.
     """
 
     kind: str
@@ -290,68 +294,86 @@ class Certificate:
 
     def verify(self) -> bool:
         if self.kind == "forced_vertex":
-            return _verify_forced_vertex(self.payload)
+            return _forced_vertex_points(self.payload) is not None
         if self.kind == "negative_curve":
-            return _verify_negative_curve(self.payload)
+            return _negative_curve_failure(self.payload) is None
         if self.kind == "nef_not_semiample":
-            return _verify_nef_not_semiample(self.payload)
+            return _nef_not_semiample_failure(self.payload) is None
         return False
 
 
-def _translated_points(polygon_vertices, m, translation):
-    """The lattice points of m * polygon moved by translation, as an int64
-    array of shape (count, 2)."""
-    pts = lattice_points(polytope_from_points(polygon_vertices), m)
-    return np.array(pts, dtype=np.int64).reshape(-1, 2) + translation
+def _forced_vertex_points(payload):
+    """The number of lattice points of the payload's dilated polygon moved
+    by its translation when the functional (a)_i (b)_j, of order below the
+    payload's order, is nonzero at the vertex, with the stated value, and
+    at no other of these points; None otherwise.
 
-
-def _singles_out(functional, pts, vertex) -> bool:
-    """Whether the vertex is one of pts and the functional's entry
-    (a)_i * (b)_j vanishes at every other point but not at the vertex.
-    Decided without bignums, in one pass over the point array: (a)_i
-    vanishes exactly when 0 <= a < i."""
-    i, j = functional
-    a, b = pts[:, 0], pts[:, 1]
-    vanishes = ((0 <= a) & (a < i)) | ((0 <= b) & (b < j))
-    at_vertex = (a == vertex[0]) & (b == vertex[1])
-    return bool(at_vertex.any() and (vanishes != at_vertex).all())
-
-
-def _verify_forced_vertex(payload) -> bool:
+    (a)_i vanishes exactly when 0 <= a < i, so in the column of points
+    (a, b) with lo <= b <= hi the entry is nonzero nowhere when a is in
+    [0, i), and otherwise at every b outside [0, j).  The nonzero entries
+    are counted column by column and no point is listed.
+    """
     i, j = payload["functional"]
-    k = payload["order"]
-    if i + j > k - 1:
-        return False
-    pts = _translated_points(
-        payload["polygon"], payload["dilation"], payload["translation"]
-    )
-    vertex = tuple(payload["vertex"])
-    return _singles_out((i, j), pts, vertex) and (
-        vanishing_entry((i, j), vertex) == payload["vertex_value"]
-    )
+    if i + j > payload["order"] - 1:
+        return None
+    tx, ty = payload["translation"]
+    va, vb = vertex = tuple(payload["vertex"])
+    polygon = polytope_from_points(payload["polygon"])
+    points = nonzero = 0
+    found = False
+    for (a,), lo, hi in lattice_columns(polygon, payload["dilation"]):
+        a, lo, hi = a + tx, lo + ty, hi + ty
+        points += hi - lo + 1
+        found = found or (a == va and lo <= vb <= hi)
+        if not 0 <= a < i:
+            nonzero += hi - lo + 1 - max(0, min(hi, j - 1) - max(lo, 0) + 1)
+    value = payload["vertex_value"]
+    if found and nonzero == 1 and value == vanishing_entry((i, j), vertex) != 0:
+        return points
+    return None
 
 
-def _verify_negative_curve(payload) -> bool:
-    h2 = Fraction(payload["h_self_intersection"])
-    w = payload["curve_order"]
-    c2 = Fraction(payload["curve_self_intersection"])
-    return w > 0 and c2 == h2 / w**2 - 1 and c2 < 0
+def _negative_curve_failure(payload):
+    """The failed identity of a negative-curve payload, or None:
+    C^2 = H^2/w^2 - 1 < 0 for a curve order w >= 1."""
+    h2, w = payload["h_self_intersection"], payload["curve_order"]
+    c2 = payload["curve_self_intersection"]
+    if w < 1 or c2 != Fraction(h2, w**2) - 1:
+        return f"C^2 = {c2} is not H^2/w^2 - 1 for H^2 = {h2} and w = {w}"
+    if c2 >= 0:
+        return f"C^2 = H^2/w^2 - 1 = {c2} is not negative"
+    return None
 
 
-def _verify_nef_not_semiample(payload) -> bool:
-    h2 = Fraction(payload["h_self_intersection"])
-    w = payload["curve_order"]
-    k = payload["k"]
-    if Fraction(payload["d_dot_c"]) != h2 / w - k or payload["d_dot_c"] != 0:
-        return False
-    if payload["d_dot_e"] != k or k <= 0:
-        return False
-    if not _verify_negative_curve(payload["negative_curve"].payload):
-        return False
+def _nef_not_semiample_failure(payload):
+    """The first failed identity of a nef-not-semiample payload, or None.
+
+    In order: D.C = H^2/w - k = 0, D.E = k > 0 (each as stated), the
+    negative-curve certificate (`_negative_curve_failure`, stating the same
+    H^2, w and C^2), one forced-vertex certificate for each multiple
+    m = 1..m_max, and for each the argument on m times the polygon at
+    order k m (`_forced_vertex_points`).  A missing certificate (None)
+    fails at its multiple.
+    """
+    h2, w, k = payload["h_self_intersection"], payload["curve_order"], payload["k"]
+    dc = Fraction(h2, w) - k if w > 0 else None
+    if dc != 0 or payload["d_dot_c"] != 0:
+        return f"D.C = H^2/w - k = {dc}, stated {payload['d_dot_c']}: must be 0"
+    if k < 1 or payload["d_dot_e"] != k:
+        return f"D.E = k = {k}, stated {payload['d_dot_e']}: must be positive"
+    curve = payload["negative_curve"].payload
+    failure = _negative_curve_failure(curve)
+    keys = ("h_self_intersection", "curve_order", "curve_self_intersection")
+    if failure or any(curve[key] != payload[key] for key in keys):
+        return failure or "the negative-curve certificate states another curve"
     forced = payload["forced_vertex_certificates"]
     if len(forced) != payload["m_max"]:
-        return False
-    return all(cert.verify() for cert in forced)
+        return f"{len(forced)} forced-vertex certificates for m_max = {payload['m_max']}"
+    for m, cert in enumerate(forced, 1):
+        claim = cert and tuple(cert.payload.get(key) for key in ("dilation", "order", "polygon"))
+        if claim != (m, k * m, payload["polygon"]) or _forced_vertex_points(cert.payload) is None:
+            return f"forced vertex argument fails at multiple m = {m}"
+    return None
 
 
 def forced_vertex_coefficient(
@@ -359,33 +381,24 @@ def forced_vertex_coefficient(
 ):
     """Certificate that one polygon vertex coefficient is forced to zero.
 
-    Checks that the falling-factorial functional annihilates every lattice
-    point of the translated dilated polygon except the named vertex, where
-    it is nonzero.  Such a functional shows that every section vanishing
-    to the given order at (1,1) has zero coefficient at that vertex, so
-    the corresponding divisor class has a base point.  Returns None when
-    the functional fails to single out the vertex.  Annihilation is
-    decided by integer comparisons (see `_singles_out`); only the vertex
-    value is computed as a product of falling factorials.
+    The falling-factorial functional must annihilate every lattice point
+    of the translated dilated polygon except the named vertex, where it is
+    nonzero, as `_forced_vertex_points` decides from the payload.  Such a
+    functional shows that every section vanishing to the given order at
+    (1,1) has zero coefficient at that vertex, so the corresponding
+    divisor class has a base point.  Returns None when the functional
+    fails to single out the vertex.
     """
-    if isinstance(polygon, Polytope):
-        polygon_vertices = tuple(
-            tuple(int(x) for x in v) for v in polygon.vertices
-        )
-    else:
-        polygon_vertices = tuple(tuple(int(x) for x in v) for v in polygon)
+    vertices = polygon.vertices if isinstance(polygon, Polytope) else polygon
     i, j = functional
     if i + j > order - 1:
         raise FunctionalOrderTooHigh(
             f"functional ({i},{j}) has order {i + j} > {order - 1}"
         )
-    pts = _translated_points(polygon_vertices, dilation, translation)
     vertex = tuple(int(x) for x in vertex)
-    if not _singles_out((i, j), pts, vertex):
-        return None
     vertex_value = vanishing_entry((i, j), vertex)
     payload = {
-        "polygon": polygon_vertices,
+        "polygon": tuple(tuple(int(x) for x in v) for v in vertices),
         "dilation": dilation,
         "order": order,
         "functional": (i, j),
@@ -393,9 +406,12 @@ def forced_vertex_coefficient(
         "vertex": vertex,
         "vertex_value": vertex_value,
     }
+    points = _forced_vertex_points(payload)
+    if points is None:
+        return None
     transcript = (
         f"functional d_x^{i} d_y^{j} at (1,1) annihilates all "
-        f"{len(pts) - 1} non-vertex lattice points of the translated polygon",
+        f"{points - 1} non-vertex lattice points of the translated polygon",
         f"value at vertex {vertex} is {vertex_value} != 0",
         f"every section vanishing to order {order} at (1,1) has zero "
         f"coefficient at {vertex}",
@@ -468,8 +484,11 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
 
     `curve` is a pair (w, f): a Laurent polynomial supported on the
     polygon whose vanishing order at (1,1) is w, exhibiting an
-    irreducible curve of class (1/w) * pullback - exceptional.  All
-    identities are checked exactly; the first violated one raises
+    irreducible curve of class (1/w) * pullback - exceptional.  What the
+    payload cannot carry is checked here: a lattice polygon, f nonzero,
+    supported on it and of order w >= 1, and the P(weights) fan.  The
+    payload is then judged by `_nef_not_semiample_failure`, the judge of
+    `Certificate.verify`, and its first failed identity raises
     PreconditionFailed.  The statement for all multiples m is recorded as
     an external conclusion, certified here for m <= m_max.
     """
@@ -480,21 +499,8 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
     if not all(poly.contains(p) for p in f.support()):
         raise PreconditionFailed("curve polynomial is not supported on the polygon")
     order = order_at_e(f)
-    if order != w:
-        raise PreconditionFailed(f"order_at_e(f) = {order} != w = {w}")
-    h2 = 2 * poly.area()
-    if h2.denominator != 1:
-        raise PreconditionFailed("twice the polygon area is not an integer")
-    h2 = int(h2)
-    c2 = Fraction(h2, w**2) - 1
-    if not c2 < 0:
-        raise PreconditionFailed(f"C^2 = H^2/w^2 - 1 = {c2} is not negative")
-    dc = Fraction(h2, w) - k
-    if dc != 0:
-        raise PreconditionFailed(f"D.C = H^2/w - k = {dc} != 0")
-    de = k
-    if not de > 0:
-        raise PreconditionFailed(f"D.E = k = {de} is not positive")
+    if order != w or w < 1:
+        raise PreconditionFailed(f"order_at_e(f) = {order}, not the curve order w = {w} >= 1")
     if weights is not None:
         target = weighted_projective_fan(*weights)
         nf = normal_fan(poly)
@@ -503,25 +509,15 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
                 f"normal fan of the polygon is not the P{tuple(weights)} fan"
             )
 
+    h2 = int(2 * poly.area())
+    c2 = Fraction(h2, w**2) - 1
     verts = [(int(x), int(y)) for x, y in poly.vertices]
-    right = max(verts)
-    left = min(verts)
+    left, right = min(verts), max(verts)
     forced = []
     for m in range(1, m_max + 1):
-        translation = (k * m - 1 - m * right[0], -m * right[1])
-        vertex = (
-            m * left[0] + translation[0],
-            m * left[1] + translation[1],
-        )
-        functional = (k * m - 2, 1)
-        cert = forced_vertex_coefficient(
-            verts, m, k * m, vertex, functional, translation
-        )
-        if cert is None:
-            raise PreconditionFailed(
-                f"forced vertex argument fails at multiple m = {m}"
-            )
-        forced.append(cert)
+        tx, ty = k * m - 1 - m * right[0], -m * right[1]
+        vertex = (m * left[0] + tx, m * left[1] + ty)
+        forced.append(forced_vertex_coefficient(verts, m, k * m, vertex, (k * m - 2, 1), (tx, ty)))
 
     neg = Certificate(
         "negative_curve",
@@ -544,14 +540,17 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
         "k": k,
         "h_self_intersection": h2,
         "curve_self_intersection": c2,
-        "d_dot_c": dc,
-        "d_dot_e": de,
+        "d_dot_c": Fraction(h2, w) - k,
+        "d_dot_e": k,
         "m_max": m_max,
         "negative_curve": neg,
         "forced_vertex_certificates": tuple(forced),
     }
+    failure = _nef_not_semiample_failure(payload)
+    if failure:
+        raise PreconditionFailed(failure)
     transcript = (
-        f"D = pullback(H) - {k} E with D.C = {dc} and D.E = {de} > 0",
+        f"D = pullback(H) - {k} E with D.C = 0 and D.E = {k} > 0",
         f"D is nef: it pairs nonnegatively with the negative curves C and E "
         f"spanning the effective cone",
         f"forced-vertex certificates show m D has a base point for m = 1..{m_max}",

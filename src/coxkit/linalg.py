@@ -419,7 +419,7 @@ def det(M: IntMatrix):
 
 @dataclass(frozen=True)
 class ModularLU:
-    """The elimination left by `int_rank_mod(rows, p, lu=True)`.
+    """The elimination left by `int_rank_mod(rows, p)`.
 
     `lu` holds the rows of A mod p in the order `perm` (the original index
     of each row), factored in place as A[perm] = L U over GF(p).  Row i of U
@@ -438,8 +438,9 @@ class ModularLU:
         return len(self.pivots)
 
 
-def int_rank_mod(rows, p, *, lu=False):
-    """Rank over GF(p) of an integer matrix: a list of rows or an int array.
+def int_rank_mod(rows, p):
+    """The GF(p) elimination of an integer matrix, a list of rows or an int
+    array, as a `ModularLU`; its `rank` is the rank over GF(p).
 
     p must be a prime below MODULAR_PRIME_LIMIT.  Blocked elimination, one
     panel of PANEL_WIDTH columns at a time.  A panel is eliminated with row
@@ -458,14 +459,12 @@ def int_rank_mod(rows, p, *, lu=False):
     so every float64 value is an exact integer of at most 2^53.  The
     returned factors are reduced residues.  On the 1378 x 1348 order-52
     flagship matrix the elimination takes 0.25-0.29 s, against 0.49-0.51 s
-    with a reduction after every update (2-core x86, OpenBLAS).  With
-    lu=True the `ModularLU` of this elimination is returned instead of its
-    rank.
+    with a reduction after every update (2-core x86, OpenBLAS).
     """
     if not 1 < p < MODULAR_PRIME_LIMIT:
         raise PreconditionError(f"GF(p) rank needs 1 < p < 2^21, got {p}")
     if len(rows) == 0:
-        return 0
+        rows = np.zeros((0, 0), dtype=np.int64)
     if isinstance(rows, np.ndarray):
         A = np.remainder(rows, p, dtype=np.int64)
     else:
@@ -515,9 +514,7 @@ def int_rank_mod(rows, p, *, lu=False):
             terms = 0
         np.subtract(trailing, lower[k:] @ upper, out=trailing, casting="unsafe")
         terms += k
-    if lu:
-        return ModularLU(p, A, perm, tuple(pivots))
-    return len(pivots)
+    return ModularLU(p, A, perm, tuple(pivots))
 
 
 class _PivotSolver:
@@ -853,7 +850,7 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
         return NullityProof(n, None, 0)
     rejected = []
     for p in modular_primes(primes, denominators):
-        f = int_rank_mod(op.residues(p), p, lu=True)
+        f = int_rank_mod(op.residues(p), p)
         r = f.rank
         if r == n or (r == m and n - r > 1):
             return NullityProof(n - r, p, r, rejected=tuple(rejected))

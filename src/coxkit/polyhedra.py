@@ -4,16 +4,17 @@ Cones carry both a generator and a facet (inward normal) representation,
 kept consistent by exact double-description conversion: an incremental
 double description over Z (Motzkin et al. 1953) that decides adjacency of
 rays combinatorially from their zero sets (Fukuda and Prodon 1996).  A
-Smith normal form runs only when the cone has lineality, to lift the rays
-of the pointed quotient to canonical representatives.  Polytopes are
-vertex lists with exact rational coordinates; facet representations are
-derived through the cone over the polytope; lattice points are
-enumerated with integer bounds from those facets.  Hilbert bases are
-computed in integers by triangulating a pointed cone, listing the points
-of each simplicial piece's fundamental parallelepiped from its Smith form
-(a piece of index above HILBERT_DET_CAP = 10^4 is refused before its
-points are listed), and reducing the candidates in degree order against the
-basis found so far (Bruns and Ichim 2010).
+cone with lineality takes one Smith normal form more, which lifts the rays
+of that one conversion to canonical representatives of the rays of the
+pointed quotient.  Polytopes are vertex lists with exact rational
+coordinates; facet representations are derived through the cone over the
+polytope; lattice points are enumerated column by column, with integer
+bounds from those facets, so they can be counted without being listed.
+Hilbert bases are computed in integers by triangulating a pointed cone,
+listing the points of each simplicial piece's fundamental parallelepiped
+from its Smith form (a piece of index above HILBERT_DET_CAP = 10^4 is
+refused before its points are listed), and reducing the candidates in
+degree order against the basis found so far (Bruns and Ichim 2010).
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ def _extreme_rays_of_halfspaces(normals, dim):
     One incremental double description with the combinatorial adjacency
     test finds the rays.  When no lineality remains they are the answer
     and no normal form is computed.  Otherwise the lineality rows are the
-    saturated integer kernel of the normals, a Smith normal form gives a
-    unimodular map onto Z^s x 0, and the double description of the
-    pointed quotient in Z^(dim - s) gives the rays, which are lifted back.
+    saturated integer kernel of the normals, and the Smith normal form of
+    their transpose gives a unimodular U mapping the lineality lattice onto
+    Z^s x 0.  A ray r stands for the quotient ray primitive((U r)[s:]),
+    whose canonical lift is U^-1 (0, ..., 0, primitive((U r)[s:])).
     """
     normals = [tuple(int(x) for x in n) for n in normals]
     normals = sorted(set(n for n in normals if any(n)))
@@ -158,19 +160,10 @@ def _extreme_rays_of_halfspaces(normals, dim):
         return sorted(rays), []
     lin = integer_kernel_saturated(IntMatrix(normals, cols=dim))
     s = lin.rows
-    if s == dim:
-        return [], lin.row_list()
-    # unimodular T mapping the lineality lattice onto Z^s x 0
-    T_inv = int_inverse_unimodular(smith_normal_form(lin.transpose()).U)
-    tit = T_inv.transpose()
-    qnormals = set()
-    for n in normals:
-        g = tit.apply(n)
-        if any(g[:s]):
-            raise AssertionError("normal not zero on the lineality")
-        qnormals.add(tuple(g[s:]))
-    rays_q, _ = _double_description(sorted(qnormals), dim - s)
-    return sorted(T_inv.apply((0,) * s + v) for v in rays_q), lin.row_list()
+    U = smith_normal_form(lin.transpose()).U
+    U_inv = int_inverse_unimodular(U)
+    lifted = (U_inv.apply((0,) * s + primitive(U.apply(r)[s:])) for r in rays)
+    return sorted(lifted), lin.row_list()
 
 
 def _with_lineality(rays, lin_rows):
@@ -508,12 +501,16 @@ def polytope_from_inequalities(ineqs, ambient_dim):
     return Polytope(ambient_dim, sorted(set(verts)))
 
 
-def lattice_points(poly: Polytope, dilation=1):
-    """All integer points of dilation * poly, sorted lexicographically.
+def lattice_columns(poly: Polytope, dilation=1):
+    """The integer points of dilation * poly, column by column: yields
+    (prefix, lo, hi), in lexicographic order, for each prefix of the first
+    d - 1 coordinates over which the points are prefix + (t,) for
+    lo <= t <= hi.  In ambient dimension 0 the one point () is the column
+    ((), 0, 0).
 
-    For each prefix in the bounding box of the first d - 1 coordinates and
-    s = c + <u', prefix>, each integer facet <u, x> + c >= 0 bounds the last
-    coordinate by -(s // u_d) from below or s // -u_d from above.
+    For each prefix in the bounding box and s = c + <u', prefix>, each
+    integer facet <u, x> + c >= 0 bounds the last coordinate by
+    -(s // u_d) from below or s // -u_d from above.
     """
     if poly.ambient_dim > LATTICE_DIM_CAP:
         raise DimensionTooLarge(
@@ -523,20 +520,17 @@ def lattice_points(poly: Polytope, dilation=1):
         raise PreconditionError("dilation must be a positive integer")
     q = poly.dilate(dilation)
     if q.is_empty():
-        return []
+        return
     d = q.ambient_dim
     if d == 0:
-        return [()]
-    if len(q.vertices) == 1:
-        v = q.vertices[0]
-        return [tuple(int(x) for x in v)] if all(x.denominator == 1 for x in v) else []
+        yield (), 0, 0
+        return
     boxes = [
         range(math.ceil(min(v[i] for v in q.vertices)),
               math.floor(max(v[i] for v in q.vertices)) + 1)
         for i in range(d)
     ]
     ineqs = q.inequalities()
-    out = []
     for prefix in itertools.product(*boxes[: d - 1]):
         lo, hi = boxes[d - 1].start, boxes[d - 1].stop - 1
         for u, c in ineqs:
@@ -548,8 +542,17 @@ def lattice_points(poly: Polytope, dilation=1):
             elif s < 0:
                 break
         else:
-            out.extend(prefix + (last,) for last in range(lo, hi + 1))
-    return out
+            if lo <= hi:
+                yield prefix, lo, hi
+
+
+def lattice_points(poly: Polytope, dilation=1):
+    """All integer points of dilation * poly, sorted lexicographically: the
+    columns of `lattice_columns` listed point by point."""
+    columns = lattice_columns(poly, dilation)
+    if poly.ambient_dim == 0:
+        return [prefix for prefix, _, _ in columns]
+    return [prefix + (t,) for prefix, lo, hi in columns for t in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------- hilbert basis

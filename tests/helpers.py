@@ -26,7 +26,12 @@ from coxkit.linalg import (
     primitive,
     smith_normal_form,
 )
-from coxkit.polyhedra import _triangulate_pointed, dd_convert, intersect
+from coxkit.polyhedra import (
+    _double_description,
+    _triangulate_pointed,
+    dd_convert,
+    intersect,
+)
 
 
 def int_rank(rows):
@@ -331,6 +336,31 @@ def hilbert_basis_all_pairs(cone):
         else:
             basis.append(x)
     return basis
+
+
+def extreme_rays_by_quotient_conversion(normals, dim):
+    """`polyhedra._extreme_rays_of_halfspaces` by a second conversion: when
+    the cone has lineality, the normals are mapped into the pointed
+    quotient Z^(dim - s) by the Smith transform U of the lineality lattice,
+    the quotient is converted on its own, and its rays are lifted by
+    U^-1 (0, ..., 0, ray)."""
+    normals = sorted(set(tuple(int(x) for x in n) for n in normals if any(n)))
+    rays, lineality = _double_description(normals, dim)
+    if not lineality:
+        return sorted(rays), []
+    lin = integer_kernel_saturated(IntMatrix(normals, cols=dim))
+    s = lin.rows
+    if s == dim:
+        return [], lin.row_list()
+    T_inv = int_inverse_unimodular(smith_normal_form(lin.transpose()).U)
+    tit = T_inv.transpose()
+    qnormals = set()
+    for n in normals:
+        g = tit.apply(n)
+        assert not any(g[:s]), "normal not zero on the lineality"
+        qnormals.add(tuple(g[s:]))
+    rays_q, _ = _double_description(sorted(qnormals), dim - s)
+    return sorted(T_inv.apply((0,) * s + v) for v in rays_q), lin.row_list()
 
 
 def lattice_points_by_fractions(poly, dilation=1):

@@ -294,29 +294,50 @@ def test_forced_vertex_refusal():
 
 def test_forced_vertex_matches_bignum_oracle():
     """Acceptance equals the definition evaluated with bignum falling
-    factorials: the entry vanishes at every other lattice point of the
-    translated polygon and not at the named point."""
+    factorials: the named point is a lattice point of the translated
+    polygon, and the entry vanishes at every other one and not there.  On
+    a fixed triangle and on seeded lattice polygons with 3-5 vertices in
+    [-3, 3]^2, with named points on and off the polygon and functionals
+    with i = 0 or j = 0.  The transcript of an accepted certificate counts
+    all listed points but the named one."""
     rng = random.Random(52)
-    tri = [(0, 0), (3, 0), (0, 2)]
     outcomes = set()
-    for _ in range(150):
+    for trial in range(600):
+        if trial < 150:
+            polygon = [(0, 0), (3, 0), (0, 2)]
+        else:
+            polygon = [
+                (rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 5))
+            ]
         m = rng.randint(1, 2)
         tx, ty = rng.randint(-3, 2), rng.randint(-3, 2)
-        base = lattice_points(polytope_from_points(tri), m)
+        base = lattice_points(polytope_from_points(polygon), m)
         pts = [(a + tx, b + ty) for a, b in base]
-        vertex = rng.choice(pts)
+        if rng.random() < 0.75:
+            vertex = rng.choice(pts)
+        else:
+            vertex = (rng.randint(-9, 9), rng.randint(-9, 9))
         i, j = rng.randint(0, 7), rng.randint(0, 5)
+        i, j = rng.choice([(i, j), (0, j), (i, 0)])
 
         def entry(p):
             return falling(p[0], i) * falling(p[1], j)
 
-        want = entry(vertex) != 0 and all(entry(p) == 0 for p in pts if p != vertex)
-        cert = forced_vertex_coefficient(tri, m, i + j + 1, vertex, (i, j), (tx, ty))
-        assert (cert is not None) == want
+        others_vanish = all(entry(p) == 0 for p in pts if p != vertex)
+        want = vertex in pts and entry(vertex) != 0 and others_vanish
+        cert = forced_vertex_coefficient(polygon, m, i + j + 1, vertex, (i, j), (tx, ty))
+        assert (cert is not None) == want, (polygon, m, vertex, (i, j), (tx, ty))
         if cert is not None:
             assert cert.verify() and cert.payload["vertex_value"] == entry(vertex)
-        outcomes.add((want, entry(vertex) == 0))
-    assert outcomes == {(True, False), (False, False), (False, True)}
+            assert f"annihilates all {len(pts) - 1} non-vertex" in cert.transcript[0]
+        outcomes.add((want, vertex in pts, entry(vertex) != 0, others_vanish, min(i, j) == 0))
+    assert {
+        (True, True, True, True, False),  # accepted
+        (True, True, True, True, True),  # accepted with i = 0 or j = 0
+        (False, False, True, True, False),  # nonzero off the polygon, zero on it
+        (False, True, False, False, False),  # zero at the point
+        (False, True, True, False, False),  # nonzero at another point too
+    } <= outcomes
 
 
 def test_forced_vertex_order_too_high():
@@ -364,6 +385,10 @@ def test_blowup_certificate_wrong_k():
             (12, 13, 17), WPS_12_13_17_TRIANGLE, (52, flagship_curve()), 50
         )
     assert "D.C" in str(err.value)
+    # a polynomial that does not vanish at (1,1) has order 0: no curve class
+    with pytest.raises(PreconditionFailed) as err:
+        blowup_certificate(None, WPS_12_13_17_TRIANGLE, (0, LaurentPoly.monomial(11, -26)), 51)
+    assert "order" in str(err.value)
 
 
 def test_blowup_certificate_delta_prime_control():
@@ -381,9 +406,10 @@ def test_blowup_certificate_delta_prime_control():
     assert order_at_e(f) == 7
     assert 2 * DELTA_PRIME.area() == 49
     assert Fraction(49, 7) == 7  # the D.C identity root exists...
-    for k in (6, 7, 8):  # ...but no k passes the full chain of checks
-        with pytest.raises(PreconditionFailed):
+    for k, failed in ((6, "D.C"), (7, "C^2"), (8, "D.C")):  # ...but no k passes
+        with pytest.raises(PreconditionFailed) as err:
             blowup_certificate(None, DELTA_PRIME, (7, f), k)
+        assert failed in str(err.value), (k, err.value)
 
 
 def test_blowup_certificate_area_oracle():
@@ -408,6 +434,32 @@ def test_certificates_reverify_from_payload():
         cert.kind, {**cert.payload, "d_dot_e": 50}, cert.transcript
     )
     assert not bad.verify()
+    first, sub = cert.payload["forced_vertex_certificates"]
+    (i, j), (tx, ty) = sub.payload["functional"], sub.payload["translation"]
+    for change in (
+        {"vertex_value": sub.payload["vertex_value"] + 1},
+        {"translation": (tx, ty + 1)},
+        {"order": i + j},  # the functional's order i + j is now too high
+    ):
+        bad_sub = Certificate(sub.kind, {**sub.payload, **change}, sub.transcript)
+        assert not bad_sub.verify(), change
+        forced = (first, bad_sub)
+        bad = Certificate(
+            cert.kind, {**cert.payload, "forced_vertex_certificates": forced}, cert.transcript
+        )
+        assert not bad.verify(), change
+    # every sub-certificate verifies, but not for the multiple or the curve
+    # the payload names
+    curve = cert.payload["negative_curve"]
+    other = {**curve.payload, "curve_order": 53}
+    other["curve_self_intersection"] = Fraction(2652, 53**2) - 1
+    assert Certificate("negative_curve", other, ()).verify()
+    for payload in (
+        {**cert.payload, "forced_vertex_certificates": (sub, first)},
+        {**cert.payload, "forced_vertex_certificates": (first, curve)},
+        {**cert.payload, "negative_curve": Certificate("negative_curve", other, ())},
+    ):
+        assert not Certificate(cert.kind, payload, cert.transcript).verify()
 
 
 # ------------------------------------------------------------------- mukai

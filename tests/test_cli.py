@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coxkit import linalg
+from coxkit import blowup, linalg, polyhedra
 from coxkit.blowup import (
     LM10_POLYGON_COLUMNS,
     WPS_12_13_17_TRIANGLE,
@@ -499,6 +499,26 @@ def test_blowup_analyze_elimination_count(order, eliminations, monkeypatch):
                            "--m-max", "1", "--h0-order", order])
     assert code == 0, report
     assert len(calls) == eliminations, calls
+
+
+def test_blowup_analyze_lists_only_the_h0_points(monkeypatch):
+    """The forced-vertex checks count the lattice points of m P column by
+    column and list none of them: the flagship command lists only the
+    1,348 points of P for its proof, twice."""
+    listed = []
+    original = polyhedra.lattice_points
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        listed.append(len(out))
+        return out
+
+    for module in (polyhedra, blowup):
+        monkeypatch.setattr(module, "lattice_points", counted)
+    code, report, _ = run(["blowup-analyze", "--weights", "12,13,17", "--k", "51",
+                           "--m-max", "5", "--h0-order", "52"])
+    assert code == 0, report
+    assert 0 < sum(listed) <= 2696, listed
 
 
 def killed_below(f, w):

@@ -533,7 +533,7 @@ def test_int_rank_mod_delayed_reduction_reaches_the_bound():
     assert n > EXACT_FLOAT_TERMS + PANEL_WIDTH
     i = np.arange(n)
     A = np.minimum.outer(i, i + 1) - (i[:, None] <= i[None, :])
-    f = int_rank_mod(A, p, lu=True)
+    f = int_rank_mod(A, p)
     assert f.rank == n
     assert (f.perm == i).all()
     assert (f.lu == p - 1).all()
@@ -566,7 +566,7 @@ def test_int_rank_mod_factors_match_oracle():
             rows = with_zero_lines(rng, rows, n)
             cols = len(rows[0])
             for p in primes:
-                f = int_rank_mod(rows, p, lu=True)
+                f = int_rank_mod(rows, p)
                 rank, perm, pivots = int_rank_mod_oracle(rows, p)
                 assert f.perm.tolist() == perm and f.pivots == pivots
                 assert ((0 <= f.lu) & (f.lu < p)).all()
@@ -589,8 +589,8 @@ def test_int_rank_mod_low_rank_products():
             exact = int_rank(rows)
             assert exact <= r
             for p in primes:
-                assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p)[0] == exact
-            assert int_rank_mod(np.array(rows, dtype=np.int64), primes[0]) == exact
+                assert int_rank_mod(rows, p).rank == int_rank_mod_oracle(rows, p)[0] == exact
+            assert int_rank_mod(np.array(rows, dtype=np.int64), primes[0]).rank == exact
 
 
 def test_int_rank_mod_ranks_above_the_panel_width():
@@ -600,7 +600,7 @@ def test_int_rank_mod_ranks_above_the_panel_width():
         for m, r in ((n + 4, n), (n + 4, max(0, n - 3)), (half, half - 1)):
             rows = with_zero_lines(rng, known_rank(rng, m, n, r), n)
             for p in (1048583, LARGEST_PRIME):
-                assert int_rank_mod(rows, p) == r
+                assert int_rank_mod(rows, p).rank == r
                 assert int_rank_mod_oracle(rows, p)[0] == r
 
 
@@ -617,7 +617,7 @@ def test_int_rank_mod_pivot_free_panel():
     ]
     assert len(rows[0]) == 2 * b + 3
     for p in (1048583, LARGEST_PRIME):
-        assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p)[0] == b + 3
+        assert int_rank_mod(rows, p).rank == int_rank_mod_oracle(rows, p)[0] == b + 3
 
 
 def test_int_rank_mod_largest_residues():
@@ -625,23 +625,23 @@ def test_int_rank_mod_largest_residues():
     matrix whose trailing update sums PANEL_WIDTH products (p-1)^2."""
     p, b = LARGEST_PRIME, PANEL_WIDTH
     n = 2 * b + 3
-    assert int_rank_mod([[p - 1] * n for _ in range(n)], p) == 1
-    assert int_rank_mod(np.full((n, n), -1), p) == 1
+    assert int_rank_mod([[p - 1] * n for _ in range(n)], p).rank == 1
+    assert int_rank_mod(np.full((n, n), -1), p).rank == 1
     extra = 5
     rows = [[int(i == j) for j in range(b)] + [p - 1] * extra for i in range(b)]
     rows += [
         [p - 1] * b + [b + int(i == j) for j in range(extra)] for i in range(extra)
     ]
-    assert int_rank_mod(rows, p) == int_rank_mod_oracle(rows, p)[0] == b + extra
+    assert int_rank_mod(rows, p).rank == int_rank_mod_oracle(rows, p)[0] == b + extra
 
 
 def test_int_rank_mod_degenerate_shapes():
     p = 1048583
-    assert int_rank_mod([], p) == 0
-    assert int_rank_mod([[], []], p) == 0
-    assert int_rank_mod([[0] * 7 for _ in range(4)], p) == 0
-    assert int_rank_mod([[p, 2 * p], [3 * p, -p]], p) == 0
-    assert int_rank_mod([[5]], p) == 1
+    assert int_rank_mod([], p).rank == 0
+    assert int_rank_mod([[], []], p).rank == 0
+    assert int_rank_mod([[0] * 7 for _ in range(4)], p).rank == 0
+    assert int_rank_mod([[p, 2 * p], [3 * p, -p]], p).rank == 0
+    assert int_rank_mod([[5]], p).rank == 1
 
 
 # ------------------------------------------------------ certified nullity

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    extreme_rays_by_quotient_conversion,
     hilbert_basis_all_pairs,
     lattice_points_by_fractions,
     parallelepiped_points_by_solve,
@@ -268,6 +269,21 @@ def test_dd_matches_brute_force_oracle(monkeypatch):
         want = oracle_dd_convert(monkeypatch, **{key: vs}, ambient_dim=dim)
         assert cone_fields(got) == cone_fields(want), (key, vs)
     assert seen == {"lineality", "zero cone", "lower-dimensional"}
+
+
+def test_one_conversion_matches_quotient_conversion():
+    """With lineality, the rays of the one double description lifted
+    through the Smith transform equal the rays of a second conversion of
+    the pointed quotient."""
+    rng = random.Random(5151)
+    with_lineality = 0
+    for _ in range(4000):
+        dim = rng.randint(1, 5)
+        normals = random_vector_family(rng, dim)
+        got = polyhedra._extreme_rays_of_halfspaces(normals, dim)
+        assert got == extreme_rays_by_quotient_conversion(normals, dim), (dim, normals)
+        with_lineality += bool(got[1])
+    assert with_lineality > 800
 
 
 def convex_polygon(directions):
