@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
 from .linalg import IntMatrix, certified_nullity, primitive, smith_normal_form
@@ -110,13 +108,16 @@ def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
 
     Falling factorials mod p are tabulated per coordinate value by a
     running product, (a)_i = (a)_{i-1} * (a - i + 1), and each entry is the
-    product of one table entry per coordinate.  Needs p < 2^31.5 so that
-    products of residues fit in int64.
+    product of one table entry per coordinate, reduced once.  Needs
+    p < 2^31.5 so that products of residues fit in int64.
     """
+    import numpy as np
+
     pts = np.array(points, dtype=np.int64).reshape(-1, 2)
     funcs = np.array(functionals, dtype=np.int64).reshape(-1, 2)
-    out = np.ones((len(funcs), len(pts)), dtype=np.int64)
-    for axis in (0, 1):
+
+    def factor(axis):
+        # (x)_i mod p for each functional's i and point's x on this axis
         coords, orders = pts[:, axis], funcs[:, axis]
         # the value range spans 0, which keeps empty point lists valid
         lo = int(coords.min(initial=0))
@@ -124,14 +125,19 @@ def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
         table = np.ones((int(orders.max(initial=0)) + 1, values.size), dtype=np.int64)
         for i in range(1, table.shape[0]):
             table[i] = table[i - 1] * ((values - (i - 1)) % p) % p
-        out *= table[orders[:, None], coords[None, :] - lo]
-        out %= p
+        return table[orders[:, None], coords[None, :] - lo]
+
+    out = factor(0)
+    out *= factor(1)
+    out %= p
     return out
 
 
 def _falling_table(values, order):
     """Object array T[i, t] = (values[t])_i for 0 <= i < order, exact, by
     the running product (a)_i = (a)_{i-1} * (a - i + 1)."""
+    import numpy as np
+
     v = np.array(values, dtype=object)
     table = np.empty((order, v.size), dtype=object)
     if order:
@@ -152,6 +158,8 @@ def functional_values(points, coeffs, order):
     V[i] = sum over a of (a)_i S[a]: integer falling-factorial tables
     instead of one product per matrix entry.
     """
+    import numpy as np
+
     pts = np.array(points, dtype=np.int64).reshape(-1, 2)
     coeffs = np.asarray(coeffs, dtype=object).reshape(len(pts), -1)
     a_values, a_index = np.unique(pts[:, 0], return_inverse=True)
@@ -172,6 +180,8 @@ class VanishingOperator:
     products from `functional_values`."""
 
     def __init__(self, points, functionals):
+        import numpy as np
+
         self.points = np.array(points, dtype=np.int64).reshape(-1, 2)
         self.functionals = np.array(functionals, dtype=np.int64).reshape(-1, 2)
         self.shape = (len(self.functionals), len(self.points))
@@ -269,7 +279,7 @@ def order_at_e(f: LaurentPoly) -> int:
     scale = math.lcm(*(c.denominator for _, c in f.terms))
     coeffs = [int(c * scale) for _, c in f.terms]
     values = functional_values(supp, coeffs, bound + 1)[:, :, 0]
-    i, j = np.nonzero(values != 0)
+    i, j = (values != 0).nonzero()
     total = int((i + j).min(initial=bound + 1))
     if total > bound:
         raise AssertionError("vanishing order exceeded the support bound")
@@ -285,7 +295,9 @@ class Certificate:
 
     kinds: forced_vertex, negative_curve, nef_not_semiample.  verify()
     runs the kind's judge on the payload alone; the builders assemble
-    payloads and ask the same judge, which decides every identity.
+    payloads and ask the same judge, which decides every identity.  A
+    payload with a missing or mistyped field fails its judge, so verify()
+    answers False for it and never raises.
     """
 
     kind: str
@@ -302,6 +314,69 @@ class Certificate:
         return False
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_rational(x):
+    return _is_int(x) or isinstance(x, Fraction)
+
+
+def _is_point(x):
+    return isinstance(x, (tuple, list)) and len(x) == 2 and all(map(_is_int, x))
+
+
+def _is_polygon(x):
+    return isinstance(x, (tuple, list)) and len(x) > 0 and all(map(_is_point, x))
+
+
+def _is_certificate(kind):
+    return lambda x: isinstance(x, Certificate) and x.kind == kind
+
+
+# The fields each judge reads, with a test of each value.
+_PAYLOAD_FIELDS = {
+    "forced_vertex": {
+        "polygon": _is_polygon,
+        "dilation": lambda x: _is_int(x) and x >= 1,
+        "order": _is_int,
+        "functional": _is_point,
+        "translation": _is_point,
+        "vertex": _is_point,
+        "vertex_value": _is_int,
+    },
+    "negative_curve": {
+        "h_self_intersection": _is_int,
+        "curve_order": _is_int,
+        "curve_self_intersection": _is_rational,
+    },
+    "nef_not_semiample": {
+        "polygon": _is_polygon,
+        "curve_order": _is_int,
+        "k": _is_int,
+        "h_self_intersection": _is_int,
+        "curve_self_intersection": _is_rational,
+        "d_dot_c": _is_rational,
+        "d_dot_e": _is_rational,
+        "m_max": _is_int,
+        "negative_curve": _is_certificate("negative_curve"),
+        "forced_vertex_certificates": lambda x: isinstance(x, (tuple, list))
+        and all(c is None or _is_certificate("forced_vertex")(c) for c in x),
+    },
+}
+
+
+def _malformed(kind, payload):
+    """The first field of a payload of this kind that is missing or of the
+    wrong type, "payload" when it is not a dict, or None."""
+    if not isinstance(payload, dict):
+        return "payload"
+    for key, ok in _PAYLOAD_FIELDS[kind].items():
+        if key not in payload or not ok(payload[key]):
+            return key
+    return None
+
+
 def _forced_vertex_points(payload):
     """The number of lattice points of the payload's dilated polygon moved
     by its translation when the functional (a)_i (b)_j, of order below the
@@ -311,10 +386,13 @@ def _forced_vertex_points(payload):
     (a)_i vanishes exactly when 0 <= a < i, so in the column of points
     (a, b) with lo <= b <= hi the entry is nonzero nowhere when a is in
     [0, i), and otherwise at every b outside [0, j).  The nonzero entries
-    are counted column by column and no point is listed.
+    are counted column by column and no point is listed.  A malformed
+    payload, or a functional with a negative order, gives None.
     """
+    if _malformed("forced_vertex", payload):
+        return None
     i, j = payload["functional"]
-    if i + j > payload["order"] - 1:
+    if min(i, j) < 0 or i + j > payload["order"] - 1:
         return None
     tx, ty = payload["translation"]
     va, vb = vertex = tuple(payload["vertex"])
@@ -336,6 +414,9 @@ def _forced_vertex_points(payload):
 def _negative_curve_failure(payload):
     """The failed identity of a negative-curve payload, or None:
     C^2 = H^2/w^2 - 1 < 0 for a curve order w >= 1."""
+    malformed = _malformed("negative_curve", payload)
+    if malformed:
+        return f"negative-curve payload field {malformed!r} is missing or mistyped"
     h2, w = payload["h_self_intersection"], payload["curve_order"]
     c2 = payload["curve_self_intersection"]
     if w < 1 or c2 != Fraction(h2, w**2) - 1:
@@ -353,8 +434,11 @@ def _nef_not_semiample_failure(payload):
     H^2, w and C^2), one forced-vertex certificate for each multiple
     m = 1..m_max, and for each the argument on m times the polygon at
     order k m (`_forced_vertex_points`).  A missing certificate (None)
-    fails at its multiple.
+    fails at its multiple.  A missing or mistyped field fails first.
     """
+    malformed = _malformed("nef_not_semiample", payload)
+    if malformed:
+        return f"payload field {malformed!r} is missing or mistyped"
     h2, w, k = payload["h_self_intersection"], payload["curve_order"], payload["k"]
     dc = Fraction(h2, w) - k if w > 0 else None
     if dc != 0 or payload["d_dot_c"] != 0:
@@ -370,8 +454,10 @@ def _nef_not_semiample_failure(payload):
     if len(forced) != payload["m_max"]:
         return f"{len(forced)} forced-vertex certificates for m_max = {payload['m_max']}"
     for m, cert in enumerate(forced, 1):
-        claim = cert and tuple(cert.payload.get(key) for key in ("dilation", "order", "polygon"))
-        if claim != (m, k * m, payload["polygon"]) or _forced_vertex_points(cert.payload) is None:
+        sub = cert.payload if cert else None
+        if _forced_vertex_points(sub) is None or (
+            (sub["dilation"], sub["order"], sub["polygon"]) != (m, k * m, payload["polygon"])
+        ):
             return f"forced vertex argument fails at multiple m = {m}"
     return None
 

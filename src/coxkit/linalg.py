@@ -9,8 +9,9 @@ answered from Hermite forms; the library does no elimination over Q, and
 
 Every nullity is a proof with two bounds (`certified_nullity`).  One
 blocked GF(p) elimination gives the upper bound, since a GF(p) rank is at
-most the rank over Q; p is a prime in (2^20, 2^21), and the trailing
-updates are exact float64 matrix products.  Reduction mod p is delayed: an
+most the rank over Q; p is a prime in (2^20, 2^21).  It works in panels
+of columns, each eliminated in sub-panels, and every update beyond a
+sub-panel is an exact float64 matrix product.  Reduction mod p is delayed: an
 entry is reduced when the elimination reads it, and the trailing block
 only when the products summed into it since its last reduction would
 pass EXACT_FLOAT_TERMS.  Kernel vectors lifted p-adically from the same
@@ -20,6 +21,8 @@ rows is unlucky and the next one is tried; when the primes or the lifting
 steps run out, PreconditionError is raised.  Before a rank computation
 each rational row is cleared of denominators and made primitive (divided
 by the gcd of its entries).  Bareiss elimination remains for `det`.
+numpy is imported only inside the functions of this proof, so importing
+the module does not load it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import PreconditionError
 
@@ -47,19 +48,20 @@ MODULAR_PRIME_LIMIT = 1 << 21
 # _exact_matmul sums its products in chunks of this many terms.
 EXACT_FLOAT_TERMS = 1 << 11
 
-# Panel width of int_rank_mod.  A panel entry takes at most PANEL_WIDTH
-# products of residues, below 2^48, between reductions, which int64 holds.
-# 48 and 64 were the fastest widths from 48 to 160 on the 1378 x 1348
-# order-52 flagship matrix (0.29 s median elimination, against 0.30 s at
-# 80, 0.33 s at 96, 0.36 s at 128 and 0.41 s at 160; 2-core x86, OpenBLAS).
-PANEL_WIDTH = 64
+# Panel and sub-panel widths of int_rank_mod.  A panel entry takes at most
+# PANEL_WIDTH products of residues, below 2^49, between reductions, which
+# int64 holds and float64 represents exactly.  Median elimination of the
+# 1378 x 1348 order-52 flagship matrix over 21 alternating runs (2-core
+# x86, OpenBLAS, a shared host): 0.198 s at 96/16, 0.197 s at 128/16,
+# 0.205 s at 96/8, 0.207 s at 128/8, 0.214 s at 96/32, 0.217 s at 64/8
+# and 64/16, and 0.259 s at 64/64 (no sub-panels).  96 also keeps the
+# tests' widths around 2 * PANEL_WIDTH cheap.
+PANEL_WIDTH = 96
+SUBPANEL_WIDTH = 16
 
 
 def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(int(x)))
-    return g
+    return math.gcd(*map(int, v))
 
 
 def primitive(v):
@@ -443,24 +445,32 @@ def int_rank_mod(rows, p):
     array, as a `ModularLU`; its `rank` is the rank over GF(p).
 
     p must be a prime below MODULAR_PRIME_LIMIT.  Blocked elimination, one
-    panel of PANEL_WIDTH columns at a time.  A panel is eliminated with row
-    pivoting in int64 (whole rows are swapped), keeping the multipliers
-    below its pivots; columns without a pivot are skipped.  The pivot rows
-    to the right of the panel are forward-solved, U12 = L11^-1 A12, and the
-    trailing block is updated as one float64 product, A22 -= L21 @ U12.
+    panel of PANEL_WIDTH columns at a time, each panel in sub-panels of
+    SUBPANEL_WIDTH columns (Dumas, Giorgi and Pernet's finite-field LU).
+    The panel is copied with its columns as contiguous rows.  A sub-panel
+    is eliminated column by column with row pivoting in int64 (the first
+    nonzero entry is the pivot), keeping the multipliers below its pivots;
+    columns without a pivot are skipped.  Its pivot rows in the rest of the
+    panel are forward-solved with the inverse of its unit lower block, and
+    the rest of the panel is updated as one float64 product.  When the
+    panel is done, its row swaps are applied to the rest of A and it is
+    written back; L11^-1 is assembled from the sub-panel inverses, the
+    pivot rows to the right of the panel are forward-solved as one product,
+    U12 = L11^-1 A12, and the trailing block is updated as another,
+    A22 -= L21 @ U12.
 
     Entries are reduced mod p only when they are read (delayed reduction):
     a panel's columns when it starts, the pivot column before the pivot
-    search, the pivot row before its rank-1 update, and the rows of U12
-    before the forward solve; the updates themselves are not reduced.
+    search, the pivot row before its rank-1 update, and the pivot rows
+    before a forward solve; the updates themselves are not reduced.
     Between reductions a panel entry takes at most PANEL_WIDTH products of
-    residues (below 2^48 in int64).  The trailing block is reduced only before the products
-    summed into it since its last reduction would pass EXACT_FLOAT_TERMS,
-    so every float64 value is an exact integer of at most 2^53.  The
-    returned factors are reduced residues.  On the 1378 x 1348 order-52
-    flagship matrix the elimination takes 0.25-0.29 s, against 0.49-0.51 s
-    with a reduction after every update (2-core x86, OpenBLAS).
+    residues (below 2^49 in int64).  The trailing block is reduced only
+    before the products summed into it since its last reduction would pass
+    EXACT_FLOAT_TERMS, so every float64 value is an exact integer of at
+    most 2^53.  The returned factors are reduced residues.
     """
+    import numpy as np
+
     if not 1 < p < MODULAR_PRIME_LIMIT:
         raise PreconditionError(f"GF(p) rank needs 1 < p < 2^21, got {p}")
     if len(rows) == 0:
@@ -478,43 +488,86 @@ def int_rank_mod(rows, p):
         if r0 == m:
             break
         c1 = min(c0 + PANEL_WIDTH, n)
-        panel = A[r0:, c0:c1]
-        panel %= p
-        for c in range(c1 - c0):
-            r = len(pivots)
-            column = panel[r - r0 :, c]
-            column %= p
-            nz = np.flatnonzero(column)
-            if not nz.size:
+        # the panel's columns as contiguous rows; its row swaps are applied
+        # to the rest of A, and it is written back, once it is eliminated
+        panel = np.remainder(A[r0:, c0:c1].T, p, order="C")
+        order = np.arange(m - r0)
+        inverses = []  # (first pivot row in the panel, L^-1) per sub-panel
+        for s0 in range(0, c1 - c0, SUBPANEL_WIDTH):
+            s1 = min(s0 + SUBPANEL_WIDTH, c1 - c0)
+            rs = len(pivots)
+            for c in range(s0, s1):
+                r = len(pivots)
+                if r == m:
+                    break
+                column = panel[c, r - r0 :]
+                column %= p
+                first = int((column != 0).argmax())
+                if not column[first]:
+                    continue
+                piv = r + first
+                if piv != r:
+                    swap = [r - r0, piv - r0]
+                    panel[:, swap] = panel[:, swap[::-1]]
+                    order[swap] = order[swap[::-1]]
+                row = panel[c + 1 : s1, r - r0]
+                row %= p
+                multipliers = panel[c, r - r0 + 1 :]
+                multipliers *= pow(int(panel[c, r - r0]), p - 2, p)
+                multipliers %= p
+                panel[c + 1 : s1, r - r0 + 1 :] -= np.multiply.outer(row, multipliers)
+                pivots.append(c0 + c)
+            ks = len(pivots) - rs
+            if not ks:
                 continue
-            piv = r + int(nz[0])
-            if piv != r:
-                A[[r, piv]] = A[[piv, r]]
-                perm[[r, piv]] = perm[[piv, r]]
-            row = panel[r - r0, c + 1 :]
-            row %= p
-            below = panel[r - r0 + 1 :, c:]
-            below[:, 0] *= pow(int(panel[r - r0, c]), p - 2, p)
-            below[:, 0] %= p
-            below[:, 1:] -= np.multiply.outer(below[:, 0], row)
-            pivots.append(c0 + c)
-            if r + 1 == m:
-                break
+            lower = panel[[c - c0 for c in pivots[rs:]], rs - r0 :].astype(np.float64)
+            inverse = _unit_lower_inverse(lower[:, :ks].T, p)
+            inverses.append((rs - r0, inverse))
+            top = panel[s1:, rs - r0 : rs - r0 + ks]
+            upper = (top % p) @ inverse.T % p
+            top[...] = upper
+            rest = panel[s1:, rs - r0 + ks :]
+            np.subtract(rest, upper @ lower[:, ks:], out=rest, casting="unsafe")
+        moved = r0 + np.flatnonzero(order != np.arange(m - r0))
+        A[moved] = A[r0 + order[moved - r0]]
+        perm[moved] = perm[r0 + order[moved - r0]]
+        A[r0:, c0:c1] = panel.T
         k = len(pivots) - r0
         if not k or c1 == n:
             continue
-        lower = panel[:, [c - c0 for c in pivots[r0:]]].astype(np.float64)
-        upper = (A[r0 : r0 + k, c1:] % p).astype(np.float64)
-        for t in range(1, k):
-            upper[t] = (upper[t] - lower[t, :t] @ upper[:t]) % p
+        lower = panel[[c - c0 for c in pivots[r0:]]].astype(np.float64)
+        # L11^-1, one sub-panel of rows at a time, from the sub-panel inverses
+        inverse11 = np.zeros((k, k))
+        for b0, inverse in inverses:
+            b1 = b0 + len(inverse)
+            coupling = -(lower[:b0, b0:b1].T @ inverse11[:b0, :b0]) % p
+            inverse11[b0:b1, :b0] = inverse @ coupling % p
+            inverse11[b0:b1, b0:b1] = inverse
+        upper = inverse11 @ (A[r0 : r0 + k, c1:] % p) % p
         A[r0 : r0 + k, c1:] = upper
-        trailing = A[r0 + k :, c1:]
-        if terms + k > EXACT_FLOAT_TERMS:
-            trailing %= p
-            terms = 0
-        np.subtract(trailing, lower[k:] @ upper, out=trailing, casting="unsafe")
-        terms += k
+        reduce = terms + k > EXACT_FLOAT_TERMS
+        terms = k if reduce else terms + k
+        # the trailing block PANEL_WIDTH rows at a time, which keeps the
+        # float64 products small
+        for i0 in range(r0 + k, m, PANEL_WIDTH):
+            trailing = A[i0 : i0 + PANEL_WIDTH, c1:]
+            if reduce:
+                trailing %= p
+            product = lower[:, i0 - r0 : i0 - r0 + PANEL_WIDTH].T @ upper
+            np.subtract(trailing, product, out=trailing, casting="unsafe")
     return ModularLU(p, A, perm, tuple(pivots))
+
+
+def _unit_lower_inverse(L, p):
+    """The inverse over GF(p) of the unit lower triangular matrix whose
+    multipliers are the strictly lower entries of the float64 square L
+    (residues; the diagonal and above are ignored), by forward substitution."""
+    import numpy as np
+
+    inverse = np.eye(len(L))
+    for i in range(1, len(L)):
+        inverse[i] = (inverse[i] - L[i, :i] @ inverse[:i]) % p
+    return inverse
 
 
 class _PivotSolver:
@@ -528,6 +581,8 @@ class _PivotSolver:
     """
 
     def __init__(self, f: ModularLU):
+        import numpy as np
+
         p, r = f.p, f.rank
         self.p = p
         self.T = f.lu[:r, list(f.pivots)].astype(np.float64)
@@ -535,16 +590,16 @@ class _PivotSolver:
         self.linv, self.uinv = [], []
         for i0, i1 in self.blocks:
             D = self.T[i0:i1, i0:i1]
-            lo, up = np.eye(i1 - i0), np.eye(i1 - i0)
-            for i in range(1, i1 - i0):
-                lo[i] = (lo[i] - D[i, :i] @ lo[:i]) % p
+            up = np.eye(i1 - i0)
             for i in reversed(range(i1 - i0)):
                 row = (up[i] - D[i, i + 1 :] @ up[i + 1 :]) % p
                 up[i] = row * pow(int(D[i, i]), p - 2, p) % p
-            self.linv.append(lo)
+            self.linv.append(_unit_lower_inverse(D, p))
             self.uinv.append(up)
 
     def __call__(self, b):
+        import numpy as np
+
         p, T = self.p, self.T
         z = np.array(b, dtype=np.float64)
         for (i0, i1), lo in zip(self.blocks, self.linv):
@@ -745,10 +800,14 @@ class DenseOperator:
     """
 
     def __init__(self, rows, cols):
+        import numpy as np
+
         self.A = np.array(rows, dtype=object).reshape(len(rows), cols)
         self.shape = self.A.shape
 
     def residues(self, p):
+        import numpy as np
+
         return (self.A % p).astype(np.int64)
 
     def columns(self, cols):
@@ -758,6 +817,8 @@ class DenseOperator:
         return self.A.dot(Z)
 
     def pivot_product(self, rows, cols):
+        import numpy as np
+
         block = self.A[np.ix_(rows, cols)]
         sign = np.where(block < 0, -1, 1)
         mag = np.abs(block)
@@ -779,6 +840,8 @@ class DenseOperator:
 def _exact_matmul(a, x):
     """a @ x as int64 for float64 a, x of integers below 2^21 in absolute
     value, summed in chunks of EXACT_FLOAT_TERMS terms."""
+    import numpy as np
+
     xf = x.astype(np.float64)
     out = np.zeros((a.shape[0], x.shape[1]), dtype=np.int64)
     for s in range(0, a.shape[1], EXACT_FLOAT_TERMS):
@@ -806,6 +869,8 @@ def _common_denominator(X, M):
     or None.  Only entries still large after scaling by the current d are
     reconstructed; d grows by each new denominator, rescaling all entries.
     A few entries are probed first, so an unconverged X fails cheaply."""
+    import numpy as np
+
     bound = math.isqrt((M - 1) // 2)
     d = 1
     flat = X.ravel()
@@ -845,6 +910,8 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
     unlucky and the next candidate is tried.  Raises PreconditionError when
     the candidates run out or the lifting passes LIFTING_STEP_CAP steps.
     """
+    import numpy as np
+
     m, n = op.shape
     if min(m, n) == 0:
         return NullityProof(n, None, 0)

@@ -460,6 +460,44 @@ def test_certificates_reverify_from_payload():
         {**cert.payload, "negative_curve": Certificate("negative_curve", other, ())},
     ):
         assert not Certificate(cert.kind, payload, cert.transcript).verify()
+    # a malformed payload answers False and never raises: every field a
+    # judge reads may be missing or of the wrong type
+    for target, change in (
+        (cert, {"k": None}),
+        (cert, {"k": 51.0, "d_dot_e": 51.0}),
+        (cert, {"d_dot_c": "0"}),
+        (cert, {"forced_vertex_certificates": None}),
+        (cert, {"forced_vertex_certificates": (first, sub.payload)}),
+        (cert, {"negative_curve": first}),
+        (curve, {"curve_order": "52"}),
+        (curve, {"h_self_intersection": 2652.0}),
+        (sub, {"vertex": "ab"}),
+        (sub, {"vertex": "abc"}),
+        (sub, {"vertex": None}),
+        (sub, {"functional": (-1, j)}),
+        (sub, {"dilation": 0}),
+        (sub, {"polygon": ((0, 0, 0),)}),
+    ):
+        payload = {**target.payload, **change}
+        assert Certificate(target.kind, payload, ()).verify() is False, change
+        if target is sub:
+            forced = (first, Certificate(sub.kind, payload, ()))
+            payload = {**cert.payload, "forced_vertex_certificates": forced}
+        elif target is curve:
+            payload = {**cert.payload, "negative_curve": Certificate(curve.kind, payload, ())}
+        assert Certificate(cert.kind, payload, ()).verify() is False, change
+    read = (
+        (cert, ("polygon", "curve_order", "k", "h_self_intersection", "d_dot_c", "d_dot_e",
+                "m_max", "negative_curve", "forced_vertex_certificates")),
+        (curve, ("h_self_intersection", "curve_order", "curve_self_intersection")),
+        (sub, ("polygon", "dilation", "order", "functional", "translation", "vertex",
+               "vertex_value")),
+    )
+    for target, keys in read:
+        for key in keys:
+            payload = {k: v for k, v in target.payload.items() if k != key}
+            assert Certificate(target.kind, payload, ()).verify() is False, key
+        assert Certificate(target.kind, None, ()).verify() is False
 
 
 # ------------------------------------------------------------------- mukai

@@ -14,6 +14,7 @@ from coxkit.linalg import (
     EXACT_FLOAT_TERMS,
     MODULAR_PRIME_LIMIT,
     PANEL_WIDTH,
+    SUBPANEL_WIDTH,
     DenseOperator,
     IntMatrix,
     PrimeDivideDenominator,
@@ -473,7 +474,17 @@ def test_primitive():
 
 # ------------------------------------------------------ blocked GF(p) rank
 
-WIDTHS = (1, PANEL_WIDTH - 1, PANEL_WIDTH, PANEL_WIDTH + 1, 2 * PANEL_WIDTH + 3)
+WIDTHS = (
+    1,
+    SUBPANEL_WIDTH - 1,
+    SUBPANEL_WIDTH,
+    SUBPANEL_WIDTH + 1,
+    PANEL_WIDTH - 1,
+    PANEL_WIDTH,
+    PANEL_WIDTH + 1,
+    PANEL_WIDTH + SUBPANEL_WIDTH + 1,
+    2 * PANEL_WIDTH + 3,
+)
 LARGEST_PRIME = 2097143  # the largest prime below 2^21
 
 
@@ -618,6 +629,39 @@ def test_int_rank_mod_pivot_free_panel():
     assert len(rows[0]) == 2 * b + 3
     for p in (1048583, LARGEST_PRIME):
         assert int_rank_mod(rows, p).rank == int_rank_mod_oracle(rows, p)[0] == b + 3
+
+
+def test_int_rank_mod_pivot_free_subpanel():
+    """The second sub-panel holds combinations of the first sub-panel's
+    columns, so it has no pivot; the columns after it, in the same panel
+    and in the next, do."""
+    rng = random.Random(12)
+    s = SUBPANEL_WIDTH
+    n = PANEL_WIDTH + s + 1
+    base = known_rank(rng, n + 6, n - s, n - s)
+    first = [row[:s] for row in base]
+    mix = random_rows(rng, s, s)
+    rows = [f + c + row[s:] for f, c, row in zip(first, product(first, mix, s), base)]
+    assert len(rows[0]) == n
+    for p in (1048583, LARGEST_PRIME):
+        f = int_rank_mod(rows, p)
+        rank, perm, pivots = int_rank_mod_oracle(rows, p)
+        assert f.rank == rank == n - s
+        assert f.perm.tolist() == perm and f.pivots == pivots
+        assert not set(range(s, 2 * s)) & set(f.pivots)
+
+
+def test_int_rank_mod_one_row_below_a_panel():
+    """The trailing update reaches a single row left below a full panel."""
+    rng = random.Random(13)
+    n = PANEL_WIDTH + 1
+    rows = random_rows(rng, n, n)
+    for p in (1048583, LARGEST_PRIME):
+        f = int_rank_mod(rows, p)
+        rank, perm, pivots = int_rank_mod_oracle(rows, p)
+        assert f.rank == rank == n
+        assert f.perm.tolist() == perm and f.pivots == pivots
+        assert ((lu_product(f, n) - np.array(rows, dtype=object)[perm]) % p == 0).all()
 
 
 def test_int_rank_mod_largest_residues():

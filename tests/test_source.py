@@ -1,9 +1,13 @@
 """Checks on the library source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "coxkit"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def test_no_assert_statements_in_library():
@@ -50,3 +54,32 @@ def test_every_public_name_is_used_by_the_library():
         if not any(stmt.name in names for owner, names in uses if owner is not stmt)
     ]
     assert not unused, unused
+
+
+def numpy_loaded_after(commands):
+    """Run coxkit.cli.main on each command line in a fresh interpreter;
+    returns whether numpy was imported by then."""
+    script = (
+        "import sys, coxkit, coxkit.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    if coxkit.cli.main(argv) != 0:\n"
+        "        raise SystemExit(2)\n"
+        "print('\\nnumpy loaded:', 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "numpy loaded: True"
+
+
+def test_numpy_is_loaded_only_by_the_gf_p_proof():
+    """Importing the CLI and running commands that prove no h0 never load
+    numpy; blowup-analyze, whose proof is a GF(p) elimination, does."""
+    assert not numpy_loaded_after([
+        ["lm-project", "--n", "10", "--json"],
+        ["classgroup", "--fan", str(DATA / "fan_p2.json")],
+        ["chambers", "--grading", str(DATA / "grading_f1.json")],
+    ])
+    assert numpy_loaded_after([["blowup-analyze", "--weights", "12,13,17", "--k", "51"]])
