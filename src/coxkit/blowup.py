@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
-from .linalg import IntMatrix, certified_nullity, primitive, smith_normal_form
+from .linalg import IntMatrix, _limbs, certified_nullity, primitive, smith_normal_form
 from .polyhedra import Polytope, lattice_columns, lattice_points, polytope_from_points
 
 
@@ -58,6 +58,11 @@ LM10_V1 = (1, 0, 1, 1, 1, 0, 0)
 LM10_V2 = (0, 0, 0, -1, -1, 0, 0)
 LM10_V3 = (-1, 0, -1, 0, 0, -1, 0)
 LM10_POLYGON_COLUMNS = ((-1, 6), (-4, 5), (-3, 1), (-2, 8), (-6, 0), (-7, 0), (0, 3))
+
+# A forced-vertex judge walks the lattice columns of the dilated polygon,
+# about 6 us each (2-core x86): this many take under a second.  The
+# flagship's m = 5 certificate has 256; a payload with more fails.
+FORCED_VERTEX_COLUMN_CAP = 1 << 17
 
 
 def falling_factorial(a: int, i: int) -> int:
@@ -177,7 +182,8 @@ class VanishingOperator:
     """The vanishing matrix of lattice points and derivative functionals
     for `certified_nullity`, never built over Z: residues come from
     `vanishing_matrix_mod`, columns from falling-factorial tables, and
-    products from `functional_values`."""
+    products from `functional_values`; a lifting step's exact product is
+    split into the int64 limb stack that the lifting subtracts."""
 
     def __init__(self, points, functionals):
         import numpy as np
@@ -207,7 +213,7 @@ class VanishingOperator:
         i, j = self.functionals[rows].T
 
         def apply(x):
-            return functional_values(pts, x.astype(object), self.order)[i, j]
+            return _limbs(functional_values(pts, x.astype(object), self.order)[i, j])
 
         return apply
 
@@ -387,9 +393,10 @@ def _forced_vertex_points(payload):
     (a, b) with lo <= b <= hi the entry is nonzero nowhere when a is in
     [0, i), and otherwise at every b outside [0, j).  The nonzero entries
     are counted column by column and no point is listed.  A malformed
-    payload, or a functional with a negative order, gives None.
+    payload, a functional with a negative order, or more columns than
+    FORCED_VERTEX_COLUMN_CAP, gives None.
     """
-    if _malformed("forced_vertex", payload):
+    if _malformed("forced_vertex", payload) or _columns(payload) > FORCED_VERTEX_COLUMN_CAP:
         return None
     i, j = payload["functional"]
     if min(i, j) < 0 or i + j > payload["order"] - 1:
@@ -409,6 +416,12 @@ def _forced_vertex_points(payload):
     if found and nonzero == 1 and value == vanishing_entry((i, j), vertex) != 0:
         return points
     return None
+
+
+def _columns(payload):
+    """The number of lattice columns of the payload's dilated polygon."""
+    xs = [a for a, _ in payload["polygon"]]
+    return payload["dilation"] * (max(xs) - min(xs)) + 1
 
 
 def _negative_curve_failure(payload):
@@ -473,7 +486,8 @@ def forced_vertex_coefficient(
     functional shows that every section vanishing to the given order at
     (1,1) has zero coefficient at that vertex, so the corresponding
     divisor class has a base point.  Returns None when the functional
-    fails to single out the vertex.
+    fails to single out the vertex.  Raises PreconditionError when the
+    dilated polygon has more than FORCED_VERTEX_COLUMN_CAP lattice columns.
     """
     vertices = polygon.vertices if isinstance(polygon, Polytope) else polygon
     i, j = functional
@@ -492,6 +506,11 @@ def forced_vertex_coefficient(
         "vertex": vertex,
         "vertex_value": vertex_value,
     }
+    if _columns(payload) > FORCED_VERTEX_COLUMN_CAP:
+        raise PreconditionError(
+            f"the dilated polygon has {_columns(payload)} lattice columns, above "
+            f"FORCED_VERTEX_COLUMN_CAP = {FORCED_VERTEX_COLUMN_CAP}"
+        )
     points = _forced_vertex_points(payload)
     if points is None:
         return None

@@ -16,7 +16,10 @@ entry is reduced when the elimination reads it, and the trailing block
 only when the products summed into it since its last reduction would
 pass EXACT_FLOAT_TERMS.  Kernel vectors lifted p-adically from the same
 L U factors (Dixon) and checked by an exact product over Z on every row
-give the lower bound.  A prime whose check fails off the pivot
+give the lower bound.  The lifting works in machine words: its residual
+is an int64 stack of balanced 21-bit limbs, divided by p exactly limb by
+limb, and its digits are packed three to an int64 before they are added
+to the bignum solution.  A prime whose check fails off the pivot
 rows is unlucky and the next one is tried; when the primes or the lifting
 steps run out, PreconditionError is raised.  Before a rank computation
 each rational row is cleared of denominators and made primitive (divided
@@ -27,6 +30,7 @@ the module does not load it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -441,8 +445,14 @@ class ModularLU:
 
 
 def int_rank_mod(rows, p):
-    """The GF(p) elimination of an integer matrix, a list of rows or an int
-    array, as a `ModularLU`; its `rank` is the rank over GF(p).
+    """The GF(p) elimination of an integer matrix, a list of rows, an int
+    array or an operator of `certified_nullity`, as a `ModularLU`; its
+    `rank` is the rank over GF(p).
+
+    A list or an array is reduced mod p into a new int64 array, so the
+    caller's is never changed.  An operator's `residues(p)` are a fresh
+    array of reduced residues that nothing else holds, so they are
+    eliminated in place and become the factors: no second full-size array.
 
     p must be a prime below MODULAR_PRIME_LIMIT.  Blocked elimination, one
     panel of PANEL_WIDTH columns at a time, each panel in sub-panels of
@@ -473,9 +483,11 @@ def int_rank_mod(rows, p):
 
     if not 1 < p < MODULAR_PRIME_LIMIT:
         raise PreconditionError(f"GF(p) rank needs 1 < p < 2^21, got {p}")
-    if len(rows) == 0:
-        rows = np.zeros((0, 0), dtype=np.int64)
-    if isinstance(rows, np.ndarray):
+    if hasattr(rows, "residues"):
+        A = rows.residues(p)
+    elif len(rows) == 0:
+        A = np.zeros((0, 0), dtype=np.int64)
+    elif isinstance(rows, np.ndarray):
         A = np.remainder(rows, p, dtype=np.int64)
     else:
         A = (np.array(rows, dtype=object) % p).astype(np.int64)
@@ -585,8 +597,11 @@ class _PivotSolver:
 
         p, r = f.p, f.rank
         self.p = p
-        self.T = f.lu[:r, list(f.pivots)].astype(np.float64)
+        # gathered a block of rows at a time: no r x r int64 copy
+        self.T = np.empty((r, r))
         self.blocks = [(i, min(i + PANEL_WIDTH, r)) for i in range(0, r, PANEL_WIDTH)]
+        for i0, i1 in self.blocks:
+            self.T[i0:i1] = f.lu[i0:i1, f.pivots]
         self.linv, self.uinv = [], []
         for i0, i1 in self.blocks:
             D = self.T[i0:i1, i0:i1]
@@ -604,10 +619,12 @@ class _PivotSolver:
         z = np.array(b, dtype=np.float64)
         for (i0, i1), lo in zip(self.blocks, self.linv):
             z[i0:i1] = (lo @ z[i0:i1]) % p
-            z[i1:] = (z[i1:] - T[i1:, i0:i1] @ z[i0:i1]) % p
+            if i1 < len(z):
+                z[i1:] = (z[i1:] - T[i1:, i0:i1] @ z[i0:i1]) % p
         for (i0, i1), up in zip(reversed(self.blocks), reversed(self.uinv)):
             z[i0:i1] = (up @ z[i0:i1]) % p
-            z[:i0] = (z[:i0] - T[:i0, i0:i1] @ z[i0:i1]) % p
+            if i0:
+                z[:i0] = (z[:i0] - T[:i0, i0:i1] @ z[i0:i1]) % p
         return z.astype(np.int64)
 
 
@@ -747,9 +764,82 @@ class RatMatrix:
 # acceptance criterion 5c needs a few hundred steps.
 LIFTING_STEP_CAP = 1000
 
-# Exact integers are split into limbs of residue size for float64 products.
+# Exact integers are held as int64 stacks of balanced limbs: limb j counts
+# 2^(21 j) and lies in [-2^20, 2^20), so the product of a limb and a residue
+# below 2^21 is below 2^41, and a float64 sum of EXACT_FLOAT_TERMS of them
+# is exact.
 _LIMB_BITS = 21
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LIMB_HALF = 1 << (_LIMB_BITS - 1)
+
+
+def _limbs(values):
+    """An integer array as an int64 stack S of balanced limbs: values = the
+    sum over j of S[j] 2^(21 j), each S[j] in [-2^20, 2^20), and no all-zero
+    top limb (zero has no limbs).  Adding H = 2^20 (1 + 2^21 + 2^42 + ...)
+    makes every entry nonnegative, with each limb offset by 2^20, so a limb
+    is one mask and one shift of the Python integers."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=object)
+    top = int(np.abs(values).max(initial=0))
+    count = (top.bit_length() + _LIMB_BITS + 1) // _LIMB_BITS
+    shifted = values + _LIMB_HALF * ((1 << (_LIMB_BITS * count)) - 1) // _LIMB_MASK
+    out = np.empty((count,) + values.shape, dtype=np.int64)
+    for j in range(count):
+        out[j] = shifted & _LIMB_MASK
+        shifted >>= _LIMB_BITS
+    out -= _LIMB_HALF
+    return _without_zero_top(out)
+
+
+def _carried(S):
+    """The integers of the int64 limb stack S (limb j counts 2^(21 j)) in
+    balanced limbs, as `_limbs`: carries move up until every limb is in
+    [-2^20, 2^20), a carry out of the top limb making a new one."""
+    import numpy as np
+
+    while True:
+        carry = (S + _LIMB_HALF) >> _LIMB_BITS
+        if not carry.any():
+            return _without_zero_top(S)
+        S = S - (carry << _LIMB_BITS)
+        S[1:] += carry[:-1]
+        if carry[-1].any():
+            S = np.concatenate((S, carry[-1:]))
+
+
+def _without_zero_top(S):
+    while len(S) and not S[-1].any():
+        S = S[:-1]
+    return S
+
+
+def _limb_residues(S, p):
+    """The integers of the balanced limb stack S mod p, as int64 residues:
+    the sum over j of S[j] (2^(21 j) mod p), reduced once."""
+    import numpy as np
+
+    weights = np.array([pow(2, _LIMB_BITS * j, p) for j in range(len(S))], dtype=np.int64)
+    return (weights @ S.reshape(len(S), math.prod(S.shape[1:]))).reshape(S.shape[1:]) % p
+
+
+def _divide_limbs(C, p):
+    """The integers of the int64 limb stack C (limbs below 2^62 in absolute
+    value, not necessarily balanced), divided by p exactly, as balanced
+    limbs.  Long division from the top limb down: rem 2^21 + C[j] gives
+    the quotient limb and the next remainder, in [0, p); then the carries
+    are normalised from the bottom limb up (`_carried`).  A remainder
+    other than 0 at the end means p does not divide C: ArithmeticError."""
+    import numpy as np
+
+    q = np.empty_like(C)
+    rem = np.zeros(C.shape[1:], dtype=np.int64)
+    for j in reversed(range(len(C))):
+        q[j], rem = np.divmod((rem << _LIMB_BITS) + C[j], p)
+    if rem.any():
+        raise ArithmeticError(f"exact division by {p} left a remainder")
+    return _carried(q)
 
 
 @dataclass(frozen=True)
@@ -794,15 +884,16 @@ class NullityProof:
 class DenseOperator:
     """An integer matrix held as an object array, for `certified_nullity`.
 
-    The pivot block used at every lifting step is split once into signed
-    21-bit limbs, so its product with a digit matrix is one exact float64
-    product per limb.
+    The pivot block used at every lifting step is split once into balanced
+    21-bit limbs, stacked in one float64 array, so its product with a digit
+    matrix is one exact float64 product for all limbs, returned as an int64
+    limb stack.
     """
 
     def __init__(self, rows, cols):
         import numpy as np
 
-        self.A = np.array(rows, dtype=object).reshape(len(rows), cols)
+        self.A = np.asarray(rows, dtype=object).reshape(len(rows), cols)
         self.shape = self.A.shape
 
     def residues(self, p):
@@ -817,38 +908,33 @@ class DenseOperator:
         return self.A.dot(Z)
 
     def pivot_product(self, rows, cols):
+        """x -> A[rows, cols] @ x as an int64 limb stack, for int64 digit
+        matrices x below 2^21: the block's balanced limbs times x, one exact
+        float64 product (limb j of the result is below len(cols) 2^41)."""
         import numpy as np
 
-        block = self.A[np.ix_(rows, cols)]
-        sign = np.where(block < 0, -1, 1)
-        mag = np.abs(block)
-        limbs = []
-        while mag.any():
-            limbs.append((mag & _LIMB_MASK).astype(np.int64) * sign)
-            mag = mag >> _LIMB_BITS
-        limbs = [limb.astype(np.float64) for limb in reversed(limbs)]
+        limbs = _limbs(self.A[np.ix_(rows, cols)]).astype(np.float64)
 
         def apply(x):
-            out = np.zeros((len(rows), x.shape[1]), dtype=object)
-            for limb in limbs:
-                out = (out << _LIMB_BITS) + _exact_matmul(limb, x).astype(object)
-            return out
+            return _exact_matmul(limbs, x)
 
         return apply
 
 
 def _exact_matmul(a, x):
-    """a @ x as int64 for float64 a, x of integers below 2^21 in absolute
-    value, summed in chunks of EXACT_FLOAT_TERMS terms."""
+    """a @ x as int64, for a float64 stack a (..., n) and an int64 x (n, k),
+    both of integers below 2^21 in absolute value: one float64 product for
+    the whole stack, summed in chunks of EXACT_FLOAT_TERMS terms."""
     import numpy as np
 
+    flat = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
     xf = x.astype(np.float64)
-    out = np.zeros((a.shape[0], x.shape[1]), dtype=np.int64)
-    for s in range(0, a.shape[1], EXACT_FLOAT_TERMS):
-        out += (a[:, s : s + EXACT_FLOAT_TERMS] @ xf[s : s + EXACT_FLOAT_TERMS]).astype(
+    out = np.zeros((len(flat), x.shape[1]), dtype=np.int64)
+    for s in range(0, a.shape[-1], EXACT_FLOAT_TERMS):
+        out += (flat[:, s : s + EXACT_FLOAT_TERMS] @ xf[s : s + EXACT_FLOAT_TERMS]).astype(
             np.int64
         )
-    return out
+    return out.reshape(a.shape[:-1] + x.shape[1:])
 
 
 def _rational_reconstruction(u, M, bound):
@@ -868,13 +954,15 @@ def _common_denominator(X, M):
     """(d, Y) with Y = d X mod M and every |Y| and d at most sqrt(M / 2),
     or None.  Only entries still large after scaling by the current d are
     reconstructed; d grows by each new denominator, rescaling all entries.
-    A few entries are probed first, so an unconverged X fails cheaply."""
+    The first 4 entries are probed, then about 64 spread over all rows, then
+    all of them, so an unconverged X fails cheaply; d is the lcm of the
+    denominators of all entries either way."""
     import numpy as np
 
     bound = math.isqrt((M - 1) // 2)
     d = 1
     flat = X.ravel()
-    for part in (flat[:4], flat):
+    for part in (flat[:4], flat[:: max(1, flat.size // 64)], flat):
         while True:
             Y = part * d % M
             Y = np.where(Y > M // 2, Y - M, Y)
@@ -892,10 +980,13 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
     """Proved nullity of the integer matrix behind `op`.
 
     `op` has `shape` = (rows, cols) and exact access to the matrix A:
-    `residues(p)` (A mod p), `columns(cols)` and `product(Z)` (A[:, cols]
-    and A @ Z as object arrays), and `pivot_product(rows, cols)`, a function
+    `residues(p)` (A mod p, a fresh int64 array that the elimination
+    overwrites), `columns(cols)` and `product(Z)` (A[:, cols] and A @ Z as
+    object arrays), and `pivot_product(rows, cols)`, a function
     x -> A[rows, cols] @ x for int64 digit matrices x with entries below
-    2^21.  The candidate primes are `modular_primes(primes, denominators)`.
+    2^21, which returns an int64 limb stack (limb j counts 2^(21 j); each
+    below 2^61 in absolute value).  The candidate primes are
+    `modular_primes(primes, denominators)`.
 
     One GF(p) elimination gives rank_p, so nullity <= cols - rank_p.  If
     rank_p = cols, or rank_p = rows < cols - 1, the rank over Q cannot
@@ -904,8 +995,17 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
     vectors that are the identity on the free columns solve A_PP X = -A_PF
     (P the pivot rows and columns); X is lifted p-adically (Dixon) from
     the kept L U factors, with rational reconstruction and
-    early termination.  A candidate X that makes A [X; I] = 0 exactly on
-    every row proves nullity >= k.  If it holds on the pivot rows but not on
+    early termination.  The residual B starts as -A_PF and is held as an
+    int64 stack of balanced 21-bit limbs: each step solves A_PP x = B mod p
+    for the digits x and replaces B by (B - A_PP x) / p, divided exactly
+    limb by limb (`_divide_limbs`), so no step does bignum arithmetic.
+    Since |B| stays below rank_p max|A|, its limbs hold about
+    bits(max|A|) + bits(rank_p) + 1 bits.  The digits are packed three to
+    an int64 (p^3 < 2^63) and added to X every third step and before each
+    reconstruction.
+
+    A candidate X that makes A [X; I] = 0 exactly on every row proves
+    nullity >= k.  If it holds on the pivot rows but not on
     another, X is the unique solution and rank_p < rank_Q: the prime was
     unlucky and the next candidate is tried.  Raises PreconditionError when
     the candidates run out or the lifting passes LIFTING_STEP_CAP steps.
@@ -917,7 +1017,7 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
         return NullityProof(n, None, 0)
     rejected = []
     for p in modular_primes(primes, denominators):
-        f = int_rank_mod(op.residues(p), p)
+        f = int_rank_mod(op, p)
         r = f.rank
         if r == n or (r == m and n - r > 1):
             return NullityProof(n - r, p, r, rejected=tuple(rejected))
@@ -927,9 +1027,12 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
         solve = _PivotSolver(f)
         del f  # the rows x cols factors are not needed while lifting
         step = op.pivot_product(rows, piv)
-        B = -op.columns(free)[rows]
+        B = _limbs(-op.columns(free)[rows])
+        # X + M * pack is the solution mod M * scale; pack holds the digits
+        # of the last steps, at most three, in base p
         X = np.zeros((r, k), dtype=object)
-        M = 1
+        pack = np.zeros((r, k), dtype=np.int64)
+        M, scale = 1, 1
         steps, attempt = 0, 1
         while True:
             if steps == LIFTING_STEP_CAP:
@@ -937,14 +1040,24 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
                     f"p-adic lifting mod {p} passed {LIFTING_STEP_CAP} steps "
                     f"without an exact kernel ({k} vectors of {n} entries)"
                 )
-            x = solve((B % p).astype(np.int64))
-            X += x.astype(object) * M
-            M *= p
-            B = (B - step(x)) // p
+            x = solve(_limb_residues(B, p))
+            pack += x * scale
+            scale *= p
+            P = step(x)
+            C = np.zeros((max(len(B), len(P)), r, k), dtype=np.int64)
+            C[: len(B)] = B
+            C[: len(P)] -= P
+            B = _divide_limbs(C, p)
             steps += 1
             # early termination: reconstruct after steps 1, 2, 3, 4, 6, 8,
             # 11, ..., each time a quarter more steps on
-            if steps < attempt:
+            ready = steps >= attempt
+            if ready or scale == p**3:
+                X += pack.astype(object) * M
+                M *= scale
+                pack[...] = 0
+                scale = 1
+            if not ready:
                 continue
             attempt = steps + 1 + steps // 4
             found = _common_denominator(X, M)
@@ -974,7 +1087,9 @@ def kernel_dimension(M: RatMatrix, mode="exact", primes=None) -> int:
 
     Each row is first cleared of denominators and divided by its content
     (the gcd of its entries); scaling a row by a nonzero rational leaves
-    the rank over Q unchanged and keeps the integers small.  The nullity is
+    the rank over Q unchanged and keeps the integers small.  Rows of plain
+    integers need no clearing, and the contents of all rows are divided out
+    in one object-array pass.  The nullity is
     then proved by `certified_nullity`: one GF(p) elimination gives the
     upper bound, exactly checked kernel vectors (lifted p-adically from
     it) the lower bound.  The candidate primes are `modular_primes(primes,
@@ -982,11 +1097,19 @@ def kernel_dimension(M: RatMatrix, mode="exact", primes=None) -> int:
     dividing no denominator.  Both modes, "exact" and "modular", run this
     proof; the mode is kept for compatibility.
     """
+    import numpy as np
+
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
-    rows = [primitive(row) for row in M.cleared_rows()]
-    op = DenseOperator(rows, M.cols)
-    return certified_nullity(op, primes, M.denominators()).nullity
+    if set(map(type, itertools.chain.from_iterable(M._r))) <= {int}:
+        rows, denominators = M._r, {1}
+    else:
+        rows, denominators = M.cleared_rows(), M.denominators()
+    A = np.array(rows, dtype=object).reshape(M.rows, M.cols)
+    content = np.gcd.reduce(A, axis=1)
+    content[content == 0] = 1
+    A //= content[:, None]
+    return certified_nullity(DenseOperator(A, M.cols), primes, denominators).nullity
 
 
 def int_inverse_unimodular(M: IntMatrix) -> IntMatrix:

@@ -4,7 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from coxkit import blowup
+from coxkit import blowup, linalg
 from coxkit.chambers import effective_cone, mori_chamber
 from coxkit.divisors import (
     NotComplete,
@@ -15,14 +15,18 @@ from coxkit.divisors import (
     _check_divisor,
     divisor_polytope,
 )
+from coxkit.errors import PreconditionError
 from coxkit.fans import fan_predicates, normal_fan
 from coxkit.linalg import (
     IntMatrix,
+    NullityProof,
     RatMatrix,
     det,
     dot,
     int_inverse_unimodular,
+    int_rank_mod,
     integer_kernel_saturated,
+    modular_primes,
     primitive,
     smith_normal_form,
 )
@@ -63,6 +67,95 @@ def int_rank(rows):
         if r == n:
             break
     return rank
+
+
+def common_denominator_whole(X, M):
+    """(d, Y) with Y = d X mod M and every |Y| and d at most sqrt(M / 2),
+    or None: the whole array is rescaled at each new denominator, with no
+    probe."""
+    import numpy as np
+
+    bound = math.isqrt((M - 1) // 2)
+    d = 1
+    while True:
+        Y = X * d % M
+        Y = np.where(Y > M // 2, Y - M, Y)
+        big = np.flatnonzero(np.abs(Y) > bound)
+        if not big.size:
+            return d, Y
+        found = linalg._rational_reconstruction(int(Y.flat[big[0]]) % M, M, bound)
+        if found is None or d * found[1] > bound:
+            return None
+        d *= found[1]
+
+
+def certified_nullity_by_objects(op, primes=None, denominators=()):
+    """`linalg.certified_nullity` with the residual, the digits and the
+    solution held as Python integers, the pivot product taken as an exact
+    object product A [x; 0], and every reconstruction over the whole array:
+    the same elimination and pivot solves, so the same NullityProof."""
+    import numpy as np
+
+    m, n = op.shape
+    if min(m, n) == 0:
+        return NullityProof(n, None, 0)
+    rejected = []
+    for p in modular_primes(primes, denominators):
+        f = int_rank_mod(op, p)
+        r = f.rank
+        if r == n or (r == m and n - r > 1):
+            return NullityProof(n - r, p, r, rejected=tuple(rejected))
+        rows, piv = f.perm[:r], list(f.pivots)
+        free = sorted(set(range(n)) - set(piv))
+        k = len(free)
+        solve = linalg._PivotSolver(f)
+
+        def pivot_product(x):
+            Z = np.zeros((n, k), dtype=object)
+            Z[piv] = x
+            return op.product(Z)[rows]
+
+        B = -op.columns(free)[rows]
+        X = np.zeros((r, k), dtype=object)
+        M = 1
+        steps, attempt = 0, 1
+        while True:
+            if steps == linalg.LIFTING_STEP_CAP:
+                raise PreconditionError(f"passed {steps} steps")
+            x = solve((B % p).astype(np.int64)).astype(object)
+            X += x * M
+            M *= p
+            B = (B - pivot_product(x)) // p
+            steps += 1
+            if steps < attempt:
+                continue
+            attempt = steps + 1 + steps // 4
+            found = common_denominator_whole(X, M)
+            if found is None:
+                continue
+            d, Y = found
+            Z = np.zeros((n, k), dtype=object)
+            Z[piv] = Y
+            Z[free, np.arange(k)] = d
+            bad = np.flatnonzero((op.product(Z) != 0).any(axis=1))
+            if not bad.size:
+                kernel = tuple(tuple(int(v) for v in col) for col in Z.T)
+                return NullityProof(n - r, p, r, kernel, d, tuple(free), steps, tuple(rejected))
+            if not np.isin(bad, rows).any():
+                rejected.append(p)
+                break
+    raise PreconditionError(f"every candidate prime {tuple(rejected)} is unlucky")
+
+
+def limb_value(S):
+    """The integers held by the limb stack S, where S[j] counts 2^(21 j), as
+    an object array."""
+    import numpy as np
+
+    out = np.zeros(S.shape[1:], dtype=object)
+    for j, limb in enumerate(S):
+        out += limb.astype(object) << (21 * j)
+    return out
 
 
 def _gauss_jordan(a, cols):

@@ -1,11 +1,13 @@
 import functools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from helpers import (
     LaurentPoly,
+    certified_nullity_by_objects,
     falling,
     flagship_curve,
     rational_kernel_basis,
@@ -14,6 +16,7 @@ from helpers import (
 )
 
 from coxkit.blowup import (
+    FORCED_VERTEX_COLUMN_CAP,
     BadRange,
     Certificate,
     FunctionalOrderTooHigh,
@@ -25,6 +28,7 @@ from coxkit.blowup import (
     LM10_V3,
     NotSurjective,
     PreconditionFailed,
+    VanishingOperator,
     WPS_12_13_17_TRIANGLE,
     ZeroPolynomial,
     blowup_certificate,
@@ -39,7 +43,8 @@ from coxkit.blowup import (
     vanishing_entry,
     vanishing_matrix_mod,
 )
-from coxkit.linalg import IntMatrix
+from coxkit.errors import PreconditionError
+from coxkit.linalg import IntMatrix, certified_nullity
 from coxkit.polyhedra import convex_hull_2d, lattice_points, polytope_from_points
 
 TRIANGLE = polytope_from_points(WPS_12_13_17_TRIANGLE)
@@ -128,6 +133,16 @@ def test_h0_flagship_order52():
     for func in prob.functionals():
         val = sum(c * vanishing_entry(func, p) for p, c in coeffs.items())
         assert val == 0
+
+
+def test_h0_flagship_proof_matches_object_lifting():
+    """The order-52 proof, its residual in int64 limbs, equals the lifting
+    with Python integers field for field: 6 steps, one vector."""
+    prob = InterpolationProblem(TRIANGLE, 1, 52)
+    op = VanishingOperator(prob.points(), prob.functionals())
+    proof = certified_nullity(op)
+    assert proof == certified_nullity_by_objects(op)
+    assert proof.steps == 6 and len(proof.kernel) == proof.nullity == 1
 
 
 def test_h0_delta_prime_multiplicity7():
@@ -285,6 +300,22 @@ def test_forced_vertex_multiples():
         assert cert is not None and cert.verify()
         # translated right vertex is (51 m - 1, 0)
         assert m * right[0] + translation[0] == 51 * m - 1
+
+
+def test_forced_vertex_column_cap():
+    """A payload whose dilated polygon has more lattice columns than the
+    cap fails at once, and forced_vertex_coefficient refuses it; the m = 5
+    flagship certificate is far below the cap."""
+    cert = forced_vertex_coefficient(WPS_12_13_17_TRIANGLE, 1, 51, (-1, 34), (49, 1))
+    start = time.perf_counter()
+    huge = {**cert.payload, "dilation": 10**6}
+    assert Certificate(cert.kind, huge, ()).verify() is False
+    assert time.perf_counter() - start < 1
+    over = FORCED_VERTEX_COLUMN_CAP // 51 + 1  # the triangle is 51 columns wide
+    with pytest.raises(PreconditionError, match="FORCED_VERTEX_COLUMN_CAP"):
+        forced_vertex_coefficient(WPS_12_13_17_TRIANGLE, over, 51 * over, (-1, 34), (49, 1))
+    m5 = forced_vertex_coefficient(WPS_12_13_17_TRIANGLE, 5, 255, (-1, 170), (253, 1), (4, 0))
+    assert m5.verify() and 51 * 5 + 1 < FORCED_VERTEX_COLUMN_CAP
 
 
 def test_forced_vertex_refusal():

@@ -9,7 +9,13 @@ import numpy as np
 
 from coxkit.errors import PreconditionError
 import coxkit.linalg as linalg
-from helpers import int_rank, rational_kernel_basis, rational_solve
+from helpers import (
+    certified_nullity_by_objects,
+    int_rank,
+    limb_value,
+    rational_kernel_basis,
+    rational_solve,
+)
 from coxkit.linalg import (
     EXACT_FLOAT_TERMS,
     MODULAR_PRIME_LIMIT,
@@ -776,3 +782,111 @@ def test_certified_nullity_step_cap(monkeypatch):
     monkeypatch.setattr(linalg, "LIFTING_STEP_CAP", 1)
     with pytest.raises(PreconditionError, match="passed 1 steps"):
         certified_nullity(DenseOperator(rows, 3))
+
+
+def boundary_values(rng, count, bits):
+    """Entries of at most `bits` bits, signed, a third of them next to a
+    limb boundary: +-2^(21 j) + e for e in -1, 0, 1."""
+    out = []
+    for _ in range(count):
+        if rng.random() < 1 / 3:
+            j = rng.randint(0, max(0, (bits - 1) // 21))
+            value = (1 << (21 * j)) + rng.choice((-1, 0, 1))
+        else:
+            value = rng.getrandbits(rng.randint(1, bits))
+        out.append(rng.choice((-1, 1)) * value)
+    return out
+
+
+def test_certified_nullity_matches_object_lifting():
+    """The limb residual gives the NullityProof of the object-integer
+    lifting, field for field: entries of 1 to 90 bits, negative, at limb
+    boundaries, with zero rows and columns, wide and tall, and a prime
+    rejected as unlucky."""
+    rng = random.Random(1515)
+    lifted = 0
+    for bits in (1, 2, 20, 21, 22, 41, 42, 43, 63, 64, 84, 90):
+        for _ in range(6):
+            m, n = rng.randint(1, 10), rng.randint(1, 10)
+            r = rng.randint(0, min(m, n))
+            left = [boundary_values(rng, r, bits) for _ in range(m)]
+            right = [boundary_values(rng, n, bits) for _ in range(r)]
+            rows = with_zero_lines(rng, product(left, right, n), n)
+            op = DenseOperator(rows, len(rows[0]))
+            proof = certified_nullity(op)
+            assert proof == certified_nullity_by_objects(op), (bits, rows)
+            lifted += proof.steps > 1
+    assert lifted > 20
+    unlucky = DenseOperator([[1, 1], [1, 1 + 1048583]], 2)
+    proof = certified_nullity(unlucky)
+    assert proof == certified_nullity_by_objects(unlucky) and proof.rejected == (1048583,)
+
+
+def test_divide_limbs_at_limb_boundaries():
+    """(v p) / p = v exactly for v at and next to every limb boundary, from
+    balanced limbs and from limbs far outside [-2^20, 2^20); the quotient's
+    limbs are balanced with no zero top limb.  A remainder raises."""
+    p = 1048583
+    values = [0, 1, -1, p, -p]
+    for j in range(6):
+        for e in (-1, 0, 1):
+            values += [(1 << (21 * j)) + e, -(1 << (21 * j)) - e, ((1 << (21 * j)) - 1) << 20]
+    v = np.array(values, dtype=object)
+    want = linalg._limbs(v)
+    assert (limb_value(want) == v).all()
+    assert want.min() >= -(1 << 20) and want.max() < 1 << 20 and want[-1].any()
+    C = linalg._limbs(v * p)
+    assert (linalg._divide_limbs(C, p) == want).all()
+    # the same integers with the second limb moved into the first and 3
+    # borrowed from a new top limb: limbs up to 2^41 in absolute value
+    shifted = np.zeros((len(C) + 1, len(v)), dtype=np.int64)
+    shifted[:-1] = C
+    shifted[0] += shifted[1] << 21
+    shifted[1] = 0
+    shifted[-1] = 3
+    shifted[-2] -= 3 << 21
+    assert (limb_value(shifted) == v * p).all() and np.abs(shifted).max() > 1 << 40
+    assert (linalg._divide_limbs(shifted, p) == want).all()
+    # a top limb of 2^41, whose quotient 2^41 // p carries out of the top
+    shifted[-1] += 1 << 41
+    shifted[-2] -= 1 << 62
+    assert (linalg._divide_limbs(shifted, p) == want).all()
+    C = linalg._limbs(v * p + 1)
+    with pytest.raises(ArithmeticError):
+        linalg._divide_limbs(C, p)
+
+
+def test_lifting_residual_limbs_stay_bounded(monkeypatch):
+    """Over a lift of more than 100 steps the residual keeps at most
+    ceil((bits max|A| + bits r + 2) / 21) + 1 limbs: |B| <= r max|A|."""
+    rng = random.Random(33)
+    rows = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(31)] for _ in range(30)]
+    limbs = []
+    divide = linalg._divide_limbs
+
+    def recorded(C, p):
+        out = divide(C, p)
+        limbs.append(len(out))
+        return out
+
+    monkeypatch.setattr(linalg, "_divide_limbs", recorded)
+    proof = certified_nullity(DenseOperator(rows, 31))
+    assert proof.steps == len(limbs) > 100
+    bits = max(abs(x) for row in rows for x in row).bit_length()
+    assert max(limbs) <= -(-(bits + proof.rank_mod_p.bit_length() + 2) // 21) + 1
+
+
+def test_int_rank_mod_leaves_its_input():
+    """A list or an array is copied, never changed; an operator's fresh
+    residues are eliminated in place, with the same factors."""
+    rng = random.Random(44)
+    p = 1048583
+    rows = random_rows(rng, 30, 25, -(3 * p), 3 * p)
+    array = np.array(rows, dtype=np.int64)
+    kept = array.copy()
+    f = int_rank_mod(array, p)
+    assert (array == kept).all() and f.lu is not array
+    assert int_rank_mod(rows, p).lu.tolist() == f.lu.tolist()
+    assert rows == kept.tolist()
+    g = int_rank_mod(DenseOperator(rows, 25), p)
+    assert (g.lu == f.lu).all() and (g.perm == f.perm).all() and g.pivots == f.pivots
