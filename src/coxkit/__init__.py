@@ -19,6 +19,7 @@ from .blowup import (
     find_curve,
     forced_vertex_coefficient,
     h0,
+    least_width_images,
     lm_projection,
     lm_rays,
     mukai_predicate,

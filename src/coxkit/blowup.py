@@ -3,20 +3,22 @@
 Fat-point interpolation: matrices of derivative functionals at (1,1)
 against Laurent monomials supported on a dilated polygon, their kernel
 dimensions (section counts of m*H - k*E pullback classes), vanishing
-orders of Laurent polynomials, the negative curve that D = H - k*E must
-meet trivially (found from k alone by one proved kernel, see
-`find_curve`), forced-vertex base point certificates, the full
-nef-but-not-semiample certificate for blown-up weighted projective
-planes, the blow-up finite-generation inequality for point
-configurations in projective space, and ray projections of the
-Losev-Manin fans.  Each certificate kind has one judge, which decides
-every identity of a payload for its builder and for `Certificate.verify`
-alike; the forced-vertex judge counts lattice points per column and
-lists none.
+orders of Laurent polynomials, the least-width images of a lattice
+polygon, the negative curve that D = H - k*E must meet trivially (found
+from k alone by one proved kernel, see `find_curve`), forced-vertex base
+point certificates, the full nef-but-not-semiample certificate for
+blown-up weighted projective planes, the blow-up finite-generation
+inequality for point configurations in projective space, and ray
+projections of the Losev-Manin fans.  Each certificate kind has one
+judge, which decides every identity of a payload for its builder and for
+`Certificate.verify` alike; the forced-vertex judge counts lattice points
+per column and lists none.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +26,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
-from .linalg import IntMatrix, _limbs, certified_nullity, primitive, smith_normal_form
+from .linalg import DenseOperator, IntMatrix, _limbs, certified_nullity, dot, primitive
+from .linalg import smith_normal_form
 from .polyhedra import Polytope, lattice_columns, lattice_points, polytope_from_points
 
 
@@ -48,9 +51,6 @@ class NotSurjective(PreconditionError):
     pass
 
 
-# the polygon of the blown-up P(12,13,17) analysis
-WPS_12_13_17_TRIANGLE = ((11, -26), (50, 0), (-1, 34))
-
 # the 7-vertex polygon and lattice projection used for the Losev-Manin
 # reduction from 10 marked points
 LM10_PROJECTION_MATRIX = ((1, 0, 1, -2, -1, 1, 0), (0, 1, -1, -3, -2, 2, 1))
@@ -63,6 +63,15 @@ LM10_POLYGON_COLUMNS = ((-1, 6), (-4, 5), (-3, 1), (-2, 8), (-6, 0), (-7, 0), (0
 # about 6 us each (2-core x86): this many take under a second.  The
 # flagship's m = 5 certificate has 256; a payload with more fails.
 FORCED_VERTEX_COLUMN_CAP = 1 << 17
+
+# `h0` refuses a vanishing matrix of more entries: near it a proof took 2.2-2.5 s
+# and 150-180 MB (2850 x 2850, 3003 x 3004; 2-core x86), 4.5 times the flagship's.
+INTERPOLATION_ENTRY_CAP = 1 << 23
+
+# `least_width_images` tests about 30 r rows and may list about 32 r images,
+# each tried by `blowup_certificate`, for r = lambda2 / lambda1; a thinner
+# polygon is refused.  Weights up to 30 give r <= 30, reached by P(1, 1, 30).
+WIDTH_RATIO_CAP = 64
 
 
 def falling_factorial(a: int, i: int) -> int:
@@ -218,14 +227,27 @@ class VanishingOperator:
         return apply
 
 
+def _point_count(polygon, dilation=1):
+    """The lattice points of dilation * polygon, listing none: A + B/2 + 1
+    for a lattice polygon of area A with B boundary points (Pick's
+    theorem), else counted per column."""
+    q = polygon.dilate(dilation)
+    if not q.is_lattice():
+        return sum(hi - lo + 1 for _, lo, hi in lattice_columns(polygon, dilation))
+    edges = zip(q.vertices, q.vertices[1:] + q.vertices[:1])
+    boundary = sum(math.gcd(int(u[0] - v[0]), int(u[1] - v[1])) for u, v in edges)
+    return int(2 * q.area() + boundary) // 2 + 1
+
+
 def h0(problem: InterpolationProblem, mode="modular", primes=None, *, proof=False):
     """Dimension of the space of Laurent polynomials supported on the
     dilated polygon vanishing to the given order at (1, 1): the nullity of
     the vanishing matrix, proved by `certified_nullity`.
 
-    One GF(p) elimination of `vanishing_matrix_mod` (the first prime of
-    `modular_primes(primes)`) gives the upper bound; kernel vectors lifted
-    from it and checked exactly against every functional (by
+    Past INTERPOLATION_ENTRY_CAP entries (`_point_count`) it raises
+    PreconditionError.  One GF(p) elimination of `vanishing_matrix_mod` (the
+    first prime of `modular_primes(primes)`) gives the upper bound; kernel
+    vectors lifted from it and checked exactly against every functional (by
     `functional_values`) give the lower bound.  The exact matrix is never
     built.  Both modes, "modular" and "exact", run this proof; the mode is
     kept for compatibility.  With proof=True the `NullityProof` is returned
@@ -233,6 +255,10 @@ def h0(problem: InterpolationProblem, mode="modular", primes=None, *, proof=Fals
     """
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
+    size = problem.order * (problem.order + 1) // 2
+    size *= _point_count(problem.polygon, problem.dilation)
+    if size > INTERPOLATION_ENTRY_CAP:
+        raise PreconditionError(f"{size} matrix entries, over INTERPOLATION_ENTRY_CAP")
     op = VanishingOperator(problem.points(), problem.functionals())
     found = certified_nullity(op, primes)
     return found if proof else found.nullity
@@ -263,11 +289,12 @@ class LaurentPoly:
         return [k for k, _ in self.terms]
 
 
-def _width(points):
-    """Width in x plus width in y of a set of points: a bound on the
-    vanishing order at (1,1) of a nonzero polynomial supported on them."""
-    xs, ys = zip(*points)
-    return max(xs) - min(xs) + max(ys) - min(ys)
+def _width(points, *rows):
+    """The sum over the rows u of max <u, p> - min <u, p> over the points;
+    with no rows, width in x plus width in y, a bound on the vanishing
+    order at (1,1) of a nonzero polynomial supported on the points."""
+    values = [[dot(u, p) for p in points] for u in rows or ((1, 0), (0, 1))]
+    return sum(max(v) - min(v) for v in values)
 
 
 def order_at_e(f: LaurentPoly) -> int:
@@ -439,25 +466,36 @@ def _negative_curve_failure(payload):
     return None
 
 
+def _curve_order(h2, k):
+    """(w, failure): the curve order w = H^2/k of D.C = H^2/w - k = 0, and
+    the first of D.E = k > 0, k | H^2 and C^2 < 0 (w > k) that fails."""
+    if k < 1:
+        return None, f"D.E = k = {k} is not positive"
+    if h2 % k:
+        return None, f"D.C = 0 needs w = H^2/k, but k = {k} does not divide H^2 = {h2}"
+    if h2 // k <= k:
+        return h2 // k, f"w = H^2/k = {h2 // k} <= k = {k}, so C^2 = H^2/w^2 - 1 >= 0"
+    return h2 // k, None
+
+
 def _nef_not_semiample_failure(payload):
     """The first failed identity of a nef-not-semiample payload, or None.
 
-    In order: D.C = H^2/w - k = 0, D.E = k > 0 (each as stated), the
-    negative-curve certificate (`_negative_curve_failure`, stating the same
-    H^2, w and C^2), one forced-vertex certificate for each multiple
-    m = 1..m_max, and for each the argument on m times the polygon at
-    order k m (`_forced_vertex_points`).  A missing certificate (None)
-    fails at its multiple.  A missing or mistyped field fails first.
+    In order: `_curve_order` of H^2 and k, the stated w, D.C = 0 and
+    D.E = k, the negative-curve certificate (`_negative_curve_failure`,
+    stating the same H^2, w and C^2), one forced-vertex certificate for
+    each multiple m = 1..m_max, and for each the argument on m times the
+    polygon at order k m (`_forced_vertex_points`).  A missing certificate
+    (None) fails at its multiple.  A missing or mistyped field fails first.
     """
     malformed = _malformed("nef_not_semiample", payload)
     if malformed:
         return f"payload field {malformed!r} is missing or mistyped"
     h2, w, k = payload["h_self_intersection"], payload["curve_order"], payload["k"]
-    dc = Fraction(h2, w) - k if w > 0 else None
-    if dc != 0 or payload["d_dot_c"] != 0:
-        return f"D.C = H^2/w - k = {dc}, stated {payload['d_dot_c']}: must be 0"
-    if k < 1 or payload["d_dot_e"] != k:
-        return f"D.E = k = {k}, stated {payload['d_dot_e']}: must be positive"
+    order, failure = _curve_order(h2, k)
+    stated = (w, payload["d_dot_c"], payload["d_dot_e"])
+    if failure or stated != (order, 0, k):
+        return failure or "w, D.C, D.E are {}, {}, {}, not {}, 0, {}".format(*stated, order, k)
     curve = payload["negative_curve"].payload
     failure = _negative_curve_failure(curve)
     keys = ("h_self_intersection", "curve_order", "curve_self_intersection")
@@ -537,48 +575,93 @@ def _lattice_polygon(polygon) -> Polytope:
     return poly
 
 
+def least_width_images(polygon, k):
+    """The images of a lattice polygon under GL2(Z) of least width in x plus
+    width in y, as sorted vertex tuples moved to put the largest vertex at
+    (k - 1, 0), in descending order: a function of the polygon's class.
+    Gauss reduction in the width norm w (Kaib and Schnorr 1996), with each
+    mu minimizing the convex w(b2 - mu b1) found by bisection, gives a basis
+    of successive minima; a least-width map's rows x b1 + y b2 have width
+    <= w(b2), so |y| <= 2 and |x| <= 3 w(b2) / w(b1).  Raises
+    PreconditionError when w(b2) / w(b1) passes WIDTH_RATIO_CAP."""
+    verts = [tuple(map(int, v)) for v in _lattice_polygon(polygon).vertices]
+    width = functools.partial(_width, verts)
+
+    def add(u, x, v):
+        return (u[0] + x * v[0], u[1] + x * v[1])
+
+    b1, b2 = sorted(((1, 0), (0, 1)), key=width)
+    while True:
+        n = 2 * width(b2) // width(b1) + 1
+        mu = bisect.bisect(range(-n, n), False, key=lambda m: width(add(b2, -m - 1, b1))
+                           >= width(add(b2, -m, b1))) - n
+        b2 = add(b2, -mu, b1)
+        if width(b2) >= width(b1):
+            break
+        b1, b2 = b2, b1
+    if width(b2) > WIDTH_RATIO_CAP * width(b1):
+        raise PreconditionError(f"widths {width(b1)}, {width(b2)} pass WIDTH_RATIO_CAP")
+    n = 3 * width(b2) // width(b1)
+    rows = [add(add((0, 0), x, b1), y, b2) for y in range(-2, 3) for x in range(-n, n + 1)]
+    rows = [u for u in rows if math.gcd(*u) == 1 and width(u) <= width(b2)]
+    images = set()
+    for r1, r2 in itertools.product(rows, repeat=2):
+        if abs(r1[0] * r2[1] - r1[1] * r2[0]) == 1 and width(r1, r2) == width(b1, b2):
+            image = [(dot(r1, v), dot(r2, v)) for v in verts]
+            top = max(image)
+            images.add(tuple(sorted((x - top[0] + k - 1, y - top[1]) for x, y in image)))
+    return sorted(images, reverse=True)
+
+
 def find_curve(polygon, k, primes=None):
     """The negative curve C with D.C = 0 for D = pullback(H) - k E, found
     from k alone.
 
     A Laurent polynomial f supported on the polygon with vanishing order w
-    at (1,1) gives a curve of class (1/w) pullback(H) - E, so D.C = H^2/w -
-    k = 0 forces w = H^2/k, and C^2 = H^2/w^2 - 1 < 0 needs w > k.  A
-    nonzero f has order at most the polygon's width in x plus its width in
-    y (the bound of `order_at_e`), so above that no f exists.  Otherwise
-    one `h0` proof at order w must give nullity 1: an irreducible negative
-    curve is alone in its linear system.  The first failed condition
-    raises PreconditionFailed.  Returns (w, f, proof): f is the proof's one
-    kernel vector on the lattice points and proof its `NullityProof`,
-    whose candidate primes are `primes`.  `blowup_certificate` judges f.
+    at (1,1) gives a curve of class (1/w) pullback(H) - E; `_curve_order`
+    gives w.  A nonzero f has order at most the polygon's width in x plus
+    its width in y (the bound of `order_at_e`), so above that no f exists.
+    Otherwise h0 at order w must be 1: an irreducible negative curve is
+    alone in its linear system.  If the w(w+1)/2 functionals outnumber the
+    points, h0 is first proved at the least order whose functionals reach
+    the point count; its kernel's values at the orders up to w, when few
+    enough, give h0 at w, which is proved itself only if that is 1.  The
+    first failed condition raises PreconditionFailed.  Returns (w, f,
+    proof): f is the proof's one kernel vector on the lattice points and
+    proof its `NullityProof`, whose candidate primes are `primes`.
     """
     poly = _lattice_polygon(polygon)
-    h2 = int(2 * poly.area())
-    if k < 1:
-        raise PreconditionFailed(f"D.E = k = {k} is not positive")
-    if h2 % k:
-        raise PreconditionFailed(
-            f"D.C = H^2/w - k = 0 needs w = H^2/k, but k = {k} does not "
-            f"divide H^2 = {h2}"
-        )
-    w = h2 // k
-    if w <= k:
-        raise PreconditionFailed(
-            f"w = H^2/k = {w} <= k = {k}, so C^2 = H^2/w^2 - 1 is not negative"
-        )
+    w, failure = _curve_order(int(2 * poly.area()), k)
+    if failure:
+        raise PreconditionFailed(failure)
     width = _width(poly.vertices)
     if w > width:
         raise PreconditionFailed(
             f"no nonzero section has order w = {w} > {width}, the polygon's "
             f"width in x plus its width in y"
         )
-    problem = InterpolationProblem(poly, 1, w)
-    proof = h0(problem, primes=primes, proof=True)
-    if proof.nullity != 1:
-        raise PreconditionFailed(
-            f"h0 at order w = {w} is {proof.nullity}, not 1: no irreducible "
-            f"negative curve of that order"
-        )
+    points = _point_count(poly)
+    low = (math.isqrt(8 * points + 1) - 1) // 2  # the least with low(low+1)/2 >= points
+    low += low * (low + 1) // 2 < points
+    for order in sorted({min(low, w), w}):
+        problem = InterpolationProblem(poly, 1, order)
+        proof = h0(problem, primes=primes, proof=True)
+        nullity = proof.nullity
+        if nullity and order < w:
+            # h0 at w is the nullity of the kernel's values at orders low..w-1,
+            # found from w^2 values per vector and support point unless too many
+            support = [(p, c) for p, c in zip(problem.points(), zip(*proof.kernel)) if any(c)]
+            if w * w * nullity * len(support) > INTERPOLATION_ENTRY_CAP:
+                continue
+            funcs = [f for f in derivative_functionals(w) if sum(f) >= low]
+            op = VanishingOperator([p for p, _ in support], funcs)
+            values = op.product([c for _, c in support])
+            nullity = certified_nullity(DenseOperator(values, nullity), primes).nullity
+        if nullity != 1:
+            raise PreconditionFailed(
+                f"h0 at order w = {w} is {nullity}, not 1: no irreducible "
+                f"negative curve of that order"
+            )
     f = LaurentPoly.from_terms(zip(problem.points(), proof.kernel[0]))
     return w, f, proof
 
@@ -591,11 +674,15 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
     polygon whose vanishing order at (1,1) is w, exhibiting an
     irreducible curve of class (1/w) * pullback - exceptional.  What the
     payload cannot carry is checked here: a lattice polygon, f nonzero,
-    supported on it and of order w >= 1, and the P(weights) fan.  The
-    payload is then judged by `_nef_not_semiample_failure`, the judge of
-    `Certificate.verify`, and its first failed identity raises
-    PreconditionFailed.  The statement for all multiples m is recorded as
-    an external conclusion, certified here for m <= m_max.
+    supported on it and of order w >= 1, and the P(weights) fan.  A payload
+    is built on each of `least_width_images(polygon, k)`, where f moved by
+    the same map keeps its order, until one passes the judge of
+    `Certificate.verify`, `_nef_not_semiample_failure`: at multiple m the
+    functional (k m - 2, 1) must single out the least vertex of m times the
+    image moved by (m - 1, 0).  If none passes, the first image's first
+    failed identity raises PreconditionFailed.  The statement for all
+    multiples m is recorded as an external conclusion, certified here for
+    m <= m_max.
     """
     poly = _lattice_polygon(polygon)
     w, f = curve
@@ -616,14 +703,6 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
 
     h2 = int(2 * poly.area())
     c2 = Fraction(h2, w**2) - 1
-    verts = [(int(x), int(y)) for x, y in poly.vertices]
-    left, right = min(verts), max(verts)
-    forced = []
-    for m in range(1, m_max + 1):
-        tx, ty = k * m - 1 - m * right[0], -m * right[1]
-        vertex = (m * left[0] + tx, m * left[1] + ty)
-        forced.append(forced_vertex_coefficient(verts, m, k * m, vertex, (k * m - 2, 1), (tx, ty)))
-
     neg = Certificate(
         "negative_curve",
         {
@@ -638,22 +717,32 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
             f"C^2 = H^2/w^2 - 1 = {c2} < 0",
         ),
     )
-    payload = {
-        "weights": tuple(weights) if weights is not None else None,
-        "polygon": tuple(verts),
-        "curve_order": w,
-        "k": k,
-        "h_self_intersection": h2,
-        "curve_self_intersection": c2,
-        "d_dot_c": Fraction(h2, w) - k,
-        "d_dot_e": k,
-        "m_max": m_max,
-        "negative_curve": neg,
-        "forced_vertex_certificates": tuple(forced),
-    }
-    failure = _nef_not_semiample_failure(payload)
-    if failure:
-        raise PreconditionFailed(failure)
+    failures = []
+    for verts in least_width_images(poly, k):
+        (x, y), forced = min(verts), []
+        for m in range(1, m_max + 1):
+            forced.append(forced_vertex_coefficient(
+                verts, m, k * m, (m * x + m - 1, m * y), (k * m - 2, 1), (m - 1, 0)))
+            if forced[-1] is None:
+                break
+        payload = {
+            "weights": tuple(weights) if weights is not None else None,
+            "polygon": verts,
+            "curve_order": w,
+            "k": k,
+            "h_self_intersection": h2,
+            "curve_self_intersection": c2,
+            "d_dot_c": Fraction(h2, w) - k,
+            "d_dot_e": k,
+            "m_max": m_max,
+            "negative_curve": neg,
+            "forced_vertex_certificates": tuple(forced + [None] * (m_max - len(forced))),
+        }
+        failures.append(_nef_not_semiample_failure(payload))
+        if not failures[-1]:
+            break
+    else:
+        raise PreconditionFailed(failures[0])
     transcript = (
         f"D = pullback(H) - {k} E with D.C = 0 and D.E = {k} > 0",
         f"D is nef: it pairs nonnegatively with the negative curves C and E "

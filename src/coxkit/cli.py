@@ -8,9 +8,11 @@ output are serialized as decimal strings so consumers never overflow;
 structured result against a golden file and exits 3 on mismatch.
 
 Exit codes: 0 success, 1 bad input, 2 violated precondition, 3 golden
-mismatch.  `blowup-analyze` finds its negative curve from `--k`: the
-curve's order is w = H^2/k, and its Laurent polynomial is the one kernel
-vector of a proved h0 at order w (`blowup.find_curve`).  `--h0-order` adds
+mismatch.  `blowup-analyze` moves its polygon, from `--polygon` or from
+`--weights` alone, to its first `blowup.least_width_images`, and finds its
+negative curve from `--k`: the curve's order is w = H^2/k, and its Laurent
+polynomial is the one kernel vector of a proved h0 at order w
+(`blowup.find_curve`).  `--h0-order` adds
 `h0_proof` to the report, beside the result: the prime, its rank and the
 bounds that prove h0; at `--h0-order` w it is the curve's own proof.  The
 environment variable COXKIT_PRIMES (comma-separated, at least 3 distinct
@@ -389,12 +391,12 @@ def cmd_blowup_analyze(args):
                 f"{args.polygon}: only vertices are read, not {extra}; "
                 "the curve is now found from --k"
             )
-    elif weights == (12, 13, 17):
-        poly = ph.polytope_from_points(bw.WPS_12_13_17_TRIANGLE)
+    elif weights is not None and len(weights) == 3:  # the class of degree abc
+        fan = fn.weighted_projective_fan(*weights)
+        poly = dv.divisor_polytope(fan, (0, 0, weights[0] * weights[1]))
     else:
-        raise InputError(
-            "only weights 12,13,17 have a built-in polygon; pass --polygon"
-        )
+        raise InputError("blowup-analyze needs --polygon or three --weights")
+    poly = ph.polytope_from_points(bw.least_width_images(poly, args.k)[0])
     w, f, proof = bw.find_curve(poly, args.k, primes)
     cert = bw.blowup_certificate(weights, poly, (w, f), args.k, m_max=args.m_max)
     result = {

@@ -1,5 +1,6 @@
 """Shared test oracles: deliberately simple, independent implementations."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -16,7 +17,7 @@ from coxkit.divisors import (
     divisor_polytope,
 )
 from coxkit.errors import PreconditionError
-from coxkit.fans import fan_predicates, normal_fan
+from coxkit.fans import fan_predicates, normal_fan, weighted_projective_fan
 from coxkit.linalg import (
     IntMatrix,
     NullityProof,
@@ -309,11 +310,79 @@ class LaurentPoly(blowup.LaurentPoly):
         return out
 
 
+# The least-width image of the P(12,13,17) triangle on which the blown-up
+# analysis at k = 51 certifies, placed with its largest vertex at (50, 0).
+WPS_12_13_17_TRIANGLE = ((11, -26), (50, 0), (-1, 34))
+
+
+def wps_polygon(*weights):
+    """The polygon `blowup-analyze --weights a,b,c` starts from: the class of
+    degree abc on the fan of P(a, b, c), with H^2 = abc."""
+    fan = weighted_projective_fan(*weights)
+    return divisor_polytope(fan, (0, 0, weights[0] * weights[1]))
+
+
 def flagship_curve():
     """x^11 y^-26 (1 - y)^52, the order-52 section on the triangle of the
     blown-up P(12,13,17) analysis, by Fraction products."""
     one_minus_y = LaurentPoly.from_terms([((0, 0), 1), ((0, 1), -1)])
     return LaurentPoly.monomial(11, -26) * one_minus_y**52
+
+
+def order_at_e_oracle(f):
+    """The Fraction loop order_at_e used to be: each functional summed over
+    the terms with exact falling factorials, by increasing total order."""
+    if f.is_zero():
+        raise blowup.ZeroPolynomial("order of the zero polynomial is undefined")
+    ff = functools.cache(falling)
+    total = 0
+    while True:
+        for i in range(total + 1):
+            if sum(c * (ff(a, i) * ff(b, total - i)) for (a, b), c in f.terms):
+                return total
+        total += 1
+
+
+def least_width_images_by_search(vertices, k):
+    """`blowup.least_width_images` by search, with no reduction.
+
+    Every row r of a least-width map has width max <r, v> - min <r, v> at
+    most W, the width in x plus width in y of the vertices as given, so
+    |<r, d>| <= W for two independent vertex differences d1, d2: the rows
+    are the integer solutions r of (<r, d1>, <r, d2>) = s over the box
+    |s_i| <= W.  All pairs of them with determinant +-1 are tried."""
+
+    def width(u):
+        values = [u[0] * x + u[1] * y for x, y in vertices]
+        return max(values) - min(values)
+
+    v0 = vertices[0]
+    diffs = [(x - v0[0], y - v0[1]) for x, y in vertices[1:]]
+    d1 = diffs[0]
+    d2 = next(d for d in diffs if d1[0] * d[1] - d1[1] * d[0])
+    det_d = d1[0] * d2[1] - d1[1] * d2[0]
+    bound = width((1, 0)) + width((0, 1))
+    rows = []
+    for s1, s2 in itertools.product(range(-bound, bound + 1), repeat=2):
+        # r = (s1 * (d2[1], -d2[0]) + s2 * (-d1[1], d1[0])) / det_d
+        x, y = s1 * d2[1] - s2 * d1[1], -s1 * d2[0] + s2 * d1[0]
+        if x % det_d == 0 and y % det_d == 0 and (x, y) != (0, 0):
+            r = (x // det_d, y // det_d)
+            if width(r) <= bound:
+                rows.append(r)
+    pairs = [
+        (r1, r2)
+        for r1, r2 in itertools.product(rows, repeat=2)
+        if abs(r1[0] * r2[1] - r1[1] * r2[0]) == 1
+    ]
+    least = min(width(r1) + width(r2) for r1, r2 in pairs)
+    images = set()
+    for r1, r2 in pairs:
+        if width(r1) + width(r2) == least:
+            image = [(r1[0] * x + r1[1] * y, r2[0] * x + r2[1] * y) for x, y in vertices]
+            tx, ty = max(image)
+            images.add(tuple(sorted((x - tx + k - 1, y - ty) for x, y in image)))
+    return sorted(images, reverse=True)
 
 
 def vanishing_matrix(problem):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import find_gl2z, flagship_curve, shoelace
+from helpers import WPS_12_13_17_TRIANGLE, find_gl2z, flagship_curve, shoelace
 
 from coxkit.blowup import (
     InterpolationProblem,
@@ -20,7 +20,6 @@ from coxkit.blowup import (
     LM10_V1,
     LM10_V2,
     LM10_V3,
-    WPS_12_13_17_TRIANGLE,
     blowup_certificate,
     derivative_functionals,
     h0,
@@ -251,6 +250,18 @@ def test_exact_h0_flagship_finishes(capsys):
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["h0"] == {"order": "52", "dimension": "1", "mode": "exact"}
+
+
+def test_criterion_5e_refusal_below_the_curve_order(capsys):
+    """At k = 26 the curve order 102 has 5253 functionals for 1348 points;
+    h0 = 0 is proved from order 52 instead.  Eliminating order 102 took
+    0.82-0.94 s on 2 cores.  The first run, which may load numpy, is not
+    timed."""
+    argv = ["blowup-analyze", "--weights", "12,13,17", "--k", "26"]
+    assert main(argv) == 2
+    with Budget("5e blowup-analyze --k 26 refuses", 0.4):
+        assert main(argv) == 2
+    assert "h0 at order w = 102 is 0" in capsys.readouterr().err
 
 
 def test_criterion_6_nef_not_semiample_certificate():

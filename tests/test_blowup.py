@@ -1,4 +1,3 @@
-import functools
 import random
 import time
 from fractions import Fraction
@@ -6,15 +5,20 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    WPS_12_13_17_TRIANGLE,
     LaurentPoly,
     certified_nullity_by_objects,
     falling,
     flagship_curve,
+    least_width_images_by_search,
+    order_at_e_oracle,
     rational_kernel_basis,
     shoelace,
     vanishing_matrix,
+    wps_polygon,
 )
 
+from coxkit import blowup, linalg
 from coxkit.blowup import (
     FORCED_VERTEX_COLUMN_CAP,
     BadRange,
@@ -29,13 +33,16 @@ from coxkit.blowup import (
     NotSurjective,
     PreconditionFailed,
     VanishingOperator,
-    WPS_12_13_17_TRIANGLE,
     ZeroPolynomial,
+    _nef_not_semiample_failure,
+    _point_count,
     blowup_certificate,
     derivative_functionals,
     falling_factorial,
+    find_curve,
     forced_vertex_coefficient,
     h0,
+    least_width_images,
     lm_projection,
     lm_rays,
     mukai_predicate,
@@ -117,7 +124,17 @@ def test_vanishing_matrix_mod_is_exact_matrix_reduced():
 
 
 def test_h0_no_conditions_is_point_count():
-    assert h0(InterpolationProblem(TRIANGLE, 1, 0)) == 1348
+    """h0 with no conditions lists the points; `_point_count`, which bounds
+    the matrix first, counts them by Pick's theorem or, for a rational
+    polygon, per column, on the triangle and seeded polygons dilated 1-3."""
+    assert h0(InterpolationProblem(TRIANGLE, 1, 0)) == 1348 == _point_count(TRIANGLE)
+    rng = random.Random(16)
+    for _ in range(60):
+        pts = [(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))), rng.randint(-4, 4))
+               for _ in range(rng.randint(3, 5))]
+        hull, m = convex_hull_2d(pts), rng.randint(1, 3)
+        if hull.dim() == 2:
+            assert _point_count(hull, m) == len(lattice_points(hull, m)), (pts, m)
 
 
 def test_h0_flagship_order52():
@@ -233,20 +250,6 @@ def test_order_multiplicative_random():
     for _ in range(50):
         f, g = random_poly(), random_poly()
         assert order_at_e(f * g) == order_at_e(f) + order_at_e(g)
-
-
-def order_at_e_oracle(f):
-    """The Fraction loop order_at_e used to be: each functional summed over
-    the terms with exact falling factorials, by increasing total order."""
-    if f.is_zero():
-        raise ZeroPolynomial("order of the zero polynomial is undefined")
-    ff = functools.cache(falling)
-    total = 0
-    while True:
-        for i in range(total + 1):
-            if sum(c * (ff(a, i) * ff(b, total - i)) for (a, b), c in f.terms):
-                return total
-        total += 1
 
 
 def test_order_integer_tables_match_fraction_oracle():
@@ -391,6 +394,85 @@ def test_forced_vertex_kernel_row_identity():
     indicator = [value if p == vertex else 0 for p in pts]
     assert row == indicator
     assert (49, 1) in prob.functionals()
+
+
+# ------------------------------------------------------- least-width images
+
+
+def test_least_width_images_match_search():
+    """`least_width_images` equals the search without reduction on the raw
+    P(12,13,17) triangle, the unit square, a diamond whose second minimum
+    is reached in 11 directions, and 150 seeded lattice polygons with 3-6
+    vertices in [-4, 4]^2, many of them with ties (up to 32 images)."""
+    rng = random.Random(16)
+    polygons = [
+        [(0, 0), (221, -39), (0, 12)],
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        [(0, 0), (0, 10), (1, 5), (-1, 5)],
+    ]
+    while len(polygons) < 153:
+        pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 6))]
+        if convex_hull_2d(pts).dim() == 2:
+            polygons.append(pts)
+    counts = set()
+    for pts in polygons:
+        hull = convex_hull_2d(pts)
+        vertices = [(int(x), int(y)) for x, y in hull.vertices]
+        k = rng.randint(-3, 60)
+        got = least_width_images(hull, k)
+        assert got == least_width_images_by_search(vertices, k), vertices
+        counts.add(len(got))
+    assert {1, 4, 8, 16, 32} <= counts
+    raw = least_width_images(wps_polygon(12, 13, 17), 51)
+    assert raw == least_width_images(TRIANGLE, 51)
+    assert raw[1] == tuple(sorted(WPS_12_13_17_TRIANGLE)) and len(raw) == 8
+
+
+def test_find_curve_refuses_below_the_curve_order(monkeypatch):
+    """At k = 26 the curve order w = 102 has 5253 functionals for the 1348
+    lattice points.  h0 is proved at order 52, the least whose 1378
+    functionals reach the point count; its one kernel vector, the order-52
+    curve, takes nonzero values at orders 52..101 (3875 functionals), so h0
+    at 102 is 0 and the 5253 x 1348 matrix is never eliminated.  At k = 51
+    the order is 52 itself and one matrix is eliminated, as before."""
+    shapes = []
+    real = linalg.int_rank_mod
+
+    def spy(op, p):
+        shapes.append(op.shape)
+        return real(op, p)
+
+    monkeypatch.setattr(linalg, "int_rank_mod", spy)
+    with pytest.raises(PreconditionFailed, match="h0 at order w = 102 is 0, not 1"):
+        find_curve(TRIANGLE, 26)
+    assert shapes == [(1378, 1348), (3875, 1)]
+    shapes.clear()
+    assert find_curve(TRIANGLE, 51)[0] == 52
+    assert shapes == [(1378, 1348)]
+    # 6 points: h0 = 2 at order 3, whose two kernel vectors leave one
+    # section at order 4, proved then; with the values of the kernel over
+    # the cap, order 4 is proved at once, with the same curve
+    small = [(-3, 1), (1, 1), (-2, 2)]
+    shapes.clear()
+    w, f, _ = find_curve(small, 1)
+    assert (w, shapes) == (4, [(6, 6), (4, 2), (10, 6)])
+    monkeypatch.setattr(blowup, "INTERPOLATION_ENTRY_CAP", 100)
+    shapes.clear()
+    assert find_curve(small, 1)[1] == f and shapes == [(6, 6), (10, 6)]
+
+
+def test_curve_order_identities_stated_once():
+    """`find_curve` refuses a k with the message the certificate's judge
+    gives for it: both take D.E > 0, D.C = 0 and C^2 < 0 from one helper."""
+    cert = blowup_certificate(
+        (12, 13, 17), WPS_12_13_17_TRIANGLE, (52, flagship_curve()), 51, m_max=1
+    )
+    for k, identity in ((0, "D.E"), (-51, "D.E"), (50, "D.C"), (52, "C^2"), (2652, "C^2")):
+        with pytest.raises(PreconditionFailed) as err:
+            find_curve(TRIANGLE, k)
+        assert identity in str(err.value)
+        payload = {**cert.payload, "k": k, "d_dot_e": k}
+        assert _nef_not_semiample_failure(payload) == str(err.value)
 
 
 # -------------------------------------------------------- blowup certificate

@@ -1,14 +1,18 @@
+import itertools
 import json
+import math
 import os
 import pathlib
 import random
+import time
 
 import pytest
+
+from helpers import WPS_12_13_17_TRIANGLE, order_at_e_oracle, wps_polygon
 
 from coxkit import blowup, linalg, polyhedra
 from coxkit.blowup import (
     LM10_POLYGON_COLUMNS,
-    WPS_12_13_17_TRIANGLE,
     blowup_certificate,
     derivative_functionals,
     find_curve,
@@ -86,8 +90,8 @@ def test_golden_mismatch_exits_3():
 def test_bad_input_exits_1():
     code, report, _ = run(["classgroup", "--fan", data("does_not_exist.json")])
     assert code == 1
-    code, report, _ = run(["blowup-analyze", "--weights", "2,3,5", "--k", "4"])
-    assert code == 1  # no built-in curve data for these weights
+    code, report, _ = run(["blowup-analyze", "--weights", "2,3", "--k", "4"])
+    assert code == 1  # a polygon needs three weights
 
 
 def test_precondition_exits_2():
@@ -589,6 +593,95 @@ def test_found_curve(tmp_path):
     for k in ("6", "7", "8"):
         code, report, _ = run(["blowup-analyze", "--polygon", str(delta), "--k", k])
         assert code == 2, report
+
+
+def test_flagship_images_verify_alike(tmp_path):
+    """The raw triangle of the weights (12, 13, 17) and seeded
+    GL2(Z) images of the flagship triangle, each translated, given through
+    --polygon, all verify at w = 52 with the golden's result, byte for
+    byte: every polygon is moved to the same least-width image first.  The
+    raw triangle exited 2 when the forced vertex was found in the given
+    coordinates."""
+    golden = (GOLDENS / "blowup_12_13_17.json").read_text()
+    rng = random.Random(16)
+    polygons = [[(0, 0), (221, -39), (0, 12)]]
+    while len(polygons) < 5:
+        a, b, c, d = rng.choice([(1, 0, 0, 1), (0, 1, 1, 0)])
+        for _ in range(4):
+            t = rng.randint(-3, 3)
+            if rng.random() < 0.5:
+                a, b = a + t * c, b + t * d
+            else:
+                c, d = c + t * a, d + t * b
+        tx, ty = rng.randint(-99, 99), rng.randint(-99, 99)
+        polygons.append(
+            [(a * x + b * y + tx, c * x + d * y + ty) for x, y in WPS_12_13_17_TRIANGLE]
+        )
+    for i, vertices in enumerate(polygons):
+        path = tmp_path / f"image{i}.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, report, _ = run(["blowup-analyze", "--weights", "12,13,17", "--k", "51",
+                               "--m-max", "5", "--polygon", str(path)])
+        assert code == 0, (vertices, report)
+        assert canonical_json(report["result"]) == golden, vertices
+
+
+def test_weight_triples_verify_or_refuse():
+    """`blowup-analyze --weights` alone, on seeded pairwise-coprime triples
+    at a seeded k with k | abc and k < H^2/k <= the least width, and on
+    (12, 13, 17) at k = 51, exits 0 with a verified certificate or 2, never
+    with a traceback.  Each curve that `find_curve` finds on the same
+    polygon lies on it with the stated order by the falling-factorial
+    oracle, and each certificate verifies."""
+    rng = random.Random(16)
+    cases = [((12, 13, 17), 51)]
+    while len(cases) < 12:
+        weights = tuple(sorted(rng.randint(1, 15) for _ in range(3)))
+        if any(math.gcd(x, y) > 1 for x, y in itertools.combinations(weights, 2)):
+            continue
+        h2 = math.prod(weights)
+        vertices = blowup.least_width_images(wps_polygon(*weights), 1)[0]
+        least = sum(max(v[i] for v in vertices) - min(v[i] for v in vertices) for i in (0, 1))
+        ks = [k for k in range(1, h2 + 1) if h2 % k == 0 and k < h2 // k <= least]
+        if ks:
+            cases.append((weights, rng.choice(ks)))
+    found = verified = 0
+    for weights, k in cases:
+        code, report, _ = run(["blowup-analyze", "--weights", ",".join(map(str, weights)),
+                               "--k", str(k), "--m-max", "2"])
+        assert code in (0, 2), (weights, k, report)
+        poly = polyhedra.polytope_from_points(
+            blowup.least_width_images(wps_polygon(*weights), k)[0]
+        )
+        try:
+            w, f, _ = find_curve(poly, k)
+            found += 1
+            assert order_at_e_oracle(f) == w and all(map(poly.contains, f.support()))
+            cert = blowup_certificate(weights, poly, (w, f), k, m_max=2)
+        except PreconditionError as exc:
+            assert code == 2 and report["error"] == str(exc), (weights, k)
+            continue
+        assert code == 0 and report["result"]["verified"] is True and cert.verify()
+        verified += 1
+    assert found >= 5 and verified == 1, (found, verified)
+
+
+def test_large_triples_refused_at_caps():
+    """P(40, 41, 43) at k = 164 asks for a curve of order 430 on a polygon
+    of 35,323 lattice points: the first proof it needs, at order 266, is
+    refused at INTERPOLATION_ENTRY_CAP before any point is listed.  So is
+    P(2^10, 3^10, 5^10) at k = 10^7, whose least-width triangle is 12.5
+    million columns wide: its points are counted from its area.  The
+    polygon of P(1, 1, 10^6) has widths 1 and 10^6 in its reduced basis,
+    and would have about 4 * 10^6 least-width images: it is refused at
+    WIDTH_RATIO_CAP before any is listed."""
+    for weights, k, cap in (("40,41,43", "164", "INTERPOLATION_ENTRY_CAP"),
+                            ("1024,59049,9765625", "10000000", "INTERPOLATION_ENTRY_CAP"),
+                            ("1,1,1000000", "1000", "WIDTH_RATIO_CAP")):
+        start = time.perf_counter()
+        code, report, _ = run(["blowup-analyze", "--weights", weights, "--k", k])
+        assert code == 2 and cap in report["error"], report
+        assert time.perf_counter() - start < 2
 
 
 BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "1",
