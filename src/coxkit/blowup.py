@@ -239,19 +239,19 @@ def _point_count(polygon, dilation=1):
     return int(2 * q.area() + boundary) // 2 + 1
 
 
-def h0(problem: InterpolationProblem, mode="modular", primes=None, *, proof=False):
+def h0(problem: InterpolationProblem, mode="modular", *, proof=False):
     """Dimension of the space of Laurent polynomials supported on the
     dilated polygon vanishing to the given order at (1, 1): the nullity of
     the vanishing matrix, proved by `certified_nullity`.
 
     Past INTERPOLATION_ENTRY_CAP entries (`_point_count`) it raises
     PreconditionError.  One GF(p) elimination of `vanishing_matrix_mod` (the
-    first prime of `modular_primes(primes)`) gives the upper bound; kernel
+    first prime of `modular_primes()`) gives the upper bound; kernel
     vectors lifted from it and checked exactly against every functional (by
     `functional_values`) give the lower bound.  The exact matrix is never
-    built.  Both modes, "modular" and "exact", run this proof; the mode is
-    kept for compatibility.  With proof=True the `NullityProof` is returned
-    instead of the dimension.
+    built.  Both modes, "modular" and "exact", run this proof; the mode
+    stays only because the benchmark's `exact-rank` workload passes it.
+    With proof=True the `NullityProof` is returned instead of the dimension.
     """
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -260,7 +260,7 @@ def h0(problem: InterpolationProblem, mode="modular", primes=None, *, proof=Fals
     if size > INTERPOLATION_ENTRY_CAP:
         raise PreconditionError(f"{size} matrix entries, over INTERPOLATION_ENTRY_CAP")
     op = VanishingOperator(problem.points(), problem.functionals())
-    found = certified_nullity(op, primes)
+    found = certified_nullity(op)
     return found if proof else found.nullity
 
 
@@ -478,19 +478,11 @@ def _curve_order(h2, k):
     return h2 // k, None
 
 
-def _nef_not_semiample_failure(payload):
-    """The first failed identity of a nef-not-semiample payload, or None.
-
-    In order: `_curve_order` of H^2 and k, the stated w, D.C = 0 and
-    D.E = k, the negative-curve certificate (`_negative_curve_failure`,
-    stating the same H^2, w and C^2), one forced-vertex certificate for
-    each multiple m = 1..m_max, and for each the argument on m times the
-    polygon at order k m (`_forced_vertex_points`).  A missing certificate
-    (None) fails at its multiple.  A missing or mistyped field fails first.
-    """
-    malformed = _malformed("nef_not_semiample", payload)
-    if malformed:
-        return f"payload field {malformed!r} is missing or mistyped"
+def _curve_identities_failure(payload):
+    """The first failed identity that no image of the polygon changes, or
+    None.  In order: `_curve_order` of H^2 and k, the stated w, D.C = 0 and
+    D.E = k, and the negative-curve certificate (`_negative_curve_failure`,
+    stating the same H^2, w and C^2)."""
     h2, w, k = payload["h_self_intersection"], payload["curve_order"], payload["k"]
     order, failure = _curve_order(h2, k)
     stated = (w, payload["d_dot_c"], payload["d_dot_e"])
@@ -501,7 +493,21 @@ def _nef_not_semiample_failure(payload):
     keys = ("h_self_intersection", "curve_order", "curve_self_intersection")
     if failure or any(curve[key] != payload[key] for key in keys):
         return failure or "the negative-curve certificate states another curve"
-    forced = payload["forced_vertex_certificates"]
+    return None
+
+
+def _nef_not_semiample_failure(payload):
+    """The first failed identity of a nef-not-semiample payload, or None:
+    a missing or mistyped field, `_curve_identities_failure`, then for each
+    multiple m = 1..m_max a forced-vertex certificate (None fails) of the
+    argument on m times the polygon at order k m (`_forced_vertex_points`)."""
+    malformed = _malformed("nef_not_semiample", payload)
+    if malformed:
+        return f"payload field {malformed!r} is missing or mistyped"
+    failure = _curve_identities_failure(payload)
+    if failure:
+        return failure
+    k, forced = payload["k"], payload["forced_vertex_certificates"]
     if len(forced) != payload["m_max"]:
         return f"{len(forced)} forced-vertex certificates for m_max = {payload['m_max']}"
     for m, cert in enumerate(forced, 1):
@@ -613,7 +619,7 @@ def least_width_images(polygon, k):
     return sorted(images, reverse=True)
 
 
-def find_curve(polygon, k, primes=None):
+def find_curve(polygon, k):
     """The negative curve C with D.C = 0 for D = pullback(H) - k E, found
     from k alone.
 
@@ -628,7 +634,7 @@ def find_curve(polygon, k, primes=None):
     enough, give h0 at w, which is proved itself only if that is 1.  The
     first failed condition raises PreconditionFailed.  Returns (w, f,
     proof): f is the proof's one kernel vector on the lattice points and
-    proof its `NullityProof`, whose candidate primes are `primes`.
+    proof its `NullityProof`.
     """
     poly = _lattice_polygon(polygon)
     w, failure = _curve_order(int(2 * poly.area()), k)
@@ -645,7 +651,7 @@ def find_curve(polygon, k, primes=None):
     low += low * (low + 1) // 2 < points
     for order in sorted({min(low, w), w}):
         problem = InterpolationProblem(poly, 1, order)
-        proof = h0(problem, primes=primes, proof=True)
+        proof = h0(problem, proof=True)
         nullity = proof.nullity
         if nullity and order < w:
             # h0 at w is the nullity of the kernel's values at orders low..w-1,
@@ -656,7 +662,7 @@ def find_curve(polygon, k, primes=None):
             funcs = [f for f in derivative_functionals(w) if sum(f) >= low]
             op = VanishingOperator([p for p, _ in support], funcs)
             values = op.product([c for _, c in support])
-            nullity = certified_nullity(DenseOperator(values, nullity), primes).nullity
+            nullity = certified_nullity(DenseOperator(values, nullity)).nullity
         if nullity != 1:
             raise PreconditionFailed(
                 f"h0 at order w = {w} is {nullity}, not 1: no irreducible "
@@ -674,15 +680,16 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
     polygon whose vanishing order at (1,1) is w, exhibiting an
     irreducible curve of class (1/w) * pullback - exceptional.  What the
     payload cannot carry is checked here: a lattice polygon, f nonzero,
-    supported on it and of order w >= 1, and the P(weights) fan.  A payload
-    is built on each of `least_width_images(polygon, k)`, where f moved by
-    the same map keeps its order, until one passes the judge of
-    `Certificate.verify`, `_nef_not_semiample_failure`: at multiple m the
-    functional (k m - 2, 1) must single out the least vertex of m times the
-    image moved by (m - 1, 0).  If none passes, the first image's first
-    failed identity raises PreconditionFailed.  The statement for all
-    multiples m is recorded as an external conclusion, certified here for
-    m <= m_max.
+    supported on it and of order w >= 1, and the P(weights) fan.  The
+    identities no image changes (`_curve_identities_failure`) are judged
+    before any forced vertex is built.  Then a payload is built on each of
+    `least_width_images(polygon, k)`, where f moved by the same map keeps
+    its order, until one passes `_nef_not_semiample_failure`, the judge of
+    `Certificate.verify`: at multiple m the functional (k m - 2, 1) must
+    single out the least vertex of m times the image moved by (m - 1, 0).
+    Each failure raises PreconditionFailed, that of the first image if
+    none passes.  The statement for all multiples m is recorded as an
+    external conclusion, certified here for m <= m_max.
     """
     poly = _lattice_polygon(polygon)
     w, f = curve
@@ -717,6 +724,20 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
             f"C^2 = H^2/w^2 - 1 = {c2} < 0",
         ),
     )
+    identities = {
+        "weights": tuple(weights) if weights is not None else None,
+        "curve_order": w,
+        "k": k,
+        "h_self_intersection": h2,
+        "curve_self_intersection": c2,
+        "d_dot_c": Fraction(h2, w) - k,
+        "d_dot_e": k,
+        "m_max": m_max,
+        "negative_curve": neg,
+    }
+    failure = _curve_identities_failure(identities)
+    if failure:
+        raise PreconditionFailed(failure)
     failures = []
     for verts in least_width_images(poly, k):
         (x, y), forced = min(verts), []
@@ -725,19 +746,8 @@ def blowup_certificate(weights, polygon, curve, k, m_max=5):
                 verts, m, k * m, (m * x + m - 1, m * y), (k * m - 2, 1), (m - 1, 0)))
             if forced[-1] is None:
                 break
-        payload = {
-            "weights": tuple(weights) if weights is not None else None,
-            "polygon": verts,
-            "curve_order": w,
-            "k": k,
-            "h_self_intersection": h2,
-            "curve_self_intersection": c2,
-            "d_dot_c": Fraction(h2, w) - k,
-            "d_dot_e": k,
-            "m_max": m_max,
-            "negative_curve": neg,
-            "forced_vertex_certificates": tuple(forced + [None] * (m_max - len(forced))),
-        }
+        payload = dict(identities, polygon=verts, forced_vertex_certificates=tuple(
+            forced + [None] * (m_max - len(forced))))
         failures.append(_nef_not_semiample_failure(payload))
         if not failures[-1]:
             break

@@ -14,17 +14,13 @@ negative curve from `--k`: the curve's order is w = H^2/k, and its Laurent
 polynomial is the one kernel vector of a proved h0 at order w
 (`blowup.find_curve`).  `--h0-order` adds
 `h0_proof` to the report, beside the result: the prime, its rank and the
-bounds that prove h0; at `--h0-order` w it is the curve's own proof.  The
-environment variable COXKIT_PRIMES (comma-separated, at least 3 distinct
-primes in (2^20, 2^21)) overrides the candidate primes of both proofs,
-for testing only.
+bounds that prove h0; at `--h0-order` w it is the curve's own proof.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,16 +169,6 @@ def load_cone(path) -> ph.Cone:
     if gens is not None:
         return ph.dd_convert(generators=vecs, ambient_dim=dim)
     return ph.dd_convert(facets=vecs, ambient_dim=dim)
-
-
-def modular_primes_from_env():
-    raw = os.environ.get("COXKIT_PRIMES")
-    if not raw:
-        return None
-    try:
-        return [int(x) for x in raw.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad COXKIT_PRIMES {raw!r}") from exc
 
 
 # ----------------------------------------------------------------- results
@@ -381,8 +367,6 @@ def cmd_intersect_nef(args):
 
 def cmd_blowup_analyze(args):
     weights = parse_vector(args.weights) if args.weights else None
-    mode = "exact" if args.exact else "modular"
-    primes = modular_primes_from_env()
     if args.polygon:
         poly = load_polytope(args.polygon)
         extra = sorted(load_document(args.polygon).keys() - {"vertices"})
@@ -397,7 +381,7 @@ def cmd_blowup_analyze(args):
     else:
         raise InputError("blowup-analyze needs --polygon or three --weights")
     poly = ph.polytope_from_points(bw.least_width_images(poly, args.k)[0])
-    w, f, proof = bw.find_curve(poly, args.k, primes)
+    w, f, proof = bw.find_curve(poly, args.k)
     cert = bw.blowup_certificate(weights, poly, (w, f), args.k, m_max=args.m_max)
     result = {
         "certificate": certificate_doc(cert),
@@ -408,12 +392,8 @@ def cmd_blowup_analyze(args):
     if args.h0_order is not None:
         if args.h0_order != w:
             prob = bw.InterpolationProblem(poly, 1, args.h0_order)
-            proof = bw.h0(prob, mode, primes=primes, proof=True)
-        result["h0"] = {
-            "order": args.h0_order,
-            "dimension": proof.nullity,
-            "mode": mode,
-        }
+            proof = bw.h0(prob, proof=True)
+        result["h0"] = {"order": args.h0_order, "dimension": proof.nullity}
         beside["h0_proof"] = proof.report()
     summary = (
         f"nef-not-semiample certificate verified: C^2 = "
@@ -594,9 +574,6 @@ def build_parser():
     p.add_argument("--m-max", type=int, default=5)
     p.add_argument("--polygon", help="JSON with the vertices of a lattice polygon")
     p.add_argument("--h0-order", type=int, help="also compute h0 at this order")
-    p.add_argument(
-        "--exact", action="store_true", help="kept for compatibility; h0 is always proved"
-    )
     p.set_defaults(func=cmd_blowup_analyze)
 
     p = add_parser("mukai", help="finite generation inequality for point blow-ups")

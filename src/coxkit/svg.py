@@ -106,7 +106,7 @@ def svg_chambers(spec: GradingSpec, chambers) -> str:
     return "\n".join(out) + "\n"
 
 
-def svg_polygon(poly: Polytope, highlight_sets=(), show_lattice=True) -> str:
+def svg_polygon(poly: Polytope, highlight_sets=()) -> str:
     """A planar polygon with its lattice points and highlighted subsets.
 
     highlight_sets: list of point lists; each set is drawn as circled dots
@@ -137,12 +137,9 @@ def svg_polygon(poly: Polytope, highlight_sets=(), show_lattice=True) -> str:
         f'<polygon points="{path}" fill="#eef2f8" stroke="#203050" '
         f'stroke-width="1.5"/>'
     )
-    if show_lattice:
-        for p in lattice_points(poly, 1):
-            x, y = to_canvas(p)
-            out.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.5" fill="#90a0b0"/>'
-            )
+    for p in lattice_points(poly, 1):
+        x, y = to_canvas(p)
+        out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.5" fill="#90a0b0"/>')
     for i, hs in enumerate(highlight_sets):
         color = POINT_COLORS[i % len(POINT_COLORS)]
         for p in sorted(tuple(Fraction(x) for x in q) for q in hs):

@@ -6,13 +6,14 @@ the captured output) and asserts the stated runtime budget.
 
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import WPS_12_13_17_TRIANGLE, find_gl2z, flagship_curve, shoelace
+from helpers import WPS_12_13_17_TRIANGLE, find_gl2z, flagship_curve, int_rank, shoelace
 
 from coxkit.blowup import (
     InterpolationProblem,
@@ -203,8 +204,6 @@ def test_criterion_5_interpolation_flagship():
         count = h0(InterpolationProblem(tri, 1, 0))
         assert count == 1348
         area = shoelace(tri.vertices)
-        import math
-
         b = sum(
             math.gcd(
                 abs(int(tri.vertices[i][0]) - int(tri.vertices[(i + 1) % 3][0])),
@@ -224,32 +223,28 @@ def test_criterion_5_interpolation_flagship():
         for func in prob.functionals():
             assert sum(c * vanishing_entry(func, p) for (p, c) in f.terms) == 0
 
-    with Budget("5c exact vs modular on a random 200x200 submatrix", 60.0):
+    with Budget("5c proof vs Bareiss on a random 200x200 submatrix", 60.0):
+        # the oracle shares no code with the proof: plain-int Bareiss on the
+        # rows, each divided by its gcd to keep the entries small
         rng = random.Random(20260810)
         funcs = derivative_functionals(52)
         pts = InterpolationProblem(tri, 1, 52).points()
         rsel = rng.sample(range(len(funcs)), 200)
         csel = rng.sample(range(len(pts)), 200)
-        sub = RatMatrix(
-            [
-                [vanishing_entry(funcs[r], pts[c]) for c in csel]
-                for r in rsel
-            ]
-        )
-        exact = kernel_dimension(sub, "exact")
-        modular = kernel_dimension(sub, "modular")
-        assert exact == modular
+        rows = [[vanishing_entry(funcs[r], pts[c]) for c in csel] for r in rsel]
+        primitive = [[x // (math.gcd(*row) or 1) for x in row] for row in rows]
+        assert kernel_dimension(RatMatrix(rows), "modular") == 200 - int_rank(primitive)
 
 
 def test_exact_h0_flagship_finishes(capsys):
-    """`--exact` runs the same proof as the modular mode instead of an
-    uncapped Bareiss elimination of the order-52 matrix."""
-    with Budget("5d blowup-analyze --exact at order 52", 30.0):
+    """The proved h0 at order 52 finishes: no uncapped Bareiss elimination
+    of the order-52 matrix runs."""
+    with Budget("5d blowup-analyze at order 52", 30.0):
         argv = ["blowup-analyze", "--weights", "12,13,17", "--k", "51",
-                "--h0-order", "52", "--exact", "--json"]
+                "--h0-order", "52", "--json"]
         assert main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["result"]["h0"] == {"order": "52", "dimension": "1", "mode": "exact"}
+        assert report["result"]["h0"] == {"order": "52", "dimension": "1"}
 
 
 def test_criterion_5e_refusal_below_the_curve_order(capsys):

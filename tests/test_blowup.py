@@ -492,12 +492,19 @@ def test_blowup_certificate_flagship():
     assert cert.verify()
 
 
-def test_blowup_certificate_wrong_k():
+def test_blowup_certificate_wrong_k(monkeypatch):
+    """A failed identity that no image changes is raised before any forced
+    vertex is built."""
+    calls = []
+    real = blowup.forced_vertex_coefficient
+    monkeypatch.setattr(blowup, "forced_vertex_coefficient",
+                        lambda *args: calls.append(args) or real(*args))
     with pytest.raises(PreconditionFailed) as err:
         blowup_certificate(
             (12, 13, 17), WPS_12_13_17_TRIANGLE, (52, flagship_curve()), 50
         )
-    assert "D.C" in str(err.value)
+    assert str(err.value) == "D.C = 0 needs w = H^2/k, but k = 50 does not divide H^2 = 2652"
+    assert calls == []
     # a polynomial that does not vanish at (1,1) has order 0: no curve class
     with pytest.raises(PreconditionFailed) as err:
         blowup_certificate(None, WPS_12_13_17_TRIANGLE, (0, LaurentPoly.monomial(11, -26)), 51)

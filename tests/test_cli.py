@@ -453,8 +453,7 @@ def test_main_reads_abbreviated_flags(tmp_path, capsys):
     assert capsys.readouterr().out == "polygon plot with 4 vertices\n"
 
 
-def test_coxkit_primes_env(monkeypatch):
-    monkeypatch.setenv("COXKIT_PRIMES", "1048609,1048613,1048633")
+def test_blowup_h0_at_order_one():
     code, report, _ = run(
         [
             "blowup-analyze",
@@ -469,7 +468,7 @@ def test_coxkit_primes_env(monkeypatch):
         ]
     )
     assert code == 0
-    assert report["result"]["h0"] == {"order": 1, "dimension": 1347, "mode": "modular"}
+    assert report["result"]["h0"] == {"order": 1, "dimension": 1347}
 
 
 def test_blowup_h0_proof_beside_result(capsys):
@@ -479,7 +478,7 @@ def test_blowup_h0_proof_beside_result(capsys):
             "--h0-order", "52", "--json"]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["result"]["h0"] == {"order": "52", "dimension": "1", "mode": "modular"}
+    assert report["result"]["h0"] == {"order": "52", "dimension": "1"}
     proof = report["h0_proof"]
     assert proof["upper_bound"] == proof["lower_bound"] == proof["kernel_vectors"] == "1"
     assert proof["prime"] == "1048583" and proof["rank_mod_p"] == "1347"
@@ -684,9 +683,6 @@ def test_large_triples_refused_at_caps():
         assert time.perf_counter() - start < 2
 
 
-BLOWUP_H0 = ["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "1",
-             "--h0-order", "1"]
-
 TRIANGLE = [[0, 0], [1, 0], [0, 1]]
 # Malformed documents, written to files named after their keys; an argument
 # equal to a key is replaced by the path of its file.
@@ -703,49 +699,41 @@ MALFORMED_DOCUMENTS = {
 
 
 @pytest.mark.parametrize(
-    "argv, primes, code",
+    "argv, code",
     [
         (["veronese", "--degree-matrix", "1,x", "--target-cone",
-          data("cone_positive_ray.json")], None, 1),
+          data("cone_positive_ray.json")], 1),
         (["veronese", "--degree-matrix", "1,1;2", "--target-cone",
-          data("cone_positive_ray.json")], None, 1),
-        (["plot", "--polygon", data("polytope_square.json"), "--points", "1,a"],
-         None, 1),
-        (["blowup-analyze", "--polygon", "TWO_FIELD_CURVE", "--k", "1"], None, 1),
-        (["blowup-analyze", "--polygon", "CURVE_TERMS_NUMBER", "--k", "1"], None, 1),
-        (["hilbert-basis", "--cone", "CONE_GENERATORS_NUMBER"], None, 1),
-        (["hilbert-basis", "--cone", "LIST_DOCUMENT"], None, 1),
-        (["veronese", "--degree-matrix", "1,1", "--target-cone", "LIST_DOCUMENT"], None, 1),
-        (["lm-project", "--n", "10", "--matrix", "MATRIX_WITHOUT_V2"], None, 1),
-        (["lm-project", "--n", "10", "--matrix", "LIST_DOCUMENT"], None, 1),
-        (["plot", "--polygon", "ZERO_DENOMINATOR"], None, 1),
-        (["blowup-analyze", "--weights", "12,13,17", "--k", "0"], None, 2),
-        (["blowup-analyze", "--weights", "12,13,17", "--k", "-51"], None, 2),
-        (BLOWUP_H0, "1048583,abc,1048601", 1),
-        (BLOWUP_H0, "1048583,1048581,1048601", 2),  # 1048581 = 3 * 349527
+          data("cone_positive_ray.json")], 1),
+        (["plot", "--polygon", data("polytope_square.json"), "--points", "1,a"], 1),
+        (["blowup-analyze", "--polygon", "TWO_FIELD_CURVE", "--k", "1"], 1),
+        (["blowup-analyze", "--polygon", "CURVE_TERMS_NUMBER", "--k", "1"], 1),
+        (["hilbert-basis", "--cone", "CONE_GENERATORS_NUMBER"], 1),
+        (["hilbert-basis", "--cone", "LIST_DOCUMENT"], 1),
+        (["veronese", "--degree-matrix", "1,1", "--target-cone", "LIST_DOCUMENT"], 1),
+        (["lm-project", "--n", "10", "--matrix", "MATRIX_WITHOUT_V2"], 1),
+        (["lm-project", "--n", "10", "--matrix", "LIST_DOCUMENT"], 1),
+        (["plot", "--polygon", "ZERO_DENOMINATOR"], 1),
+        (["blowup-analyze", "--weights", "12,13,17", "--k", "0"], 2),
+        (["blowup-analyze", "--weights", "12,13,17", "--k", "-51"], 2),
         (["positivity", "--fan", data("fan_octahedron.json"), "--divisor",
-          "1,1,1,1,1,1,1,1"], None, 2),
+          "1,1,1,1,1,1,1,1"], 2),
         (["intersect-nef", "--fan", data("fan_p3.json"), "--d1", "0,0,0,1",
-          "--d2", "0,0,0,1"], None, 2),
+          "--d2", "0,0,0,1"], 2),
         (["intersect-nef", "--fan", data("fan_half_plane.json"), "--d1", "1,1,1",
-          "--d2", "1,1,1"], None, 2),
+          "--d2", "1,1,1"], 2),
     ],
     ids=["veronese-entry", "veronese-ragged", "plot-points", "curve-terms",
          "curve-terms-number", "cone-generators-number", "cone-list",
          "veronese-cone-list", "lm-matrix-missing-v2", "lm-matrix-list",
          "polytope-zero-denominator", "blowup-k-zero", "blowup-k-negative",
-         "primes-not-integers", "primes-composite", "positivity-not-simplicial",
-         "intersect-not-surface", "intersect-not-complete"],
+         "positivity-not-simplicial", "intersect-not-surface", "intersect-not-complete"],
 )
-def test_malformed_input_reports_error(
-    argv, primes, code, tmp_path, monkeypatch, capsys
-):
+def test_malformed_input_reports_error(argv, code, tmp_path, capsys):
     paths = {}
     for name, doc in MALFORMED_DOCUMENTS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    if primes is not None:
-        monkeypatch.setenv("COXKIT_PRIMES", primes)
     argv = [str(paths.get(arg, arg)) for arg in argv]
     assert main(argv) == code
     assert capsys.readouterr().err.startswith("error: ")

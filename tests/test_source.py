@@ -24,6 +24,24 @@ def test_no_assert_statements_in_library():
     assert not found, found
 
 
+def test_library_reads_no_environment():
+    """Every setting of the library is an argument or an option: no module
+    reads or writes the environment (`os.environ`, `os.getenv`, `os.putenv`)."""
+    names = {"environ", "getenv", "putenv"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os")
+            or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name in names for alias in node.names))
+        ]
+    assert not found, found
+
+
 def test_every_public_name_is_used_by_the_library():
     """A public top-level function or class of the library is named by
     library code outside its own definition, or exported: imported into
