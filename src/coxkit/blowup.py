@@ -640,7 +640,7 @@ def find_curve(polygon, k):
     w, failure = _curve_order(int(2 * poly.area()), k)
     if failure:
         raise PreconditionFailed(failure)
-    width = _width(poly.vertices)
+    width = _width([tuple(map(int, v)) for v in poly.vertices])
     if w > width:
         raise PreconditionFailed(
             f"no nonzero section has order w = {w} > {width}, the polygon's "

@@ -183,7 +183,11 @@ def enumerate_chambers(spec: GradingSpec):
         cells = nxt
     chambers = {}
     for cell in cells:
-        ch = mori_chamber(spec, cell.relative_interior_point())
+        # a cell's interior meets no wall: a found chamber holding p holds it
+        p = cell.relative_interior_point()
+        if any(c.cone.contains(p) for c in chambers.values()):
+            continue
+        ch = mori_chamber(spec, p)
         if ch.full_dimensional:
             chambers.setdefault(ch.cone.facets, ch)
     return [chambers[key] for key in sorted(chambers)]
@@ -218,8 +222,11 @@ def is_cox_grading(spec: GradingSpec) -> CoxGradingVerdict:
     Condition 1: every r-1 of the degrees generate the grading group
     (torsion included, via Smith-form subgroup equality).  Condition 2:
     the interiors of every two drop-one cones meet; equivalently each
-    pairwise intersection is full-dimensional.  Witnesses are 0-based
-    variable indices.
+    pairwise intersection is full-dimensional.  The intersection of all
+    drop-one cones (the moving cone) lies in each pairwise one, so when it
+    is full-dimensional every pair passes; only otherwise are the pairs
+    intersected one by one, to name the first that fails.  Witnesses are
+    0-based variable indices.
     """
     r = spec.r
     k = spec.free_rank
@@ -229,6 +236,8 @@ def is_cox_grading(spec: GradingSpec) -> CoxGradingVerdict:
     drop = [
         _subset_cone(spec, frozenset(range(r)) - {i}) for i in range(r)
     ]
+    if intersect(*drop).dim() == k:
+        return CoxGradingVerdict(True, None, None)
     for i in range(r):
         for j in range(i, r):
             if intersect(drop[i], drop[j]).dim() < k:

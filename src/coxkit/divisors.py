@@ -16,7 +16,6 @@ from .errors import PreconditionError
 from .fans import Fan, fan_predicates
 from .linalg import (
     IntMatrix,
-    det,
     dot,
     hermite_normal_form,
     int_inverse_unimodular,
@@ -204,6 +203,8 @@ def _witnesses(fan: Fan, divisor):
 
     delta = |det V_sigma|, M = delta * m_sigma by Cramer's rule, where
     <m_sigma, v_i> = -a_i on sigma, and slacks[j] = <M, v_j> + delta * a_j.
+    delta and the Cramer map come with the fan's predicates, built once per
+    fan, so M and the slacks are integer matrix-vector products.
     """
     a = _check_divisor(fan, divisor)
     preds = fan_predicates(fan)
@@ -211,15 +212,8 @@ def _witnesses(fan: Fan, divisor):
         raise NotComplete("positivity tests need a complete fan")
     if not preds.simplicial:
         raise NotSimplicial("positivity tests need a simplicial fan")
-    for idx in fan.max_cones:
-        rows = [fan.rays[i] for i in idx]
-        det_v = det(IntMatrix(rows))
-        delta = abs(det_v)
-        M = [
-            det(IntMatrix([v[:k] + (-a[i],) + v[k + 1:] for v, i in zip(rows, idx)]))
-            * (det_v // delta)
-            for k in range(fan.lattice_dim)
-        ]
+    for idx, (delta, C) in zip(fan.max_cones, preds.cramer):
+        M = [dot(row, [a[i] for i in idx]) for row in C]
         yield idx, delta, M, [dot(M, v) + delta * x for v, x in zip(fan.rays, a)]
 
 
@@ -251,10 +245,9 @@ def intersection_number_nef_surface(fan: Fan, d1, d2) -> Fraction:
     """
     if fan.lattice_dim != 2:
         raise NotSurface("intersection numbers implemented for surfaces only")
-    for d in (d1, d2):
-        if not positivity(fan, d).nef:
-            raise NotNef("intersection numbers require nef divisors")
     witnesses = list(_witnesses(fan, d1))
+    if not (all(s >= 0 for w in witnesses for s in w[3]) and positivity(fan, d2).nef):
+        raise NotNef("intersection numbers require nef divisors")
     total = Fraction(0)
     for j, coeff in enumerate(_check_divisor(fan, d2)):
         sigma, tau = [w for w in witnesses if j in w[0]]

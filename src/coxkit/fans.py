@@ -101,9 +101,23 @@ def _is_face_of(face: Cone, cone: Cone) -> bool:
     )
 
 
+def _separated(a: Cone, b: Cone) -> bool:
+    """Is there a facet normal f of `a` with f <= 0 on b, such that b has no
+    generator on f = 0 or the same ones there as a?  Then a and b meet in a
+    common face (Cox, Little and Schenck, Toric Varieties, Lemma 1.2.13)."""
+    for f in a.facets:
+        values = [dot(f, g) for g in b.generators]
+        if all(x <= 0 for x in values):
+            on_b = {g for g, x in zip(b.generators, values) if x == 0}
+            if not on_b or on_b == {g for g in a.generators if dot(f, g) == 0}:
+                return True
+    return False
+
+
 def _check_fan(fan: Fan):
     """Violations of the fan axioms, and the maximal cones as Cone objects
-    (complete only when there are no violations)."""
+    (complete only when there are no violations).  Only pairs of maximal
+    cones that are not `_separated` are intersected."""
     v = []
     seen = set()
     for i, r in enumerate(fan.rays):
@@ -146,6 +160,8 @@ def _check_fan(fan: Fan):
         if set(fan.max_cones[ci]) == set(fan.max_cones[cj]):
             v.append(f"max cones {ci} and {cj} coincide")
             continue
+        if _separated(cone_i, cone_j) or _separated(cone_j, cone_i):
+            continue
         inter = intersect(cone_i, cone_j)
         if not _is_face_of(inter, cone_i) or not _is_face_of(inter, cone_j):
             v.append(
@@ -165,6 +181,21 @@ class FanPredicates:
     complete: bool
     simplicial: bool
     smooth: bool
+    # complete simplicial fans only: (|det V|, C) per maximal cone (`_cramer_map`)
+    cramer: tuple = field(default=(), compare=False, repr=False)
+
+
+def _cramer_map(rows):
+    """(|det V|, C) for the square matrix V with these rows: C[k][i] is
+    -sign(det V) det V with column k replaced by e_i, so that C b = |det V| m
+    for the solution m of V m = -b (Cramer's rule)."""
+    det_v = det(IntMatrix(rows))
+    sign = 1 if det_v > 0 else -1
+    return abs(det_v), tuple(
+        tuple(-sign * det(IntMatrix([v[:k] + (int(j == i),) + v[k + 1:] for j, v in enumerate(rows)]))
+              for i in range(len(rows)))
+        for k in range(len(rows))
+    )
 
 
 @lru_cache(maxsize=1024)
@@ -174,7 +205,9 @@ def fan_predicates(fan: Fan) -> FanPredicates:
     The maximal cones built by validation are reused.  Cached per fan
     (fans are frozen and hashable); an invalid fan raises InvalidFan,
     whose message starts with "invalid fan: ", on every call, since
-    exceptions are never cached.
+    exceptions are never cached.  A complete simplicial fan also gets the
+    Cramer maps of its maximal cones, once for the positivity witnesses of
+    every divisor (`divisors._witnesses`); equality ignores them.
     """
     violations, cones = _check_fan(fan)
     if violations:
@@ -211,7 +244,10 @@ def fan_predicates(fan: Fan) -> FanPredicates:
                     break
             if not complete:
                 break
-    return FanPredicates(complete=complete, simplicial=simplicial, smooth=smooth)
+    cramer = ()
+    if complete and simplicial:
+        cramer = tuple(_cramer_map([fan.rays[i] for i in idx]) for idx in fan.max_cones)
+    return FanPredicates(complete, simplicial, smooth, cramer)
 
 
 def normal_fan(poly: Polytope) -> Fan:

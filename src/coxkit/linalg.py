@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,7 +78,7 @@ def primitive(v):
 
 
 def dot(u, v):
-    return sum(int(a) * int(b) for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 class IntMatrix:

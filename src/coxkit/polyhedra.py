@@ -4,10 +4,12 @@ Cones carry both a generator and a facet (inward normal) representation,
 kept consistent by exact double-description conversion: an incremental
 double description over Z (Motzkin et al. 1953) that decides adjacency of
 rays combinatorially from their zero sets (Fukuda and Prodon 1996).  A
-cone with lineality takes one Smith normal form more, which lifts the rays
-of that one conversion to canonical representatives of the rays of the
-pointed quotient.  Polytopes are vertex lists with exact rational
-coordinates; facet representations are derived through the cone over the
+pointed full-dimensional cone takes that one conversion: its irredundant
+inputs are read off their zero sets on the output.  Any other cone
+converts the output back as well, and one with lineality takes one Smith
+normal form more, which lifts the rays to canonical representatives of
+the rays of the pointed quotient.  Polytopes are vertex lists with exact
+rational coordinates; facet representations are derived through the cone over the
 polytope; lattice points are enumerated column by column, with integer
 bounds from those facets, so they can be counted without being listed.
 Hilbert bases are computed in integers by triangulating a pointed cone,
@@ -249,12 +251,30 @@ class Cone:
         )
 
 
+def _irredundant(inputs, rays):
+    """The sorted distinct inputs, less those whose zero set on `rays`
+    another input's zero set strictly contains, or None when an input
+    vanishes on every ray.  `rays` is the output of converting `inputs`,
+    with no lineality; when no input vanishes on all of it, the input cone
+    is pointed, each zero set cuts out the smallest face holding its input,
+    and the inputs kept are exactly the extreme ones."""
+    zero = {v: frozenset(i for i, r in enumerate(rays) if dot(v, r) == 0) for v in inputs}
+    sets = set(zero.values())
+    if any(len(z) == len(rays) for z in sets):
+        return None
+    return sorted(v for v, z in zero.items() if not any(z < y for y in sets))
+
+
 def dd_convert(generators=None, facets=None, ambient_dim=None):
     """Build a Cone from generators or from facet normals.
 
     Exactly one of `generators`/`facets` must be given.  Input vectors
     must be nonzero; an empty facet list describes the whole space, while
     an empty generator list is rejected.
+
+    A pointed full-dimensional cone takes one double description and
+    `_irredundant`; only one with lineality or of lower dimension takes a
+    second, of the output, for the canonical lift of its rays.
     """
     if (generators is None) == (facets is None):
         raise ValueError("exactly one of generators or facets required")
@@ -270,7 +290,9 @@ def dd_convert(generators=None, facets=None, ambient_dim=None):
             raise DimensionMismatch("generator dimension mismatch")
         frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
         facet_list = _with_lineality(frays, flin)
-        grays, glin = _extreme_rays_of_halfspaces(facet_list, ambient_dim)
+        grays, glin = None if flin else _irredundant(gens, frays), []
+        if grays is None:
+            grays, glin = _extreme_rays_of_halfspaces(facet_list, ambient_dim)
         gens = _with_lineality(grays, glin)
     else:
         fac = [primitive(f) for f in facets]
@@ -282,7 +304,9 @@ def dd_convert(generators=None, facets=None, ambient_dim=None):
         gens = _with_lineality(grays, glin)
         if not gens:
             return zero_cone(ambient_dim)
-        frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
+        frays, flin = None if glin else _irredundant(fac, grays), []
+        if frays is None:
+            frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
         facet_list = _with_lineality(frays, flin)
     # flin spans the orthogonal complement of the cone's span
     return Cone(ambient_dim, gens, facet_list, len(glin), ambient_dim - len(flin))

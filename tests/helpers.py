@@ -32,10 +32,16 @@ from coxkit.linalg import (
     smith_normal_form,
 )
 from coxkit.polyhedra import (
+    Cone,
+    DimensionMismatch,
+    EmptyInput,
     _double_description,
+    _extreme_rays_of_halfspaces,
     _triangulate_pointed,
+    _with_lineality,
     dd_convert,
     intersect,
+    zero_cone,
 )
 
 
@@ -606,3 +612,102 @@ def enumerate_chambers_by_pairwise_cuts(spec):
         if ch.full_dimensional:
             chambers.setdefault(ch.cone.facets, ch)
     return [chambers[key] for key in sorted(chambers)]
+
+
+def dd_convert_two_pass(generators=None, facets=None, ambient_dim=None):
+    """`polyhedra.dd_convert` with two conversions for every cone: the
+    input is converted, then the output is converted back, and the second
+    conversion drops the redundant inputs."""
+    if generators is not None:
+        if len(generators) == 0:
+            raise EmptyInput("no generators given")
+        gens = [primitive(g) for g in generators]
+        if any(not any(g) for g in gens):
+            raise EmptyInput("zero vector among generators")
+        if any(len(g) != ambient_dim for g in gens):
+            raise DimensionMismatch("generator dimension mismatch")
+        frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
+        facet_list = _with_lineality(frays, flin)
+        grays, glin = _extreme_rays_of_halfspaces(facet_list, ambient_dim)
+        gens = _with_lineality(grays, glin)
+    else:
+        fac = [primitive(f) for f in facets]
+        if any(not any(f) for f in fac):
+            raise EmptyInput("zero vector among facets")
+        if any(len(f) != ambient_dim for f in fac):
+            raise DimensionMismatch("facet dimension mismatch")
+        grays, glin = _extreme_rays_of_halfspaces(fac, ambient_dim)
+        gens = _with_lineality(grays, glin)
+        if not gens:
+            return zero_cone(ambient_dim)
+        frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
+        facet_list = _with_lineality(frays, flin)
+    return Cone(ambient_dim, gens, facet_list, len(glin), ambient_dim - len(flin))
+
+
+def check_fan_pairwise(fan):
+    """The violations of `fans._check_fan`, in its order and words, with
+    every pair of maximal cones intersected and tested face by face."""
+    v = []
+    seen = set()
+    for i, r in enumerate(fan.rays):
+        if not any(r):
+            v.append(f"ray {i} is zero")
+        elif math.gcd(*r) != 1:
+            v.append(f"ray {i} = {r} is not primitive")
+        if r in seen:
+            v.append(f"ray {i} = {r} is a duplicate")
+        seen.add(r)
+        if len(r) != fan.lattice_dim:
+            v.append(f"ray {i} has wrong dimension")
+    if v:
+        return v
+    used = set()
+    cones = []
+    for ci, idx in enumerate(fan.max_cones):
+        if any(i < 0 or i >= len(fan.rays) for i in idx):
+            v.append(f"max cone {ci} has an out-of-range ray index")
+            continue
+        used.update(idx)
+        gens = [fan.rays[i] for i in idx]
+        cone = dd_convert_two_pass(generators=gens, ambient_dim=fan.lattice_dim) if gens else zero_cone(fan.lattice_dim)
+        cones.append(cone)
+        if not cone.is_pointed():
+            v.append(f"max cone {ci} = {idx} is not strictly convex")
+        if set(cone.generators) != {fan.rays[i] for i in idx}:
+            v.append(f"max cone {ci} = {idx}: listed rays are not its extreme rays")
+    for i in sorted(set(range(len(fan.rays))) - used):
+        v.append(f"ray {i} is not used by any maximal cone")
+    if v:
+        return v
+    for (ci, cone_i), (cj, cone_j) in itertools.combinations(enumerate(cones), 2):
+        if set(fan.max_cones[ci]) == set(fan.max_cones[cj]):
+            v.append(f"max cones {ci} and {cj} coincide")
+            continue
+        facets = sorted(set(cone_i.facets) | set(cone_j.facets))
+        inter = dd_convert_two_pass(facets=facets, ambient_dim=fan.lattice_dim)
+        if not is_face_by_conversion(inter, cone_i) or not is_face_by_conversion(inter, cone_j):
+            v.append(f"intersection of max cones {ci} and {cj} is not a common face")
+    return v
+
+
+def witnesses_by_determinants(fan, divisor):
+    """`divisors._witnesses` with 1 + d Bareiss determinants per maximal
+    cone and divisor: delta = |det V_sigma| and M_k = sign(det V_sigma)
+    times det V_sigma with column k replaced by -a_sigma (Cramer's rule)."""
+    a = _check_divisor(fan, divisor)
+    preds = fan_predicates(fan)
+    if not preds.complete:
+        raise NotComplete("positivity tests need a complete fan")
+    if not preds.simplicial:
+        raise NotSimplicial("positivity tests need a simplicial fan")
+    for idx in fan.max_cones:
+        rows = [fan.rays[i] for i in idx]
+        det_v = det(IntMatrix(rows))
+        delta = abs(det_v)
+        M = [
+            det(IntMatrix([v[:k] + (-a[i],) + v[k + 1:] for v, i in zip(rows, idx)]))
+            * (det_v // delta)
+            for k in range(fan.lattice_dim)
+        ]
+        yield idx, delta, M, [dot(M, v) + delta * x for v, x in zip(fan.rays, a)]

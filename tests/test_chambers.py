@@ -7,6 +7,7 @@ import pytest
 
 from helpers import enumerate_chambers_by_pairwise_cuts
 
+from coxkit import chambers
 from coxkit.chambers import (
     Chamber,
     GradingSpec,
@@ -427,6 +428,24 @@ def test_enumerate_chambers_partition_2d():
         assert b1 == a2
 
 
+def test_enumerate_chambers_identifies_each_chamber_once(monkeypatch):
+    """A cell whose interior point lies in a chamber already found is not
+    identified again: on the ten degrees of acceptance criterion 4b,
+    mori_chamber runs once per chamber (287 times when every cell ran)."""
+    calls = []
+    real = chambers.mori_chamber
+
+    def counted(spec, w):
+        calls.append(w)
+        return real(spec, w)
+
+    monkeypatch.setattr(chambers, "mori_chamber", counted)
+    rng = random.Random(3)
+    degrees = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)]
+    assert len(enumerate_chambers(GradingSpec.from_columns(degrees))) == 145
+    assert len(calls) == 145
+
+
 def test_enumerate_chambers_rank_cap():
     spec = GradingSpec.from_columns([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(RankTooLarge):
@@ -453,6 +472,26 @@ def test_is_cox_second_matrix_witness():
     c1 = cone2((1, 1), (1, 1), (0, 1))
     c4 = cone2((1, 0), (1, 1), (1, 1))
     assert intersect(c1, c4).dim() == 1
+
+
+def test_is_cox_intersects_pairs_only_when_the_moving_cone_is_thin(monkeypatch):
+    """The paper's Cox grading passes condition 2 on one intersection, the
+    moving cone; its non-Cox grading still names the pair (0, 3), after
+    the moving cone and the pairs (0, 0) to (0, 3)."""
+    calls = []
+    real = chambers.intersect
+
+    def counted(*cones):
+        calls.append(len(cones))
+        return real(*cones)
+
+    monkeypatch.setattr(chambers, "intersect", counted)
+    assert is_cox_grading(FIRST_MATRIX(1)).is_cox
+    assert calls == [4]
+    calls.clear()
+    verdict = is_cox_grading(SECOND_MATRIX)
+    assert (verdict.failed_condition, verdict.witness) == (2, (0, 3))
+    assert calls == [4, 2, 2, 2, 2]
 
 
 def test_is_cox_pn():

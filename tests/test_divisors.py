@@ -8,9 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import find_gl2z, intersection_by_mixed_area, positivity_by_polytope
+from helpers import (
+    find_gl2z,
+    intersection_by_mixed_area,
+    positivity_by_polytope,
+    witnesses_by_determinants,
+)
 
 import coxkit
+from coxkit import divisors, fans
 from coxkit.divisors import (
     NotComplete,
     NotNef,
@@ -359,6 +365,79 @@ def test_positivity_and_intersection_match_polytope_oracle():
     assert disagreements == []
     assert seen["ample"] >= 40 and seen["not_bpf"] >= 10, seen
     assert seen["intersections"] >= 200, seen
+
+
+def _smooth_surface(rng, n):
+    """A smooth complete surface: P^2 blown up at n - 3 random fixed points."""
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    while len(rays) < n:
+        i = rng.randrange(len(rays))
+        j = (i + 1) % len(rays)
+        rays.insert(i + 1, (rays[i][0] + rays[j][0], rays[i][1] + rays[j][1]))
+    return Fan(2, tuple(rays), tuple(tuple(sorted((i, (i + 1) % n))) for i in range(n)))
+
+
+def test_witnesses_match_per_divisor_determinants(monkeypatch):
+    """The per-fan Cramer maps give the witnesses, the positivity records
+    and the intersection numbers that 1 + d determinants per maximal cone
+    and divisor give, on smooth and singular surfaces, P(w) and P^3."""
+    rng = random.Random(1821)
+    fan_list = [_smooth_surface(rng, n) for n in (3, 5, 8, 12)]
+    fan_list += [_random_complete_surface(rng) for _ in range(12)]
+    fan_list += [_random_weighted_projective(rng, n) for n in (2, 2, 2, 3, 3)]
+    fan_list += [weighted_projective_fan(12, 13, 17), projective_space_fan(3)]
+    seen = {"singular": 0, "nef": 0, "pairs": 0}
+    for fan in fan_list:
+        divs = [[rng.randint(-2, 5) for _ in fan.rays] for _ in range(10)]
+        got = [positivity(fan, a) for a in divs]
+        for a in divs:
+            assert list(divisors._witnesses(fan, a)) == list(witnesses_by_determinants(fan, a))
+        nef = [a for a, rec in zip(divs, got) if rec.nef and fan.lattice_dim == 2]
+        pairs = list(itertools.combinations_with_replacement(nef, 2))
+        numbers = [intersection_number_nef_surface(fan, d1, d2) for d1, d2 in pairs]
+        with monkeypatch.context() as m:
+            m.setattr(divisors, "_witnesses", witnesses_by_determinants)
+            assert [positivity(fan, a) for a in divs] == got
+            assert [intersection_number_nef_surface(fan, *p) for p in pairs] == numbers
+        seen["singular"] += not fans.fan_predicates(fan).smooth
+        seen["nef"] += sum(rec.nef for rec in got)
+        seen["pairs"] += len(pairs)
+    assert seen["singular"] >= 10 and seen["nef"] >= 40 and seen["pairs"] >= 60, seen
+
+
+def test_second_positivity_on_a_fan_takes_no_determinant(monkeypatch):
+    calls = []
+    real = fans.det
+
+    def counted(M):
+        calls.append(M.rows)
+        return real(M)
+
+    monkeypatch.setattr(fans, "det", counted)
+    fan = weighted_projective_fan(1, 2, 3, 5)
+    fans.fan_predicates.cache_clear()
+    first = positivity(fan, (0, 0, 0, 30))
+    assert calls  # the Cramer maps are built with the fan's predicates
+    calls.clear()
+    assert positivity(fan, (0, 0, 0, 30)) == first
+    assert positivity(fan, (1, 1, 1, 1)).nef
+    assert intersection_number_nef_surface(projective_space_fan(2), (0, 0, 1), (0, 0, 1)) == 1
+    calls.clear()
+    assert intersection_number_nef_surface(projective_space_fan(2), (0, 0, 2), (0, 0, 1)) == 2
+    assert calls == []
+
+
+def test_intersection_number_builds_the_witnesses_of_d1_once(monkeypatch):
+    calls = []
+    real = divisors._witnesses
+
+    def counted(fan, divisor):
+        calls.append(tuple(divisor))
+        return real(fan, divisor)
+
+    monkeypatch.setattr(divisors, "_witnesses", counted)
+    assert intersection_number_nef_surface(projective_space_fan(2), (0, 0, 1), (0, 0, 2)) == 2
+    assert calls == [(0, 0, 1), (0, 0, 2)]
 
 
 # ------------------------------------------------------ intersection numbers

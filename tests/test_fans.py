@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import is_face_by_conversion
+from helpers import check_fan_pairwise, is_face_by_conversion
 
 from coxkit import fans
 from coxkit.fans import (
@@ -23,7 +23,14 @@ from coxkit.fans import (
     validate_fan,
     weighted_projective_fan,
 )
-from coxkit.linalg import IntMatrix, det, dot, primitive, smith_normal_form
+from coxkit.linalg import (
+    IntMatrix,
+    det,
+    dot,
+    integer_kernel_saturated,
+    primitive,
+    smith_normal_form,
+)
 from coxkit.polyhedra import convex_hull_2d, dd_convert, intersect, polytope_from_points
 
 DELTA_VERTICES = [(11, -26), (50, 0), (-1, 34)]
@@ -357,3 +364,77 @@ def test_invalid_fan_message():
     bad = Fan(2, ((1, 0), (0, 1), (1, 1), (-1, 1)), ((0, 1), (2, 3)))
     with pytest.raises(InvalidFan, match="^invalid fan: intersection of max cones 0 and 1"):
         fan_predicates(bad)
+
+
+def smooth_surface(n):
+    """Rays of a smooth complete surface with n >= 3 rays in cyclic order:
+    P^2 blown up n - 3 times, each time between the first ray of largest
+    l1 norm and the ray after it."""
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    while len(rays) < n:
+        i = max(range(len(rays)), key=lambda i: abs(rays[i][0]) + abs(rays[i][1]))
+        j = (i + 1) % len(rays)
+        rays.insert(i + 1, (rays[i][0] + rays[j][0], rays[i][1] + rays[j][1]))
+    return rays
+
+
+def touching_cones_fan(rng):
+    """Two cones of Z^3 on either side of a random lattice plane, each with
+    a random set of rays in the plane: a facet of one separates them, and
+    they meet in a common face only for some choices of the plane rays."""
+    while True:
+        f = primitive([rng.randint(-2, 2) for _ in range(3)])
+        if any(f):
+            break
+    u, w = integer_kernel_saturated(IntMatrix([f])).row_list()
+    plane = [primitive([a * x + b * y for x, y in zip(u, w)]) for a, b in ((1, 0), (0, 1), (1, 1), (1, -1), (-1, 0))]
+    side = [tuple(x + s * y for x, y in zip(rng.choice(plane), f)) for s in (1, -1)]
+    a = rng.sample(plane[:4], 2) + [side[0]]
+    b = rng.sample(plane, rng.randint(1, 2)) + [side[1]]
+    rays = sorted(set(map(primitive, a + b)))
+    return Fan(3, tuple(rays), tuple(tuple(sorted(rays.index(primitive(v)) for v in c)) for c in (a, b)))
+
+
+def test_validation_matches_pairwise_oracle():
+    """Valid and invalid fans of dimensions 2 and 3, message for message,
+    against intersecting every pair of maximal cones."""
+    rng = random.Random(1820)
+    fan_list = [random_small_fan(rng) for _ in range(150)]
+    fan_list += [touching_cones_fan(rng) for _ in range(100)]
+    for _ in range(40):
+        d = rng.randint(2, 3)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, 7))]
+        poly = polytope_from_points(pts)
+        if poly.dim() == d:
+            fan = normal_fan(poly)
+            fan_list.append(fan)
+            cones = list(fan.max_cones)
+            i = rng.randrange(len(cones))
+            merged = tuple(sorted(set(cones[i]) | set(cones[i - 1])))
+            fan_list.append(Fan(d, fan.rays, tuple(cones[:i] + [merged] + cones[i + 1:])))
+            fan_list.append(Fan(d, fan.rays, tuple(cones[:i] + cones[i + 1:])))
+    fan_list += [projective_space_fan(3), hirzebruch_fan(2), weighted_projective_fan(1, 2, 3, 5)]
+    verdicts = {}
+    for fan in fan_list:
+        report = validate_fan(fan)
+        assert list(report.violations) == check_fan_pairwise(fan), fan
+        key = (fan.lattice_dim, report.ok)
+        verdicts[key] = verdicts.get(key, 0) + 1
+    assert set(verdicts) == {(2, True), (2, False), (3, True), (3, False)}, verdicts
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+def test_smooth_surface_validates_with_no_intersection(monkeypatch):
+    calls = []
+    real = fans.intersect
+
+    def counted(*cones):
+        calls.append(len(cones))
+        return real(*cones)
+
+    monkeypatch.setattr(fans, "intersect", counted)
+    rays = smooth_surface(12)
+    fan = Fan(2, tuple(rays), tuple((i, (i + 1) % 12) for i in range(12)))
+    assert validate_fan(fan).ok
+    assert calls == []
+    assert fan_predicates(fan) == fans.FanPredicates(True, True, True)

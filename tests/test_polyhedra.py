@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dd_convert_two_pass,
     extreme_rays_by_quotient_conversion,
     hilbert_basis_all_pairs,
     lattice_points_by_fractions,
@@ -284,6 +285,56 @@ def test_one_conversion_matches_quotient_conversion():
         assert got == extreme_rays_by_quotient_conversion(normals, dim), (dim, normals)
         with_lineality += bool(got[1])
     assert with_lineality > 800
+
+
+def test_one_pass_conversion_matches_two_pass_oracle():
+    """Redundancy read off the zero sets on the output gives the cone that
+    a second conversion gives, with duplicates, lineality and lower
+    dimension among the inputs."""
+    rng = random.Random(1818)
+    seen = set()
+    for _ in range(1500):
+        dim = rng.randint(1, 4)
+        vs = random_vector_family(rng, dim)
+        vs += rng.sample(vs, min(2, len(vs)))  # exact duplicates
+        for key in ("generators", "facets"):
+            got = dd_convert(**{key: vs}, ambient_dim=dim)
+            assert cone_fields(got) == cone_fields(dd_convert_two_pass(**{key: vs}, ambient_dim=dim))
+            if got.lineality_dim:
+                seen.add("lineality")
+            elif got.generators and got.dim() < dim:
+                seen.add("lower-dimensional")
+            elif got.generators and len(set(map(primitive, vs))) > len(getattr(got, key)):
+                seen.add("pointed, full-dimensional, redundant inputs")
+    assert seen == {"lineality", "lower-dimensional", "pointed, full-dimensional, redundant inputs"}
+
+
+def test_pointed_full_dimensional_conversion_is_one_double_description(monkeypatch):
+    """A pointed full-dimensional cone takes one double description; a cone
+    with lineality or of lower dimension takes a second, of the output."""
+    calls = []
+    real = polyhedra._double_description
+
+    def counted(normals, dim):
+        calls.append(dim)
+        return real(normals, dim)
+
+    monkeypatch.setattr(polyhedra, "_double_description", counted)
+    rng = random.Random(1819)
+    counts = {}
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        vs = random_vector_family(rng, dim)
+        for key in ("generators", "facets"):
+            calls.clear()
+            cone = dd_convert(**{key: vs}, ambient_dim=dim)
+            if not cone.generators:  # {0} from facets: the first conversion shows it
+                want = 1
+            else:
+                want = 1 if cone.is_pointed() and cone.is_full_dimensional() else 2
+            assert len(calls) == want, (key, vs, cone)
+            counts[want] = counts.get(want, 0) + 1
+    assert counts[1] > 200 and counts[2] > 100, counts
 
 
 def convex_polygon(directions):
