@@ -71,7 +71,6 @@ from .linalg import (
 from .polyhedra import (
     Cone,
     Polytope,
-    convex_hull_2d,
     dd_convert,
     dual_cone,
     hilbert_basis,

@@ -29,6 +29,7 @@ from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fa
 from .linalg import DenseOperator, IntMatrix, _limbs, certified_nullity, dot, primitive
 from .linalg import smith_normal_form
 from .polyhedra import Polytope, lattice_columns, lattice_points, polytope_from_points
+from .polyhedra import lattice_point_count
 
 
 class ZeroPolynomial(PreconditionError):
@@ -227,24 +228,12 @@ class VanishingOperator:
         return apply
 
 
-def _point_count(polygon, dilation=1):
-    """The lattice points of dilation * polygon, listing none: A + B/2 + 1
-    for a lattice polygon of area A with B boundary points (Pick's
-    theorem), else counted per column."""
-    q = polygon.dilate(dilation)
-    if not q.is_lattice():
-        return sum(hi - lo + 1 for _, lo, hi in lattice_columns(polygon, dilation))
-    edges = zip(q.vertices, q.vertices[1:] + q.vertices[:1])
-    boundary = sum(math.gcd(int(u[0] - v[0]), int(u[1] - v[1])) for u, v in edges)
-    return int(2 * q.area() + boundary) // 2 + 1
-
-
 def h0(problem: InterpolationProblem, mode="modular", *, proof=False):
     """Dimension of the space of Laurent polynomials supported on the
     dilated polygon vanishing to the given order at (1, 1): the nullity of
     the vanishing matrix, proved by `certified_nullity`.
 
-    Past INTERPOLATION_ENTRY_CAP entries (`_point_count`) it raises
+    Past INTERPOLATION_ENTRY_CAP entries (`lattice_point_count`) it raises
     PreconditionError.  One GF(p) elimination of `vanishing_matrix_mod` (the
     first prime of `modular_primes()`) gives the upper bound; kernel
     vectors lifted from it and checked exactly against every functional (by
@@ -256,7 +245,7 @@ def h0(problem: InterpolationProblem, mode="modular", *, proof=False):
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
     size = problem.order * (problem.order + 1) // 2
-    size *= _point_count(problem.polygon, problem.dilation)
+    size *= lattice_point_count(problem.polygon, problem.dilation)
     if size > INTERPOLATION_ENTRY_CAP:
         raise PreconditionError(f"{size} matrix entries, over INTERPOLATION_ENTRY_CAP")
     op = VanishingOperator(problem.points(), problem.functionals())
@@ -646,7 +635,7 @@ def find_curve(polygon, k):
             f"no nonzero section has order w = {w} > {width}, the polygon's "
             f"width in x plus its width in y"
         )
-    points = _point_count(poly)
+    points = lattice_point_count(poly)
     low = (math.isqrt(8 * points + 1) - 1) // 2  # the least with low(low+1)/2 >= points
     low += low * (low + 1) // 2 < points
     for order in sorted({min(low, w), w}):

@@ -140,6 +140,8 @@ def load_polytope(path) -> ph.Polytope:
         raise InputError(f"bad polytope document {path}: {exc}") from exc
     if not verts:
         raise InputError(f"polytope document {path} has no vertices")
+    if len({len(v) for v in verts}) > 1:
+        raise InputError(f"polytope document {path} has vertices of unequal length")
     return ph.polytope_from_points(verts)
 
 
@@ -470,6 +472,8 @@ def cmd_plot(args):
         highlight = [
             [parse_vector(p) for p in spec.split(";")] for spec in args.points
         ]
+        if any(len(p) != 2 for points in highlight for p in points):
+            raise InputError(f"highlight points need 2 coordinates: {args.points}")
         svg = svg_polygon(poly, highlight_sets=highlight)
         result = {
             "kind": "polygon",

@@ -29,7 +29,7 @@ from .polyhedra import (
     Polytope,
     dd_convert,
     hilbert_basis,
-    lattice_points,
+    lattice_point_count,
     polytope_from_inequalities,
 )
 
@@ -185,10 +185,7 @@ def divisor_polytope(fan: Fan, divisor) -> Polytope:
 
 def section_count(fan: Fan, divisor) -> int:
     """dim H^0 = number of lattice points of the divisor polytope."""
-    poly = divisor_polytope(fan, divisor)
-    if poly.is_empty():
-        return 0
-    return len(lattice_points(poly, 1))
+    return lattice_point_count(divisor_polytope(fan, divisor))
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 
-class PrimeDivideDenominator(PreconditionError):
-    pass
-
-
 # Modular primes lie strictly between these bounds.
 MODULAR_PRIME_BOUND = 1 << 20
 MODULAR_PRIME_LIMIT = 1 << 21
@@ -642,38 +638,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def default_modular_primes(avoid=()):
-    """First 3 primes above 2^20 dividing none of `avoid`."""
-    avoid = [a for a in avoid if a not in (0, 1, -1)]
+def default_modular_primes():
+    """First 3 primes above 2^20."""
     out = []
     n = MODULAR_PRIME_BOUND + 1
     while len(out) < 3:
-        if _is_prime(n) and all(a % n != 0 for a in avoid):
+        if _is_prime(n):
             out.append(n)
         n += 1
     return out
 
 
-def modular_primes(primes=None, denominators=()):
+def modular_primes(primes=None):
     """The candidate primes of `certified_nullity`, checked.
 
-    `primes=None` selects the default primes avoiding `denominators`.
-    Otherwise there must be at least 3 distinct primes, each in
-    (MODULAR_PRIME_BOUND, MODULAR_PRIME_LIMIT) = (2^20, 2^21) and dividing
-    no denominator; anything else raises PreconditionError.  Returns the
+    `primes=None` selects the default primes.  Otherwise there must be at
+    least 3 distinct primes, each in (MODULAR_PRIME_BOUND,
+    MODULAR_PRIME_LIMIT) = (2^20, 2^21); anything else raises
+    PreconditionError.  Returns the
     distinct primes in their given order.  The library passes None: the
     tests force unlucky and invalid primes through this hook.
     """
     if primes is None:
-        primes = default_modular_primes(avoid=denominators)
+        primes = default_modular_primes()
     primes = list(dict.fromkeys(primes))
     if len(primes) < 3:
         raise PreconditionError("modular mode requires at least 3 distinct primes")
     for p in primes:
         if not (MODULAR_PRIME_BOUND < p < MODULAR_PRIME_LIMIT and _is_prime(p)):
             raise PreconditionError(f"modulus {p} is not a prime in (2^20, 2^21)")
-        if any(d % p == 0 for d in denominators):
-            raise PrimeDivideDenominator(f"prime {p} divides a denominator")
     return primes
 
 
@@ -725,14 +718,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
-
-    def denominators(self):
-        out = set()
-        for row in self._r:
-            for x in row:
-                if not isinstance(x, int):
-                    out.add(x.denominator)
-        return out or {1}
 
     def cleared_rows(self):
         """Integer rows after scaling each row by the lcm of denominators."""
@@ -967,7 +952,7 @@ def _common_denominator(X, M):
     return d, Y.reshape(X.shape)
 
 
-def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
+def certified_nullity(op, primes=None) -> NullityProof:
     """Proved nullity of the integer matrix behind `op`.
 
     `op` has `shape` = (rows, cols) and exact access to the matrix A:
@@ -977,7 +962,7 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
     x -> A[rows, cols] @ x for int64 digit matrices x with entries below
     2^21, which returns an int64 limb stack (limb j counts 2^(21 j); each
     below 2^61 in absolute value).  The candidate primes are
-    `modular_primes(primes, denominators)`; `primes` is its test hook.
+    `modular_primes(primes)`; `primes` is its test hook.
 
     One GF(p) elimination gives rank_p, so nullity <= cols - rank_p.  If
     rank_p = cols, or rank_p = rows < cols - 1, the rank over Q cannot
@@ -1007,7 +992,7 @@ def certified_nullity(op, primes=None, denominators=()) -> NullityProof:
     if min(m, n) == 0:
         return NullityProof(n, None, 0)
     rejected = []
-    for p in modular_primes(primes, denominators):
+    for p in modular_primes(primes):
         f = int_rank_mod(op, p)
         r = f.rank
         if r == n or (r == m and n - r > 1):
@@ -1083,9 +1068,10 @@ def kernel_dimension(M: RatMatrix, mode="exact", primes=None) -> int:
     in one object-array pass.  The nullity is
     then proved by `certified_nullity`: one GF(p) elimination gives the
     upper bound, exactly checked kernel vectors (lifted p-adically from
-    it) the lower bound.  The candidate primes are `modular_primes(primes,
-    M.denominators())`: at least 3 distinct primes in (2^20, 2^21)
-    dividing no denominator; `primes` is their test hook.  Both modes,
+    it) the lower bound.  The proof sees only the cleared integer rows, so
+    a prime dividing an original denominator is harmless.  The candidate
+    primes are `modular_primes(primes)`: at least 3 distinct primes in
+    (2^20, 2^21); `primes` is their test hook.  Both modes,
     "exact" and "modular", run this proof; the mode stays only because the
     benchmark's `exact-rank` workload passes it.
     """
@@ -1093,15 +1079,13 @@ def kernel_dimension(M: RatMatrix, mode="exact", primes=None) -> int:
 
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
-    if set(map(type, itertools.chain.from_iterable(M._r))) <= {int}:
-        rows, denominators = M._r, {1}
-    else:
-        rows, denominators = M.cleared_rows(), M.denominators()
+    integral = set(map(type, itertools.chain.from_iterable(M._r))) <= {int}
+    rows = M._r if integral else M.cleared_rows()
     A = np.array(rows, dtype=object).reshape(M.rows, M.cols)
     content = np.gcd.reduce(A, axis=1)
     content[content == 0] = 1
     A //= content[:, None]
-    return certified_nullity(DenseOperator(A, M.cols), primes, denominators).nullity
+    return certified_nullity(DenseOperator(A, M.cols), primes).nullity
 
 
 def int_inverse_unimodular(M: IntMatrix) -> IntMatrix:

@@ -8,10 +8,14 @@ pointed full-dimensional cone takes that one conversion: its irredundant
 inputs are read off their zero sets on the output.  Any other cone
 converts the output back as well, and one with lineality takes one Smith
 normal form more, which lifts the rays to canonical representatives of
-the rays of the pointed quotient.  Polytopes are vertex lists with exact
-rational coordinates; facet representations are derived through the cone over the
-polytope; lattice points are enumerated column by column, with integer
-bounds from those facets, so they can be counted without being listed.
+the rays of the pointed quotient.  A polytope P is the cone over it,
+{(t x, t) : x in P, t >= 0}: one conversion gives both its exact rational
+vertices (the generators divided by t) and its facets, and its dimension
+and membership are read off that cone; the dilation of a full-dimensional
+polytope maps the cone instead of converting it again.  Lattice points are
+enumerated column by column, with integer bounds from those facets, so
+they can be counted without being listed; a lattice polygon's are counted
+by Pick's theorem.
 Hilbert bases are computed in integers by triangulating a pointed cone,
 listing the points of each simplicial piece's fundamental parallelepiped
 from its Smith form (a piece of index above HILBERT_DET_CAP = 10^4 is
@@ -346,55 +350,25 @@ def is_pointed(c: Cone) -> bool:
 # ------------------------------------------------------------- polytopes
 
 
-def _orient(o, a, b):
-    """Sign of the cross product (a - o) x (b - o)."""
-    v = (Fraction(a[0]) - Fraction(o[0])) * (Fraction(b[1]) - Fraction(o[1])) - (
-        Fraction(a[1]) - Fraction(o[1])
-    ) * (Fraction(b[0]) - Fraction(o[0]))
-    return (v > 0) - (v < 0)
-
-
-def convex_hull_2d(points):
-    """Convex hull in the plane: counterclockwise irredundant vertices.
-
-    Degenerate inputs give segment or point polytopes.  The vertex list
-    starts at the lexicographically smallest vertex.
-    """
-    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
-    if not pts:
-        raise EmptyInput("no points given")
-    if len(pts) == 1:
-        return Polytope(2, pts)
-    if all(_orient(pts[0], pts[1], p) == 0 for p in pts[2:]):
-        return Polytope(2, [pts[0], pts[-1]])
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _orient(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _orient(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return Polytope(2, lower[:-1] + upper[:-1])
-
-
 class Polytope:
     """Polytope given by exact rational vertices (irredundant).
 
-    In the plane the vertex tuple is stored in counterclockwise order;
-    in higher dimensions it is sorted lexicographically.  Use
-    :func:`polytope_from_points` or :func:`convex_hull_2d` to build one
-    from an arbitrary point set.
+    In the plane the vertex tuple is stored in counterclockwise order from
+    the lexicographically least vertex; in higher dimensions it is sorted
+    lexicographically.  Use :func:`polytope_from_points` or
+    :func:`polytope_from_inequalities` to build one.  Both keep the
+    homogenized cone {(t x, t) : x in P, t >= 0} of their one conversion,
+    and the facets, the dimension and membership are read off it; a
+    Polytope built from a vertex list by hand converts its cone when one
+    of these is first asked for.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_ineqs")
+    __slots__ = ("ambient_dim", "vertices", "_cone")
 
     def __init__(self, ambient_dim, vertices):
         self.ambient_dim = ambient_dim
         self.vertices = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-        self._ineqs = None
+        self._cone = None
 
     def __repr__(self):
         return f"Polytope(dim={self.ambient_dim}, vertices={[tuple(map(str, v)) for v in self.vertices]})"
@@ -406,6 +380,15 @@ class Polytope:
             and sorted(self.vertices) == sorted(other.vertices)
         )
 
+    def _homogenized(self):
+        """The cone over the polytope; raises ValueError when it is empty."""
+        if self._cone is None:
+            if not self.vertices:
+                raise ValueError("empty polytope has no inequality description")
+            gens = [_scale_primitive([*v, 1]) for v in self.vertices]
+            self._cone = dd_convert(generators=gens, ambient_dim=self.ambient_dim + 1)
+        return self._cone
+
     def is_empty(self):
         return not self.vertices
 
@@ -415,49 +398,39 @@ class Polytope:
     def dim(self):
         if not self.vertices:
             return -1
-        if len(self.vertices) == 1:
-            return 0
-        v0 = self.vertices[0]
-        diffs = [
-            _scale_primitive([x - y for x, y in zip(v, v0)])
-            for v in self.vertices[1:]
-        ]
-        return smith_normal_form(IntMatrix(diffs, cols=self.ambient_dim)).rank
+        return self._homogenized().dim() - 1
 
     def inequalities(self):
         """Facet inequalities (u, c) meaning <u, x> + c >= 0, primitive.
 
         Lower-dimensional polytopes include +/- pairs cutting out the
-        affine span.
+        affine span.  The cone's facet t >= 0 (u = 0) is left out.
         """
-        if self._ineqs is not None:
-            return self._ineqs
-        if not self.vertices:
-            raise ValueError("empty polytope has no inequality description")
         d = self.ambient_dim
-        gens = []
-        for v in self.vertices:
-            gens.append(_scale_primitive(list(v) + [1]))
-        cone = dd_convert(generators=gens, ambient_dim=d + 1)
-        out = []
-        for f in cone.facets:
-            u, c = f[:d], f[d]
-            if not any(u):
-                continue  # trivial t >= 0 facet
-            out.append((tuple(u), c))
-        self._ineqs = sorted(out)
-        return self._ineqs
+        return sorted((f[:d], f[d]) for f in self._homogenized().facets if any(f[:d]))
 
     def contains(self, point):
         if not self.vertices:
             return False
-        x = _clear_denominators([*point, 1])  # (t * point, t) with t > 0
-        return all(dot((*u, c), x) >= 0 for u, c in self.inequalities())
+        return self._homogenized().contains((*point, 1))
 
     def dilate(self, m):
-        return Polytope(
+        """m * P.  For an integer m > 1 the cone of a full-dimensional
+        polytope is mapped, not converted: its generators become
+        primitive(m x, t) and its facets primitive(u, m c).  A
+        lower-dimensional cone is not mapped, since the +/- rows of its
+        facets are a Smith-form lift that a linear map does not preserve."""
+        poly = Polytope(
             self.ambient_dim, [tuple(Fraction(m) * x for x in v) for v in self.vertices]
         )
+        cone, d = self._cone, self.ambient_dim
+        if m == 1:
+            poly._cone = cone
+        elif isinstance(m, int) and m > 1 and cone is not None and cone.is_full_dimensional():
+            gens = sorted(primitive([*(m * x for x in g[:d]), g[d]]) for g in cone.generators)
+            facets = sorted(primitive([*f[:d], m * f[d]]) for f in cone.facets)
+            poly._cone = Cone(d + 1, gens, facets, 0, d + 1)
+        return poly
 
     def translate(self, t):
         return Polytope(
@@ -480,6 +453,21 @@ class Polytope:
         return abs(total) / 2
 
 
+def _polytope_from_cone(cone, d):
+    """The Polytope whose homogenized cone is `cone`, every generator of
+    which has t > 0: its vertices are the generators divided by t.  In the
+    plane the vertices after the least one (x0, y0) are sorted by the slope
+    of their edge from it, a vertical edge last, which is counterclockwise
+    order, since every other vertex lies to the right of it or above it."""
+    verts = sorted(tuple(Fraction(x, g[d]) for x in g[:d]) for g in cone.generators)
+    if d == 2:
+        x0, y0 = verts[0]
+        verts[1:] = sorted(verts[1:], key=lambda v: (v[0] == x0, (v[1] - y0) / (v[0] - x0 or 1)))
+    poly = Polytope(d, verts)
+    poly._cone = cone
+    return poly
+
+
 def polytope_from_points(points, ambient_dim=None):
     """Irredundant Polytope from an arbitrary finite point set."""
     points = [tuple(Fraction(x) for x in p) for p in points]
@@ -489,17 +477,9 @@ def polytope_from_points(points, ambient_dim=None):
         ambient_dim = len(points[0])
     if not points:
         return Polytope(ambient_dim, [])
-    if ambient_dim == 2:
-        return convex_hull_2d(points)
-    gens = [_scale_primitive(list(p) + [1]) for p in points]
+    gens = [_scale_primitive([*p, 1]) for p in points]
     cone = dd_convert(generators=gens, ambient_dim=ambient_dim + 1)
-    verts = []
-    for g in cone.generators:
-        t = g[ambient_dim]
-        if t <= 0:
-            raise ValueError("point set produced an unbounded hull")
-        verts.append(tuple(Fraction(x, t) for x in g[:ambient_dim]))
-    return Polytope(ambient_dim, sorted(set(verts)))
+    return _polytope_from_cone(cone, ambient_dim)
 
 
 def polytope_from_inequalities(ineqs, ambient_dim):
@@ -508,21 +488,13 @@ def polytope_from_inequalities(ineqs, ambient_dim):
     Returns an empty Polytope when the system is infeasible; raises
     ValueError when unbounded.
     """
-    facets = [tuple(list(u) + [c]) for u, c in ineqs]
-    facets.append(tuple([0] * ambient_dim + [1]))  # homogenization t >= 0
+    facets = [(*u, c) for u, c in ineqs] + [(0,) * ambient_dim + (1,)]  # and t >= 0
     cone = dd_convert(facets=facets, ambient_dim=ambient_dim + 1)
-    verts = [
-        tuple(Fraction(x, g[ambient_dim]) for x in g[:ambient_dim])
-        for g in cone.generators
-        if g[ambient_dim] > 0
-    ]
-    if not verts:
+    if not any(g[ambient_dim] for g in cone.generators):
         return Polytope(ambient_dim, [])
     if any(g[ambient_dim] == 0 for g in cone.generators):
         raise ValueError("inequality system is unbounded")
-    if ambient_dim == 2 and len(verts) >= 3:
-        return convex_hull_2d(verts)
-    return Polytope(ambient_dim, sorted(set(verts)))
+    return _polytope_from_cone(cone, ambient_dim)
 
 
 def lattice_columns(poly: Polytope, dilation=1):
@@ -577,6 +549,22 @@ def lattice_points(poly: Polytope, dilation=1):
     if poly.ambient_dim == 0:
         return [prefix for prefix, _, _ in columns]
     return [prefix + (t,) for prefix, lo, hi in columns for t in range(lo, hi + 1)]
+
+
+def lattice_point_count(poly: Polytope, dilation=1):
+    """The number of integer points of dilation * poly, listing none: 0 for
+    an empty polytope, A + B/2 + 1 for a lattice polygon of area A with B
+    boundary points (Pick's theorem; it holds for a lattice segment or point
+    in the plane too), else the sum of the column lengths of
+    `lattice_columns`."""
+    if poly.is_empty():
+        return 0
+    q = poly.dilate(dilation)
+    if q.ambient_dim != 2 or not q.is_lattice():
+        return sum(hi - lo + 1 for _, lo, hi in lattice_columns(poly, dilation))
+    edges = zip(q.vertices, q.vertices[1:] + q.vertices[:1])
+    boundary = sum(math.gcd(int(u[0] - v[0]), int(u[1] - v[1])) for u, v in edges)
+    return int(2 * q.area() + boundary) // 2 + 1
 
 
 # ---------------------------------------------------------- hilbert basis

@@ -96,7 +96,7 @@ def common_denominator_whole(X, M):
         d *= found[1]
 
 
-def certified_nullity_by_objects(op, primes=None, denominators=()):
+def certified_nullity_by_objects(op, primes=None):
     """`linalg.certified_nullity` with the residual, the digits and the
     solution held as Python integers, the pivot product taken as an exact
     object product A [x; 0], and every reconstruction over the whole array:
@@ -107,7 +107,7 @@ def certified_nullity_by_objects(op, primes=None, denominators=()):
     if min(m, n) == 0:
         return NullityProof(n, None, 0)
     rejected = []
-    for p in modular_primes(primes, denominators):
+    for p in modular_primes(primes):
         f = int_rank_mod(op, p)
         r = f.rank
         if r == n or (r == m and n - r > 1):
@@ -560,6 +560,92 @@ def lattice_points_by_fractions(poly, dilation=1):
             for last in range(math.ceil(lo), math.floor(hi) + 1):
                 out.append(tuple(prefix) + (last,))
     return sorted(out)
+
+
+def _orient(o, a, b):
+    """Sign of the cross product (a - o) x (b - o)."""
+    v = (Fraction(a[0]) - Fraction(o[0])) * (Fraction(b[1]) - Fraction(o[1])) - (
+        Fraction(a[1]) - Fraction(o[1])
+    ) * (Fraction(b[0]) - Fraction(o[0]))
+    return (v > 0) - (v < 0)
+
+
+def hull_2d_by_monotone_chain(points):
+    """Vertices of the convex hull of planar points, counterclockwise from
+    the lexicographically least (Andrew's monotone chain with Fraction cross
+    products); a segment gives its two ends in order, a point itself."""
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    if len(pts) == 1:
+        return pts
+    if all(_orient(pts[0], pts[1], p) == 0 for p in pts[2:]):
+        return [pts[0], pts[-1]]
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and _orient(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _orient(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def inequalities_by_vertex_conversion(vertices, d):
+    """Facet inequalities (u, c), meaning <u, x> + c >= 0, of the hull of
+    `vertices` in Q^d: the facets of the cone over them, {(t v, t)},
+    converted from its generators, less the facet t >= 0."""
+    gens = []
+    for v in vertices:
+        v = [Fraction(x) for x in v] + [Fraction(1)]
+        lcm = math.lcm(*(x.denominator for x in v))
+        gens.append(primitive([int(x * lcm) for x in v]))
+    cone = dd_convert(generators=gens, ambient_dim=d + 1)
+    return sorted((f[:d], f[d]) for f in cone.facets if any(f[:d]))
+
+
+def dim_by_smith(vertices, d):
+    """Dimension of the affine hull of `vertices` in Q^d: the Smith form
+    rank of their differences to the first, cleared of denominators."""
+    if not vertices:
+        return -1
+    diffs = []
+    for v in vertices[1:]:
+        w = [Fraction(x) - Fraction(y) for x, y in zip(v, vertices[0])]
+        lcm = math.lcm(*(x.denominator for x in w))
+        diffs.append([int(x * lcm) for x in w])
+    return smith_normal_form(IntMatrix(diffs, cols=d)).rank if diffs else 0
+
+
+def vertices_by_exclusion(points, d):
+    """The sorted distinct points that lie outside the hull of the others,
+    each tested on `inequalities_by_vertex_conversion` of the others."""
+    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
+    out = []
+    for p in pts:
+        others = [q for q in pts if q != p]
+        if not others or any(
+            sum(ui * x for ui, x in zip(u, p)) + c < 0
+            for u, c in inequalities_by_vertex_conversion(others, d)
+        ):
+            out.append(p)
+    return out
+
+
+def lattice_points_by_box(vertices, d, dilation):
+    """The integer points of dilation * hull(vertices): each point of the
+    bounding box tested on `inequalities_by_vertex_conversion`."""
+    scaled = [[dilation * Fraction(x) for x in v] for v in vertices]
+    ineqs = inequalities_by_vertex_conversion(scaled, d)
+    box = [
+        range(math.ceil(min(v[i] for v in scaled)), math.floor(max(v[i] for v in scaled)) + 1)
+        for i in range(d)
+    ]
+    return [
+        x for x in itertools.product(*box)
+        if all(dot(u, x) + c >= 0 for u, c in ineqs)
+    ]
 
 
 def is_face_by_conversion(face, cone):

@@ -54,7 +54,6 @@ from coxkit.fans import (
 from coxkit.cli import main
 from coxkit.linalg import RatMatrix, dot, kernel_dimension
 from coxkit.polyhedra import (
-    convex_hull_2d,
     dd_convert,
     dual_cone,
     hilbert_basis,
@@ -275,7 +274,7 @@ def test_criterion_6_nef_not_semiample_certificate():
 
 def test_criterion_7_delta_prime_pipeline():
     with Budget("7 seven-vertex polygon pipeline", 5.0):
-        hull = convex_hull_2d(DELTA_PRIME)
+        hull = polytope_from_points(DELTA_PRIME)
         assert len(hull.vertices) == 7
         fan, _ = normal_fan_with_ample(hull)
         assert set(fan.rays) == {

@@ -35,7 +35,6 @@ from coxkit.blowup import (
     VanishingOperator,
     ZeroPolynomial,
     _nef_not_semiample_failure,
-    _point_count,
     blowup_certificate,
     derivative_functionals,
     falling_factorial,
@@ -52,10 +51,10 @@ from coxkit.blowup import (
 )
 from coxkit.errors import PreconditionError
 from coxkit.linalg import IntMatrix, certified_nullity
-from coxkit.polyhedra import convex_hull_2d, lattice_points, polytope_from_points
+from coxkit.polyhedra import lattice_point_count, lattice_points, polytope_from_points
 
 TRIANGLE = polytope_from_points(WPS_12_13_17_TRIANGLE)
-DELTA_PRIME = convex_hull_2d(LM10_POLYGON_COLUMNS)
+DELTA_PRIME = polytope_from_points(LM10_POLYGON_COLUMNS)
 
 
 # -------------------------------------------------------- vanishing matrix
@@ -124,17 +123,18 @@ def test_vanishing_matrix_mod_is_exact_matrix_reduced():
 
 
 def test_h0_no_conditions_is_point_count():
-    """h0 with no conditions lists the points; `_point_count`, which bounds
-    the matrix first, counts them by Pick's theorem or, for a rational
-    polygon, per column, on the triangle and seeded polygons dilated 1-3."""
-    assert h0(InterpolationProblem(TRIANGLE, 1, 0)) == 1348 == _point_count(TRIANGLE)
+    """h0 with no conditions lists the points; `lattice_point_count`, which
+    bounds the matrix first, counts them by Pick's theorem or, for a
+    rational polygon, per column, on the triangle and seeded polygons
+    dilated 1-3."""
+    assert h0(InterpolationProblem(TRIANGLE, 1, 0)) == 1348 == lattice_point_count(TRIANGLE)
     rng = random.Random(16)
     for _ in range(60):
         pts = [(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))), rng.randint(-4, 4))
                for _ in range(rng.randint(3, 5))]
-        hull, m = convex_hull_2d(pts), rng.randint(1, 3)
+        hull, m = polytope_from_points(pts), rng.randint(1, 3)
         if hull.dim() == 2:
-            assert _point_count(hull, m) == len(lattice_points(hull, m)), (pts, m)
+            assert lattice_point_count(hull, m) == len(lattice_points(hull, m)), (pts, m)
 
 
 def test_h0_flagship_order52():
@@ -173,7 +173,7 @@ def test_h0_small_cases_modular_equals_exact():
     rng = random.Random(21)
     for _ in range(10):
         pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(5)]
-        hull = convex_hull_2d(pts)
+        hull = polytope_from_points(pts)
         if hull.dim() != 2:
             continue
         k = rng.randint(0, 4)
@@ -182,7 +182,7 @@ def test_h0_small_cases_modular_equals_exact():
 
 
 def test_h0_monotone_and_bounded():
-    hull = convex_hull_2d([(0, 0), (5, 0), (0, 5), (5, 5)])
+    hull = polytope_from_points([(0, 0), (5, 0), (0, 5), (5, 5)])
     npts = len(lattice_points(hull, 1))
     prev = None
     for k in range(0, 7):
@@ -412,11 +412,11 @@ def test_least_width_images_match_search():
     ]
     while len(polygons) < 153:
         pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 6))]
-        if convex_hull_2d(pts).dim() == 2:
+        if polytope_from_points(pts).dim() == 2:
             polygons.append(pts)
     counts = set()
     for pts in polygons:
-        hull = convex_hull_2d(pts)
+        hull = polytope_from_points(pts)
         vertices = [(int(x), int(y)) for x, y in hull.vertices]
         k = rng.randint(-3, 60)
         got = least_width_images(hull, k)

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import WPS_12_13_17_TRIANGLE, order_at_e_oracle, wps_polygon
 
-from coxkit import blowup, linalg, polyhedra
+from coxkit import blowup, chambers, divisors, fans, linalg, polyhedra
 from coxkit.blowup import (
     LM10_POLYGON_COLUMNS,
     blowup_certificate,
@@ -21,7 +21,7 @@ from coxkit.blowup import (
 )
 from coxkit.cli import canonical_json, encode, main, parse_number, run
 from coxkit.errors import PreconditionError
-from coxkit.polyhedra import convex_hull_2d
+from coxkit.polyhedra import polytope_from_points
 
 HERE = pathlib.Path(__file__).resolve().parent
 DATA = HERE / "data"
@@ -524,6 +524,28 @@ def test_blowup_analyze_lists_only_the_h0_points(monkeypatch):
     assert 0 < sum(listed) <= 2696, listed
 
 
+def test_flagship_conversion_and_smith_form_counts(monkeypatch):
+    """The flagship command converts each polytope's cone once and reads
+    its facets and dimension off it: at most 21 cone conversions and 5
+    Smith forms from a cold fan cache."""
+    calls = {"dd_convert": 0, "smith_normal_form": 0}
+    for name, home in (("dd_convert", polyhedra), ("smith_normal_form", linalg)):
+        real = getattr(home, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (linalg, polyhedra, fans, divisors, chambers, blowup):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    fans.fan_predicates.cache_clear()
+    code, report, _ = run(["blowup-analyze", "--weights", "12,13,17", "--k", "51",
+                           "--h0-order", "52"])
+    assert code == 0, report
+    assert calls["dd_convert"] <= 21 and calls["smith_normal_form"] <= 5, calls
+
+
 def killed_below(f, w):
     """Whether every functional of order < w annihilates f, summed term by
     term with exact falling factorials."""
@@ -563,11 +585,11 @@ def test_found_curve(tmp_path):
     ]
     while len(polygons) < 40:
         pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 5))]
-        if convex_hull_2d(pts).dim() == 2:
+        if polytope_from_points(pts).dim() == 2:
             polygons.append(pts)
     found = verified = 0
     for pts in polygons:
-        hull = convex_hull_2d(pts)
+        hull = polytope_from_points(pts)
         for k in range(1, int(2 * hull.area()) + 1):
             try:
                 w, f, proof = find_curve(hull, k)
@@ -586,7 +608,7 @@ def test_found_curve(tmp_path):
 
     delta = tmp_path / "delta.json"
     delta.write_text(json.dumps(
-        {"vertices": [list(v) for v in convex_hull_2d(LM10_POLYGON_COLUMNS).vertices]},
+        {"vertices": [list(v) for v in polytope_from_points(LM10_POLYGON_COLUMNS).vertices]},
         default=int,
     ))
     for k in ("6", "7", "8"):
@@ -695,6 +717,7 @@ MALFORMED_DOCUMENTS = {
     "LIST_DOCUMENT": [[1, 0], [0, 1]],
     "MATRIX_WITHOUT_V2": {"matrix": [[1, 0], [0, 1]], "v1": [1, 0], "v3": [0, 1]},
     "ZERO_DENOMINATOR": {"vertices": [[0, 0], ["1/0", 0], [0, 1]]},
+    "RAGGED_VERTICES": {"vertices": [[0, 0], [1]]},
 }
 
 
@@ -706,6 +729,9 @@ MALFORMED_DOCUMENTS = {
         (["veronese", "--degree-matrix", "1,1;2", "--target-cone",
           data("cone_positive_ray.json")], 1),
         (["plot", "--polygon", data("polytope_square.json"), "--points", "1,a"], 1),
+        (["plot", "--polygon", data("polytope_square.json"), "--points", "1"], 1),
+        (["plot", "--polygon", data("polytope_square.json"), "--points", "1,2;3"], 1),
+        (["plot", "--polygon", data("polytope_square.json"), "--points", "1,2,3"], 1),
         (["blowup-analyze", "--polygon", "TWO_FIELD_CURVE", "--k", "1"], 1),
         (["blowup-analyze", "--polygon", "CURVE_TERMS_NUMBER", "--k", "1"], 1),
         (["hilbert-basis", "--cone", "CONE_GENERATORS_NUMBER"], 1),
@@ -714,6 +740,8 @@ MALFORMED_DOCUMENTS = {
         (["lm-project", "--n", "10", "--matrix", "MATRIX_WITHOUT_V2"], 1),
         (["lm-project", "--n", "10", "--matrix", "LIST_DOCUMENT"], 1),
         (["plot", "--polygon", "ZERO_DENOMINATOR"], 1),
+        (["plot", "--polygon", "RAGGED_VERTICES"], 1),
+        (["blowup-analyze", "--polygon", "RAGGED_VERTICES", "--k", "1"], 1),
         (["blowup-analyze", "--weights", "12,13,17", "--k", "0"], 2),
         (["blowup-analyze", "--weights", "12,13,17", "--k", "-51"], 2),
         (["positivity", "--fan", data("fan_octahedron.json"), "--divisor",
@@ -723,10 +751,12 @@ MALFORMED_DOCUMENTS = {
         (["intersect-nef", "--fan", data("fan_half_plane.json"), "--d1", "1,1,1",
           "--d2", "1,1,1"], 2),
     ],
-    ids=["veronese-entry", "veronese-ragged", "plot-points", "curve-terms",
+    ids=["veronese-entry", "veronese-ragged", "plot-points", "plot-point-one-coordinate",
+         "plot-points-ragged", "plot-point-three-coordinates", "curve-terms",
          "curve-terms-number", "cone-generators-number", "cone-list",
          "veronese-cone-list", "lm-matrix-missing-v2", "lm-matrix-list",
-         "polytope-zero-denominator", "blowup-k-zero", "blowup-k-negative",
+         "polytope-zero-denominator", "plot-ragged-vertices",
+         "blowup-ragged-vertices", "blowup-k-zero", "blowup-k-negative",
          "positivity-not-simplicial", "intersect-not-surface", "intersect-not-complete"],
 )
 def test_malformed_input_reports_error(argv, code, tmp_path, capsys):

@@ -16,7 +16,7 @@ from helpers import (
 )
 
 import coxkit
-from coxkit import divisors, fans
+from coxkit import divisors, fans, polyhedra
 from coxkit.divisors import (
     NotComplete,
     NotNef,
@@ -43,7 +43,6 @@ from coxkit.fans import (
 )
 from coxkit.linalg import IntMatrix, dot, primitive
 from coxkit.polyhedra import (
-    convex_hull_2d,
     dd_convert,
     lattice_points,
     polytope_from_points,
@@ -339,7 +338,7 @@ def test_positivity_and_intersection_match_polytope_oracle():
             cases.append((fan, [[rng.randint(-3, 6) for _ in fan.rays] for _ in range(6)]))
     while len(cases) < 70:
         pts = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 7))]
-        hull = convex_hull_2d(pts)
+        hull = polytope_from_points(pts)
         if hull.dim() == 2:
             fan, ample = normal_fan_with_ample(hull)
             extra = [[a + rng.randint(-1, 1) for a in ample] for _ in range(4)]
@@ -403,6 +402,34 @@ def test_witnesses_match_per_divisor_determinants(monkeypatch):
         seen["nef"] += sum(rec.nef for rec in got)
         seen["pairs"] += len(pairs)
     assert seen["singular"] >= 10 and seen["nef"] >= 40 and seen["pairs"] >= 60, seen
+
+
+def test_section_count_converts_once_and_lists_no_points(monkeypatch):
+    """section_count converts the divisor's facets once and counts the
+    points of the polytope's cone without listing them: by Pick's theorem
+    for a lattice polygon, by columns otherwise."""
+    cases = [
+        (projective_space_fan(2), (0, 0, 4)),
+        (weighted_projective_fan(1, 2, 3), (0, 0, 1)),  # a vertex (0, 1/2)
+        (hirzebruch_fan(2), (1, 0, 1, 2)),
+        (projective_space_fan(3), (0, 0, 0, 2)),
+    ]
+    # listed before counting, which also caches the fans' completeness
+    counts = [len(lattice_points(divisor_polytope(*case))) for case in cases]
+    calls = {"dd_convert": 0, "lattice_points": 0}
+    for name in calls:
+        real = getattr(polyhedra, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(polyhedra, name, counted)
+        monkeypatch.setattr(divisors, name, counted, raising=False)
+    for (fan, divisor), count in zip(cases, counts):
+        calls.update(dd_convert=0, lattice_points=0)
+        assert section_count(fan, divisor) == count
+        assert calls == {"dd_convert": 1, "lattice_points": 0}, (divisor, calls)
 
 
 def test_second_positivity_on_a_fan_takes_no_determinant(monkeypatch):

@@ -31,7 +31,7 @@ from coxkit.linalg import (
     primitive,
     smith_normal_form,
 )
-from coxkit.polyhedra import convex_hull_2d, dd_convert, intersect, polytope_from_points
+from coxkit.polyhedra import dd_convert, intersect, polytope_from_points
 
 DELTA_VERTICES = [(11, -26), (50, 0), (-1, 34)]
 DELTA_PRIME_COLUMNS = [(-1, 6), (-4, 5), (-3, 1), (-2, 8), (-6, 0), (-7, 0), (0, 3)]
@@ -48,7 +48,7 @@ DELTA_PRIME_NORMALS = {
 
 def inward_normals_oracle(vertices):
     """Primitive inward edge normals of a convex lattice polygon (CCW)."""
-    hull = convex_hull_2d(vertices)
+    hull = polytope_from_points(vertices)
     vs = [(int(x), int(y)) for x, y in hull.vertices]
     out = set()
     n = len(vs)
@@ -175,7 +175,7 @@ def test_normal_fan_unit_square():
 
 
 def test_normal_fan_delta_prime():
-    hull = convex_hull_2d(DELTA_PRIME_COLUMNS)
+    hull = polytope_from_points(DELTA_PRIME_COLUMNS)
     fan, ample = normal_fan_with_ample(hull)
     assert set(fan.rays) == DELTA_PRIME_NORMALS
     assert set(fan.rays) == inward_normals_oracle(DELTA_PRIME_COLUMNS)
@@ -202,7 +202,7 @@ def test_normal_fan_roundtrip_random_polygons():
     done = 0
     while done < 50:
         pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(3, 8))]
-        hull = convex_hull_2d(pts)
+        hull = polytope_from_points(pts)
         if hull.dim() != 2:
             continue
         fan, ample = normal_fan_with_ample(hull)
@@ -304,7 +304,7 @@ def test_unimodular_equivalence_of_mapped_fans():
                 continue
         else:
             pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 6))]
-            hull = convex_hull_2d(pts)
+            hull = polytope_from_points(pts)
             if hull.dim() != 2:
                 continue
             fan = normal_fan(hull)

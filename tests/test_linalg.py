@@ -23,7 +23,6 @@ from coxkit.linalg import (
     SUBPANEL_WIDTH,
     DenseOperator,
     IntMatrix,
-    PrimeDivideDenominator,
     RatMatrix,
     default_modular_primes,
     certified_nullity,
@@ -388,14 +387,10 @@ def test_kernel_dimension_scaled_rows():
 
 
 def test_modular_prime_validation():
+    """Rows are cleared of denominators before the GF(p) proof, so a prime
+    dividing an original denominator is harmless."""
     mat = RatMatrix([[Fraction(1, 1048583), 1]])
-    with pytest.raises(PrimeDivideDenominator):
-        kernel_dimension(mat, "modular", primes=[1048583, 1048589, 1048601])
-    # default prime selection avoids the denominators
-    ps = default_modular_primes(avoid={1048583})
-    assert 1048583 not in ps and len(ps) == 3
-    assert all(p > 1 << 20 for p in ps)
-    assert kernel_dimension(mat, "modular", primes=ps) == 1
+    assert kernel_dimension(mat, "modular", primes=[1048583, 1048589, 1048601]) == 1
 
 
 def test_modular_primes_rejects_composites():

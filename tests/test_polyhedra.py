@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,10 +9,15 @@ import pytest
 
 from helpers import (
     dd_convert_two_pass,
+    dim_by_smith,
     extreme_rays_by_quotient_conversion,
     hilbert_basis_all_pairs,
+    hull_2d_by_monotone_chain,
+    inequalities_by_vertex_conversion,
+    lattice_points_by_box,
     lattice_points_by_fractions,
     parallelepiped_points_by_solve,
+    vertices_by_exclusion,
 )
 
 from coxkit import linalg, polyhedra
@@ -30,11 +36,11 @@ from coxkit.polyhedra import (
     EmptyInput,
     NotPointed,
     Polytope,
-    convex_hull_2d,
     dd_convert,
     dual_cone,
     hilbert_basis,
     intersect,
+    lattice_columns,
     lattice_points,
     membership,
     polytope_from_inequalities,
@@ -537,7 +543,7 @@ def test_lattice_points_flagship_triangle():
 
 
 def test_lattice_points_delta_prime_interior():
-    hull = convex_hull_2d(DELTA_PRIME_COLUMNS)
+    hull = polytope_from_points(DELTA_PRIME_COLUMNS)
     pts = lattice_points(hull, 1)
     ineqs = hull.inequalities()
     interior = [
@@ -554,7 +560,7 @@ def test_lattice_points_dilation_consistency():
     for _ in range(20):
         pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(5)]
         try:
-            hull = convex_hull_2d(pts)
+            hull = polytope_from_points(pts)
         except EmptyInput:
             continue
         if len(hull.vertices) < 3:
@@ -666,7 +672,7 @@ def test_hilbert_lower_dimensional_cone():
 
 
 def test_hull_delta_prime_all_vertices():
-    hull = convex_hull_2d(DELTA_PRIME_COLUMNS)
+    hull = polytope_from_points(DELTA_PRIME_COLUMNS)
     assert len(hull.vertices) == 7
     assert set(hull.vertices) == {
         tuple(map(Fraction, v)) for v in DELTA_PRIME_COLUMNS
@@ -681,18 +687,18 @@ def test_hull_delta_prime_all_vertices():
 
 
 def test_hull_square_plus_center():
-    hull = convex_hull_2d([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
+    hull = polytope_from_points([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
     assert len(hull.vertices) == 4
     assert (1, 1) not in {(int(x), int(y)) for x, y in hull.vertices}
 
 
 def test_hull_collinear():
-    hull = convex_hull_2d([(0, 0), (1, 1), (2, 2)])
+    hull = polytope_from_points([(0, 0), (1, 1), (2, 2)])
     assert [tuple(map(int, v)) for v in hull.vertices] == [(0, 0), (2, 2)]
 
 
 def test_hull_single_point():
-    hull = convex_hull_2d([(3, 4)])
+    hull = polytope_from_points([(3, 4)])
     assert [tuple(map(int, v)) for v in hull.vertices] == [(3, 4)]
 
 
@@ -750,6 +756,117 @@ def test_polytope_area():
     tri = polytope_from_points(DELTA_VERTICES)
     assert tri.area() == 1326
     assert tri.area() == shoelace_oracle(tri.vertices)
+
+
+def check_polytope_against_oracles(poly, points=None):
+    """Vertices and their order, facets, dimension and the lattice points
+    of the dilations 1-3 against the oracles; `points` are the points the
+    polytope is the hull of, by default its vertices."""
+    d = poly.ambient_dim
+    points = poly.vertices if points is None else points
+    want = hull_2d_by_monotone_chain(points) if d == 2 else vertices_by_exclusion(points, d)
+    assert list(poly.vertices) == want
+    assert poly.inequalities() == inequalities_by_vertex_conversion(poly.vertices, d)
+    assert poly.dim() == dim_by_smith(poly.vertices, d)
+    for m in (1, 2, 3):
+        q = poly.dilate(m)
+        assert q.inequalities() == inequalities_by_vertex_conversion(q.vertices, d), m
+        assert q.dim() == poly.dim()
+        assert lattice_points(poly, m) == lattice_points_by_box(poly.vertices, d, m), m
+    for point in ((0,) * (d - 1), (0,) * (d + 1)):
+        with pytest.raises(DimensionMismatch):
+            poly.contains(point)
+
+
+def test_polytope_from_points_matches_oracles():
+    """Rational point sets in dimensions 1-3, a quarter of them on a line
+    or a single point: the vertices come from the one conversion, the
+    facets and dimension from its cone, and a dilation maps that cone
+    when the polytope is full-dimensional."""
+    rng = random.Random(1919)
+    seen = collections.Counter()
+    for _ in range(240):
+        d = rng.randint(1, 3)
+
+        def rational():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+        if rng.random() < 0.25:
+            base = [rational() for _ in range(d)]
+            step = [rational() for _ in range(d)]
+            pts = [tuple(b + rng.randint(0, 2) * s for b, s in zip(base, step))
+                   for _ in range(rng.randint(1, 4))]
+        else:
+            pts = [tuple(rational() for _ in range(d)) for _ in range(rng.randint(1, d + 4))]
+        poly = polytope_from_points(pts)
+        check_polytope_against_oracles(poly, pts)
+        seen[(d, poly.dim() == d)] += 1
+    # the segment whose +/- facet rows a mapped cone would change
+    check_polytope_against_oracles(
+        polytope_from_points([(Fraction(-2, 3), 1), (2, Fraction(-1, 3))])
+    )
+    assert all(seen[(d, full)] >= 10 for d in (1, 2, 3) for full in (True, False)), seen
+
+
+def test_polytope_from_inequalities_matches_oracles():
+    """The facets of a random polytope in [-4, 4]^d, tightened, with a
+    random row more, or without those that a random direction r leaves
+    (so r recedes): bounded systems against the oracles and their lattice
+    points against the system itself, empty and unbounded ones as
+    before."""
+    rng = random.Random(1920)
+    seen = collections.Counter()
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        pts = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d + 3)]
+        ineqs = [(u, c - rng.randint(0, 4))
+                 for u, c in polytope_from_points(pts).inequalities()]
+        if rng.random() < 0.3:
+            u = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(u):
+                ineqs.append((u, rng.randint(-3, 3)))
+        if rng.random() < 0.3:
+            r = tuple(rng.randint(-2, 2) for _ in range(d))
+            ineqs = [(u, c) for u, c in ineqs if dot(u, r) >= 0]
+        try:
+            poly = polytope_from_inequalities(ineqs, d)
+        except ValueError:
+            seen["unbounded"] += 1
+            continue
+        if poly.is_empty():
+            seen["empty"] += 1
+            assert poly.dim() == -1 and not poly.contains((0,) * d)
+            continue
+        seen["bounded"] += 1
+        check_polytope_against_oracles(poly)
+        box = [range(-5, 6)] * d
+        assert lattice_points(poly, 1) == [
+            x for x in itertools.product(*box) if all(dot(u, x) + c >= 0 for u, c in ineqs)
+        ]
+    assert min(seen["unbounded"], seen["empty"], seen["bounded"]) >= 20, seen
+
+
+def test_dilation_of_a_full_dimensional_polytope_converts_nothing(monkeypatch):
+    """The lattice columns of m P, m = 1..3, read the facets of P's cone,
+    mapped by m: no cone conversion."""
+    polys = [polytope_from_points(DELTA_VERTICES),
+             polytope_from_points([(0, 0, 0), (3, 0, 1), (0, 2, Fraction(1, 2)), (1, 1, 4)])]
+    calls, real = [], polyhedra.dd_convert
+    monkeypatch.setattr(polyhedra, "dd_convert", lambda *a, **k: calls.append(k) or real(*a, **k))
+    for poly in polys:
+        for m in (1, 2, 3):
+            assert list(lattice_columns(poly, m))
+    assert calls == []
+
+
+def test_polytope_dim_takes_no_smith_form(monkeypatch):
+    polys = [polytope_from_points(pts) for pts in (
+        DELTA_VERTICES, [(0, 0, 0), (2, 1, 3)], [(Fraction(1, 2), 4)], [(1,), (5,)],
+    )]
+    calls, real = [], polyhedra.smith_normal_form
+    monkeypatch.setattr(polyhedra, "smith_normal_form", lambda M: calls.append(M) or real(M))
+    assert [p.dim() for p in polys] == [2, 1, 0, 1]
+    assert calls == []
 
 
 def test_hilbert_determinant_cap():
