@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
-from .linalg import DenseOperator, IntMatrix, _limbs, certified_nullity, dot, primitive
-from .linalg import smith_normal_form
+from .linalg import PANEL_WIDTH, DenseOperator, IntMatrix, _limbs, certified_nullity, dot
+from .linalg import primitive, smith_normal_form
 from .polyhedra import Polytope, lattice_columns, lattice_points, polytope_from_points
 from .polyhedra import lattice_point_count
 
@@ -65,8 +65,9 @@ LM10_POLYGON_COLUMNS = ((-1, 6), (-4, 5), (-3, 1), (-2, 8), (-6, 0), (-7, 0), (0
 # flagship's m = 5 certificate has 256; a payload with more fails.
 FORCED_VERTEX_COLUMN_CAP = 1 << 17
 
-# `h0` refuses a vanishing matrix of more entries: near it a proof took 2.2-2.5 s
-# and 150-180 MB (2850 x 2850, 3003 x 3004; 2-core x86), 4.5 times the flagship's.
+# `h0` refuses a vanishing matrix of more entries: near it a proof took 0.85-1.0 s
+# and a peak RSS of 109-113 MB (1540 x 5347 and 6105 x 1348 on the flagship
+# triangle; 2-core x86), with 4.4 times the flagship's entries.
 INTERPOLATION_ENTRY_CAP = 1 << 23
 
 # `least_width_images` tests about 30 r rows and may list about 32 r images,
@@ -122,8 +123,11 @@ def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
     holds (a)_i * (b)_j mod p.
 
     Falling factorials mod p are tabulated per coordinate value by a
-    running product, (a)_i = (a)_{i-1} * (a - i + 1), and each entry is the
-    product of one table entry per coordinate, reduced once.  Needs
+    running product, (a)_i = (a)_{i-1} * (a - i + 1), and spread over the
+    points, one row per order.  The result is the only full-size array:
+    PANEL_WIDTH rows at a time, the a-factors of a block are gathered into
+    its slice of the result and the b-factors into one reused block, and
+    the slice is multiplied by that block and reduced in place.  Needs
     p < 2^31.5 so that products of residues fit in int64.
     """
     import numpy as np
@@ -132,7 +136,7 @@ def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
     funcs = np.array(functionals, dtype=np.int64).reshape(-1, 2)
 
     def factor(axis):
-        # (x)_i mod p for each functional's i and point's x on this axis
+        # row i holds (x)_i mod p for each point's x on this axis
         coords, orders = pts[:, axis], funcs[:, axis]
         # the value range spans 0, which keeps empty point lists valid
         lo = int(coords.min(initial=0))
@@ -140,11 +144,19 @@ def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
         table = np.ones((int(orders.max(initial=0)) + 1, values.size), dtype=np.int64)
         for i in range(1, table.shape[0]):
             table[i] = table[i - 1] * ((values - (i - 1)) % p) % p
-        return table[orders[:, None], coords[None, :] - lo]
+        return table[:, coords - lo]
 
-    out = factor(0)
-    out *= factor(1)
-    out %= p
+    fa, fb = factor(0), factor(1)
+    out = np.empty((len(funcs), len(pts)), dtype=np.int64)
+    block = np.empty((min(PANEL_WIDTH, len(funcs)), len(pts)), dtype=np.int64)
+    for i0 in range(0, len(funcs), PANEL_WIDTH):
+        i, j = funcs[i0 : i0 + PANEL_WIDTH].T
+        rows, other = out[i0 : i0 + len(i)], block[: len(i)]
+        # mode="clip" writes straight into `out`; "raise" would buffer it
+        np.take(fa, i, axis=0, out=rows, mode="clip")
+        np.take(fb, j, axis=0, out=other, mode="clip")
+        rows *= other
+        rows %= p
     return out
 
 

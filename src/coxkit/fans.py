@@ -366,8 +366,10 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
     (t_k[j])_k in the rows of S^T (S the matrix of the s_k): that vector
     times the adjugate D (S^T)^-1, D = det S, divided by D.  The adjugate
     comes from one Hermite form per call; there is no T when some quotient
-    is not exact.  T is kept when det T = +-1 and it matches the ray sets
-    and the maximal cone structure.  Desk scale: few rays only.
+    is not exact.  Since det T = det(t_k) / D must be +-1, T is built only
+    for targets with det(t_k) = +-D, and kept when it is integral and
+    matches the ray sets and the maximal cone structure.  Desk scale: few
+    rays only.
     """
     if f1.lattice_dim != f2.lattice_dim or len(f1.rays) != len(f2.rays):
         return None
@@ -395,12 +397,13 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
     ray_set2 = set(f2.rays)
     cone_family2 = {frozenset(f2.rays[i] for i in c) for c in f2.max_cones}
     for targets in itertools.permutations(f2.rays, d):
-        scaled = (IntMatrix(targets, cols=d).transpose() * adj).row_list()
+        t = IntMatrix(targets, cols=d)
+        if abs(det(t)) != abs(D):
+            continue
+        scaled = (t.transpose() * adj).row_list()
         if any(x % D for row in scaled for x in row):
             continue
         T = IntMatrix([[x // D for x in row] for row in scaled], cols=d)
-        if abs(det(T)) != 1:
-            continue
         if {T.apply(r) for r in f1.rays} != ray_set2:
             continue
         fam1 = {frozenset(T.apply(f1.rays[i]) for i in c) for c in f1.max_cones}

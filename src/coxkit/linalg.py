@@ -572,6 +572,12 @@ class _PivotSolver:
     """Solves A_PP y = b over GF(p), A_PP the pivot block of a ModularLU
     (its pivot rows and pivot columns, so L U restricted to them).
 
+    It consumes `f.lu`: the pivot columns of its first r rows are written
+    as float64 over the first r columns of the same buffer, PANEL_WIDTH
+    rows at a time, and that r x r view (row stride cols) is the T the
+    solves read, so no second full-size array is made.  `f.lu` holds no
+    factors afterwards; `f.perm` and `f.pivots` are separate and unchanged.
+
     Blocked like the elimination: each diagonal block of PANEL_WIDTH
     columns of L and of U is inverted once, so a solve is a few float64
     products of at most PANEL_WIDTH terms per block, each term below
@@ -583,10 +589,10 @@ class _PivotSolver:
 
         p, r = f.p, f.rank
         self.p = p
-        # gathered a block of rows at a time: no r x r int64 copy
-        self.T = np.empty((r, r))
+        self.T = f.lu.view(np.float64)[:r, :r]
         self.blocks = [(i, min(i + PANEL_WIDTH, r)) for i in range(0, r, PANEL_WIDTH)]
         for i0, i1 in self.blocks:
+            # the gather is read before its rows are overwritten
             self.T[i0:i1] = f.lu[i0:i1, f.pivots]
         self.linv, self.uinv = [], []
         for i0, i1 in self.blocks:
@@ -1000,8 +1006,7 @@ def certified_nullity(op, primes=None) -> NullityProof:
         rows, piv = f.perm[:r], list(f.pivots)
         free = sorted(set(range(n)) - set(piv))
         k = len(free)
-        solve = _PivotSolver(f)
-        del f  # the rows x cols factors are not needed while lifting
+        solve = _PivotSolver(f)  # takes over f.lu as its pivot block
         step = op.pivot_product(rows, piv)
         B = _limbs(-op.columns(free)[rows])
         # X + M * pack is the solution mod M * scale; pack holds the digits

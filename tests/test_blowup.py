@@ -1,7 +1,9 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -50,7 +52,7 @@ from coxkit.blowup import (
     vanishing_matrix_mod,
 )
 from coxkit.errors import PreconditionError
-from coxkit.linalg import IntMatrix, certified_nullity
+from coxkit.linalg import PANEL_WIDTH, IntMatrix, certified_nullity
 from coxkit.polyhedra import lattice_point_count, lattice_points, polytope_from_points
 
 TRIANGLE = polytope_from_points(WPS_12_13_17_TRIANGLE)
@@ -106,8 +108,11 @@ def test_vanishing_matrix_row_structure():
 
 
 def test_vanishing_matrix_mod_is_exact_matrix_reduced():
-    """The vectorized residue matrix that h0 ranks equals the exact
-    vanishing matrix reduced mod p, on the seven-vertex LM10 polygon."""
+    """The residue matrix that h0 ranks, built PANEL_WIDTH rows at a time,
+    equals the exact vanishing matrix reduced mod p, on the seven-vertex
+    LM10 polygon: one short block (28 rows, order 7), a full block and a
+    short one (105 rows), exactly two blocks, no functionals and no
+    points."""
     for dilation in (1, 2):
         prob = InterpolationProblem(DELTA_PRIME, dilation, 7)
         exact = vanishing_matrix(prob)
@@ -117,6 +122,43 @@ def test_vanishing_matrix_mod_is_exact_matrix_reduced():
             assert got.tolist() == [
                 [int(x) % p for x in exact.row(i)] for i in range(exact.rows)
             ]
+    points = lattice_points(DELTA_PRIME, 2)
+    cases = [
+        (points, derivative_functionals(14)),  # 105 = PANEL_WIDTH + 9 rows
+        (points, derivative_functionals(20)[: 2 * PANEL_WIDTH]),
+        (points[:5], derivative_functionals(20)[: PANEL_WIDTH - 1]),
+        (points, []),
+        ([], derivative_functionals(5)),
+        ([], []),
+    ]
+    for pts, funcs in cases:
+        for p in (1048583, 2097143):
+            got = vanishing_matrix_mod(pts, funcs, p)
+            assert got.dtype == np.int64 and got.shape == (len(funcs), len(pts))
+            assert got.tolist() == [[vanishing_entry(f, x) % p for x in pts] for f in funcs]
+
+
+def test_gf_p_proof_holds_one_full_size_array():
+    """The order-52 flagship proof (1378 x 1348) holds one full-size
+    array: under tracemalloc, which counts numpy buffers, the residues
+    peak at 1.35 times the matrix's int64 bytes and the whole proof at
+    1.5 times (a second factor table, or a float64 pivot block beside the
+    factors, would add one more)."""
+    prob = InterpolationProblem(TRIANGLE, 1, 52)
+    points, functionals = prob.points(), prob.functionals()
+    size = len(points) * len(functionals) * 8
+    tracemalloc.start()
+    try:
+        vanishing_matrix_mod(points, functionals, 1048583)
+        residues = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        proof = h0(prob, proof=True)
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert proof.nullity == 1
+    assert residues <= 1.35 * size, residues / size
+    assert whole <= 1.5 * size, whole / size
 
 
 # ------------------------------------------------------------------- h0

@@ -276,6 +276,43 @@ def test_unimodular_equivalence_self():
         assert T is not None
 
 
+def test_unimodular_equivalence_builds_maps_only_at_determinant_d(monkeypatch):
+    """T is built, as targets^T times the adjugate, only for target rays
+    whose determinant is +-D = +-det(source basis): det T = det(targets) / D
+    must be +-1.  Counted with a wrapped product on smooth and singular
+    fans, equivalent and not; the maps found are still lattice
+    isomorphisms carrying cones onto cones."""
+    products = []
+    multiply = IntMatrix.__mul__
+
+    def counted(self, other):
+        products.append(abs(det(self)))
+        return multiply(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    cases = [
+        (hirzebruch_fan(1), hirzebruch_fan(1), True),
+        (hirzebruch_fan(1), hirzebruch_fan(2), False),
+        (weighted_projective_fan(1, 1, 2), weighted_projective_fan(1, 1, 2), True),
+        (weighted_projective_fan(1, 2, 3), weighted_projective_fan(1, 2, 3), True),
+        (weighted_projective_fan(1, 1, 2), weighted_projective_fan(1, 2, 3), False),
+        (*(normal_fan(polytope_from_points(DELTA_VERTICES)),) * 2, True),
+    ]
+    for f1, f2, equivalent in cases:
+        # the first d rays of each f1 are linearly independent
+        D = abs(det(IntMatrix(f1.rays[: f1.lattice_dim])))
+        products.clear()
+        T = fans_unimodular_equivalent(f1, f2)
+        assert products and set(products) == {D}
+        assert (T is not None) == equivalent
+        if equivalent:
+            assert abs(det(T)) == 1
+            assert {T.apply(r) for r in f1.rays} == set(f2.rays)
+            assert {frozenset(T.apply(f1.rays[i]) for i in c) for c in f1.max_cones} == {
+                frozenset(f2.rays[i] for i in c) for c in f2.max_cones
+            }
+
+
 def random_gl(rng, d):
     """A random matrix of GL(d, Z): a signed permutation times elementary
     row operations."""

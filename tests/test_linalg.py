@@ -885,3 +885,46 @@ def test_int_rank_mod_leaves_its_input():
     assert rows == kept.tolist()
     g = int_rank_mod(DenseOperator(rows, 25), p)
     assert (g.lu == f.lu).all() and (g.perm == f.perm).all() and g.pivots == f.pivots
+
+
+def gf_p_solve(A, B, p):
+    """X with A X = B over GF(p), A square and invertible mod p, by
+    Gauss-Jordan elimination of [A | B] in int64; oracle-side only."""
+    M = np.concatenate([A % p, B % p], axis=1).astype(np.int64)
+    for c in range(len(M)):
+        piv = c + int(np.flatnonzero(M[c:, c])[0])
+        M[[c, piv]] = M[[piv, c]]
+        M[c] = M[c] * pow(int(M[c, c]), p - 2, p) % p
+        column = M[:, c].copy()
+        column[c] = 0
+        M = (M - np.outer(column, M[c])) % p
+    return M[:, len(M) :]
+
+
+def test_pivot_solver_consumes_the_factors():
+    """_PivotSolver keeps its pivot block in the buffer of f.lu, leaves
+    f.perm and f.pivots as they were, and solves A_PP y = b (A_PP the
+    pivot rows and columns of A) as an independent Gauss-Jordan solve over
+    GF(p) does: seeded rank-deficient wide and tall matrices with
+    dependent rows and columns early, so the pivots are not the leading
+    columns and the rank and pivot columns cross PANEL_WIDTH boundaries."""
+    rng = np.random.default_rng(20261020)
+    for m, n, r in ((150, 260, PANEL_WIDTH + 34), (300, 230, 2 * PANEL_WIDTH + 8)):
+        left = rng.integers(-9, 10, (m, r))
+        right = rng.integers(-9, 10, (r, n))
+        for j in rng.choice(np.arange(1, r), 12, replace=False):
+            right[:, j + 1 :] = right[:, j:-1].copy()
+            right[:, j] = 3 * right[:, j - 1]
+            left[j] = -2 * left[j - 1]
+        A = left @ right
+        for p in (1048583, LARGEST_PRIME):
+            f = int_rank_mod(A, p)
+            perm, pivots = f.perm.copy(), f.pivots
+            assert f.rank == r and pivots[-1] == r - 1 + 12
+            block = A[perm[:r]][:, list(pivots)]
+            solve = linalg._PivotSolver(f)
+            assert np.shares_memory(solve.T, f.lu)
+            assert (f.perm == perm).all() and f.pivots == pivots
+            b = rng.integers(0, p, (r, 3))
+            assert (solve(b) == gf_p_solve(block, b, p)).all()
+            assert (solve(b[:, 0]) == gf_p_solve(block, b[:, :1], p)[:, 0]).all()
