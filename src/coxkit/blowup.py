@@ -52,13 +52,12 @@ class NotSurjective(PreconditionError):
     pass
 
 
-# the 7-vertex polygon and lattice projection used for the Losev-Manin
-# reduction from 10 marked points
+# the lattice projection used for the Losev-Manin reduction from 10 marked
+# points
 LM10_PROJECTION_MATRIX = ((1, 0, 1, -2, -1, 1, 0), (0, 1, -1, -3, -2, 2, 1))
 LM10_V1 = (1, 0, 1, 1, 1, 0, 0)
 LM10_V2 = (0, 0, 0, -1, -1, 0, 0)
 LM10_V3 = (-1, 0, -1, 0, 0, -1, 0)
-LM10_POLYGON_COLUMNS = ((-1, 6), (-4, 5), (-3, 1), (-2, 8), (-6, 0), (-7, 0), (0, 3))
 
 # A forced-vertex judge walks the lattice columns of the dilated polygon,
 # about 6 us each (2-core x86): this many take under a second.  The

@@ -2,11 +2,18 @@
 
 Effective and moving cones of a graded polynomial ring, semistable
 supports (the inclusion-minimal degree subsets whose cone contains a
-class; by Caratheodory each has at most free_rank elements), the chamber
-containing a given class (one conversion of the facets of its minimal
-supports' cones), full enumeration of full-dimensional chambers via the
-hyperplane arrangement spanned by the degrees, and the two-condition test
-for a graded polynomial ring being a Cox ring.
+class), the chamber containing a given class, full enumeration of
+full-dimensional chambers via the hyperplane arrangement spanned by the
+degrees, and the two-condition test for a graded polynomial ring being a
+Cox ring.
+
+By Caratheodory a minimal support is a linearly independent set of at
+most free_rank degrees, so it spans a simplex, and one integer adjugate
+decides it: the class must have positive coordinates in it.  No cone is
+converted for the supports.  The chamber is one conversion of the facets
+of the supports' cones; those of a free_rank support are the rows of its
+adjugate, and only a smaller support (the class on a wall) converts its
+cone, through `_subset_cone`, as do the effective and drop-one cones.
 """
 
 from __future__ import annotations
@@ -123,11 +130,22 @@ def mori_chamber(spec: GradingSpec, w) -> Chamber:
     Every subset I with w in C_I contains a minimal support J of w, and
     C_J lies in C_I, so the chamber is the intersection of the cones of the
     minimal supports (`semistable_supports`), and the sets I are their
-    upward closure (`defining_subsets`).
+    upward closure (`defining_subsets`).  It is one conversion of the
+    union of their facets.  A support of free_rank degrees spans a
+    simplicial cone whose facets are the rows of its adjugate, which
+    `_minimal_supports` has already computed; only a smaller support (w on
+    a wall) takes its cone from `_subset_cone`.
     """
-    supports = tuple(semistable_supports(spec, w))
-    cone = intersect(*(_subset_cone(spec, frozenset(m)) for m in supports))
-    return Chamber(cone=cone, supports=supports)
+    k = spec.free_rank
+    found = _minimal_supports(spec, w)
+    facets = set()
+    for m, rows in found:
+        if len(m) == k:
+            facets.update(primitive(row) for row in rows)
+        else:
+            facets.update(_subset_cone(spec, frozenset(m)).facets)
+    cone = dd_convert(facets=sorted(facets), ambient_dim=k)
+    return Chamber(cone=cone, supports=tuple(m for m, _ in found))
 
 
 def defining_subsets(supports, r):
@@ -245,27 +263,123 @@ def is_cox_grading(spec: GradingSpec) -> CoxGradingVerdict:
     return CoxGradingVerdict(True, None, None)
 
 
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _adjugate(rows):
+    """(det A, adj A) of the square integer matrix A with these rows, or
+    (0, None) when A is singular.  At free ranks 2 and 3, the frequent
+    ones, it is a closed form: for rows r1, r2, r3 the columns of adj A are
+    r2 x r3, r3 x r1 and r1 x r2.  Otherwise fraction-free Gauss-Jordan
+    elimination of [A | I] (Bareiss): after step k every entry is a minor
+    of order k + 1, so each division by the previous pivot is exact, and
+    at the end the left block is d I and the right block d A^-1 = adj A,
+    with d the determinant of A with its rows swapped as the pivots were
+    found."""
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+        return (det, [[d, -b], [-c, a]]) if det else (0, None)
+    if n == 3:
+        r1, r2, r3 = rows
+        cols = [_cross(r2, r3), _cross(r3, r1), _cross(r1, r2)]
+        det = dot(r1, cols[0])
+        return (det, [list(row) for row in zip(*cols)]) if det else (0, None)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        pk, top = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                aik = a[i][k]
+                a[i] = [(pk * x - aik * y) // prev for x, y in zip(a[i], top)]
+        prev = pk
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def _coordinates(gens, k, v):
+    """(A, A v) when the vectors `gens` = s_1..s_j of Z^k, j <= k, are
+    linearly independent and v lies in their span, else None.  A is the
+    j x k integer matrix with A v = d lambda for v = sum lambda_i s_i and
+    some d > 0.  With S the k x j matrix whose columns are the s_i: for
+    j = k, A = sign(det S) adj S and d = |det S|, so the rows of A are
+    inward normals of the facets of the simplicial cone over the s_i (row
+    i vanishes on every s_l but s_i); for j < k, A = adj(S^T S) S^T and
+    d = det S^T S, and v must satisfy S A v = d v."""
+    if len(gens) == k:
+        d, adj = _adjugate(list(zip(*gens)))
+        if not d:
+            return None
+        rows = adj if d > 0 else [[-x for x in row] for row in adj]
+        return rows, [dot(row, v) for row in rows]
+    d, adj = _adjugate([[dot(s, t) for t in gens] for s in gens])
+    if not d:
+        return None
+    rows = [[dot(row, col) for col in zip(*gens)] for row in adj]
+    lam = [dot(row, v) for row in rows]
+    return (rows, lam) if all(dot(c, lam) == d * x for c, x in zip(zip(*gens), v)) else None
+
+
+def _minimal_supports(spec: GradingSpec, w):
+    """The minimal supports m of w, each with the rows A of `_coordinates`
+    of its degrees, as (m, A) in `semistable_supports` order.  Raises NotEffective when there is none.
+
+    The sets of free_rank degrees are tried first.  A smaller support of
+    w != 0 extends to free_rank independent degrees, in whose coordinates
+    w has a zero, so smaller sets are tried only after such a zero, or
+    when no free_rank degrees are independent."""
+    w = tuple(Fraction(x) for x in w)
+    k = spec.free_rank
+    if len(w) != k:
+        raise PreconditionError("class vector has wrong length")
+    v = _clear_denominators(w)  # a positive multiple: the same supports
+    if not any(v):
+        return [((), [])]  # every set holds the empty one
+    degrees = [spec.free_part(i) for i in range(spec.r)]
+    nonzero = [i for i, s in enumerate(degrees) if any(s)]  # 0 is in no independent set
+
+    def spanning(size):
+        for m in itertools.combinations(nonzero, size):
+            got = _coordinates([degrees[i] for i in m], k, v)
+            if got is not None:
+                yield m, *got
+
+    full = list(spanning(k))
+    found = [(m, rows) for m, rows, lam in full if min(lam) > 0]
+    if not full or any(0 in lam for *_, lam in full):
+        smaller = [(m, rows) for j in range(1, k) for m, rows, lam in spanning(j) if min(lam) > 0]
+        found = smaller + found
+    if not found:
+        raise NotEffective(f"class {w} is not effective")
+    return found
+
+
 def semistable_supports(spec: GradingSpec, w):
     """Inclusion-minimal index sets I with w in cone(degrees at I).
 
     A point of the total coordinate space is semistable for w exactly when
     its support contains one of these sets; the family is constant on
     chamber interiors.  The chamber of w is the intersection of their
-    cones (`mori_chamber`), and each set has at most free_rank elements.
+    cones (`mori_chamber`).
+
+    No cone is converted.  By Caratheodory, w in cone(S) lies in the cone
+    of a linearly independent subset of S, so a minimal support S is
+    independent, hence has at most free_rank elements, and w = sum
+    lambda_i s_i with every lambda_i > 0 (a zero coefficient would leave
+    a smaller support).  Conversely, an independent S with w in its span
+    and every lambda_i > 0 is minimal: lambda is unique, so no proper
+    subset holds w.  The test is exact in integers with the adjugate of
+    `_coordinates`: for |S| = free_rank, the signs of adj(S) w against
+    det S; below it, adj(S^T S) S^T w > 0 and w in span(S).
+    The sets are sorted by size and then lexicographically.  w is
+    effective exactly when it has a minimal support; otherwise
+    NotEffective is raised.
     """
-    w = tuple(Fraction(x) for x in w)
-    if len(w) != spec.free_rank:
-        raise PreconditionError("class vector has wrong length")
-    v = _clear_denominators(w)  # a positive multiple: the same cones contain it
-    if not effective_cone(spec).contains(v):
-        raise NotEffective(f"class {w} is not effective")
-    minimal = []
-    # a minimal support is linearly independent (Caratheodory): size <= free_rank
-    for size in range(min(spec.r, spec.free_rank) + 1):
-        for subset in itertools.combinations(range(spec.r), size):
-            s = set(subset)
-            if any(set(m) <= s for m in minimal):
-                continue
-            if _subset_cone(spec, frozenset(subset)).contains(v):
-                minimal.append(tuple(subset))
-    return sorted(minimal, key=lambda t: (len(t), t))
+    return [m for m, _ in _minimal_supports(spec, w)]

@@ -20,6 +20,7 @@ from .linalg import (
     hermite_normal_form,
     int_inverse_unimodular,
     integer_kernel_saturated,
+    primitive,
     smith_normal_form,
 )
 from .polyhedra import (
@@ -27,6 +28,8 @@ from .polyhedra import (
     DimensionTooLarge,
     NotPointed,
     Polytope,
+    _irredundant,
+    _polytope_from_cone,
     dd_convert,
     hilbert_basis,
     lattice_point_count,
@@ -184,8 +187,39 @@ def divisor_polytope(fan: Fan, divisor) -> Polytope:
 
 
 def section_count(fan: Fan, divisor) -> int:
-    """dim H^0 = number of lattice points of the divisor polytope."""
-    return lattice_point_count(divisor_polytope(fan, divisor))
+    """dim H^0 = number of lattice points of the divisor polytope, read
+    off `_nef_polytope` when it applies and converted otherwise."""
+    a = _check_divisor(fan, divisor)
+    poly = _nef_polytope(fan, a)
+    return lattice_point_count(divisor_polytope(fan, a) if poly is None else poly)
+
+
+def _nef_polytope(fan: Fan, a):
+    """The polytope of a nef divisor on a complete simplicial fan, built
+    from `_witnesses` with no conversion, or None.
+
+    It is conv(m_sigma), and each m_sigma is a vertex: the one minimizing
+    <., u> for a generic u inside sigma.  So the generators of its cone
+    are the distinct primitive (M, delta), and its facets are the
+    divisor's own rows (v_i, a_i) that `polyhedra._irredundant` keeps on
+    them.  That needs a full-dimensional polytope.  A lower-dimensional
+    one is None: the fan refines its normal fan, whose lineality space,
+    the orthogonal complement of its span, then holds a ray, and that
+    ray's row vanishes on every generator.  So is a divisor that is not
+    nef, or one on a fan that is not complete and simplicial.
+    """
+    preds = fan_predicates(fan)
+    if not (preds.complete and preds.simplicial):
+        return None
+    witnesses = list(_witnesses(fan, a))
+    if any(s < 0 for *_, slacks in witnesses for s in slacks):
+        return None
+    d = fan.lattice_dim
+    gens = sorted({primitive((*M, delta)) for _, delta, M, _ in witnesses})
+    facets = _irredundant({primitive((*v, x)) for v, x in zip(fan.rays, a)}, gens)
+    if facets is None:
+        return None
+    return _polytope_from_cone(Cone(d + 1, gens, facets, 0, d + 1), d)
 
 
 @dataclass(frozen=True)

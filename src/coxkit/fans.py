@@ -254,22 +254,20 @@ def normal_fan(poly: Polytope) -> Fan:
     """Normal fan of a full-dimensional polytope with rational vertices.
 
     Rays are the primitive inward facet normals; maximal cones are the
-    normal cones at the vertices.
+    normal cones at the vertices.  The facets tight at a vertex are read
+    off the polytope's cone: the facets (u, c) of its inequalities that
+    vanish on the vertex's generator primitive(t x, t), in integers.
     """
     d = poly.ambient_dim
     if poly.dim() != d:
         raise NotFullDimensional("polytope must be full-dimensional")
-    ineqs = poly.inequalities()
-    rays = [u for u, c in ineqs]
-    max_cones = []
-    for v in poly.vertices:
-        tight = [
-            i
-            for i, (u, c) in enumerate(ineqs)
-            if sum(Fraction(ui) * xi for ui, xi in zip(u, v)) + c == 0
-        ]
-        max_cones.append(tuple(sorted(tight)))
-    return Fan(d, tuple(rays), tuple(max_cones))
+    cone = poly._homogenized()
+    facets = sorted(f for f in cone.facets if any(f[:d]))  # as poly.inequalities()
+    lift = {tuple(Fraction(x, g[d]) for x in g[:d]): g for g in cone.generators}
+    max_cones = [
+        tuple(i for i, f in enumerate(facets) if dot(f, lift[v]) == 0) for v in poly.vertices
+    ]
+    return Fan(d, tuple(f[:d] for f in facets), tuple(max_cones))
 
 
 def normal_fan_with_ample(poly: Polytope):

@@ -78,7 +78,13 @@ def dot(u, v):
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary precision."""
+    """Immutable integer matrix, row-major, arbitrary precision.
+
+    `IntMatrix(rows)` converts every entry with int() and refuses ragged
+    rows.  The matrices this module builds itself from Python ints
+    (transposes, products, identities, Smith and Hermite factors and
+    kernels) come from `_of`, which skips both checks.
+    """
 
     __slots__ = ("rows", "cols", "_r")
 
@@ -98,12 +104,22 @@ class IntMatrix:
             raise ValueError("cols mismatch")
 
     @classmethod
+    def _of(cls, rows_data, cols):
+        """The matrix of `rows_data`, rows of Python ints all of length
+        `cols`, taken as they are."""
+        m = object.__new__(cls)
+        m._r = tuple(map(tuple, rows_data))
+        m.rows = len(m._r)
+        m.cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of([[0] * cols for _ in range(rows)], cols)
 
     def row(self, i):
         return self._r[i]
@@ -133,16 +149,16 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._r]!r})"
 
     def transpose(self):
-        return IntMatrix([self.col(j) for j in range(self.cols)], cols=self.rows)
+        if not self._r:
+            return IntMatrix._of([()] * self.cols, 0)
+        return IntMatrix._of(zip(*self._r), self.rows)
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
             ot = other.transpose()
-            return IntMatrix(
-                [[dot(r, c) for c in ot._r] for r in self._r], cols=other.cols
-            )
+            return IntMatrix._of([[dot(r, c) for c in ot._r] for r in self._r], other.cols)
         return NotImplemented
 
     def apply(self, v):
@@ -286,7 +302,7 @@ def smith_normal_form(M: IntMatrix) -> SmithDecomposition:
         k += 1
 
     return SmithDecomposition(
-        U=IntMatrix(u, cols=n), D=IntMatrix(a, cols=m), V=IntMatrix(v, cols=m)
+        U=IntMatrix._of(u, n), D=IntMatrix._of(a, m), V=IntMatrix._of(v, m)
     )
 
 
@@ -335,7 +351,7 @@ def hermite_normal_form(M: IntMatrix):
         r += 1
         if r == n:
             break
-    return IntMatrix(a, cols=m), IntMatrix(u, cols=n)
+    return IntMatrix._of(a, m), IntMatrix._of(u, n)
 
 
 def integer_kernel_saturated(M: IntMatrix) -> IntMatrix:
@@ -349,8 +365,8 @@ def integer_kernel_saturated(M: IntMatrix) -> IntMatrix:
     h, u = hermite_normal_form(M.transpose())
     rows = [u.row(i) for i in range(h.rows) if not any(h.row(i))]
     if not rows:
-        return IntMatrix([], cols=M.cols)
-    return hermite_normal_form(IntMatrix(rows, cols=M.cols))[0]
+        return IntMatrix._of([], M.cols)
+    return hermite_normal_form(IntMatrix._of(rows, M.cols))[0]
 
 
 def lattice_coordinates(B: IntMatrix, vectors):
@@ -958,6 +974,69 @@ def _common_denominator(X, M):
     return d, Y.reshape(X.shape)
 
 
+def _nullity_mod(op, p, rejected):
+    """The NullityProof of `certified_nullity` from the prime p, or None
+    when p is unlucky; `rejected` are the primes found unlucky before it."""
+    import numpy as np
+
+    m, n = op.shape
+    f = int_rank_mod(op, p)
+    r = f.rank
+    if r == n or (r == m and n - r > 1):
+        return NullityProof(n - r, p, r, rejected=rejected)
+    rows, piv = f.perm[:r], list(f.pivots)
+    free = sorted(set(range(n)) - set(piv))
+    k = len(free)
+    solve = _PivotSolver(f)  # takes over f.lu as its pivot block
+    step = op.pivot_product(rows, piv)
+    B = _limbs(-op.columns(free)[rows])
+    # X + M * pack is the solution mod M * scale; pack holds the digits
+    # of the last steps, at most three, in base p
+    X = np.zeros((r, k), dtype=object)
+    pack = np.zeros((r, k), dtype=np.int64)
+    M, scale = 1, 1
+    steps, attempt = 0, 1
+    while True:
+        if steps == LIFTING_STEP_CAP:
+            raise PreconditionError(
+                f"p-adic lifting mod {p} passed {LIFTING_STEP_CAP} steps "
+                f"without an exact kernel ({k} vectors of {n} entries)"
+            )
+        x = solve(_limb_residues(B, p))
+        pack += x * scale
+        scale *= p
+        P = step(x)
+        C = np.zeros((max(len(B), len(P)), r, k), dtype=np.int64)
+        C[: len(B)] = B
+        C[: len(P)] -= P
+        B = _divide_limbs(C, p)
+        steps += 1
+        # early termination: reconstruct after steps 1, 2, 3, 4, 6, 8,
+        # 11, ..., each time a quarter more steps on
+        ready = steps >= attempt
+        if ready or scale == p**3:
+            X += pack.astype(object) * M
+            M *= scale
+            pack[...] = 0
+            scale = 1
+        if not ready:
+            continue
+        attempt = steps + 1 + steps // 4
+        found = _common_denominator(X, M)
+        if found is None:
+            continue
+        d, Y = found
+        Z = np.zeros((n, k), dtype=object)
+        Z[piv] = Y
+        Z[free, np.arange(k)] = d
+        bad = np.flatnonzero((op.product(Z) != 0).any(axis=1))
+        if not bad.size:
+            kernel = tuple(tuple(int(v) for v in col) for col in Z.T)
+            return NullityProof(n - r, p, r, kernel, d, tuple(free), steps, rejected)
+        if not np.isin(bad, rows).any():
+            return None
+
+
 def certified_nullity(op, primes=None) -> NullityProof:
     """Proved nullity of the integer matrix behind `op`.
 
@@ -989,74 +1068,20 @@ def certified_nullity(op, primes=None) -> NullityProof:
     A candidate X that makes A [X; I] = 0 exactly on every row proves
     nullity >= k.  If it holds on the pivot rows but not on
     another, X is the unique solution and rank_p < rank_Q: the prime was
-    unlucky and the next candidate is tried.  Raises PreconditionError when
-    the candidates run out or the lifting passes LIFTING_STEP_CAP steps.
+    unlucky and the next candidate is tried, once `_nullity_mod` has
+    returned and dropped the unlucky prime's factors, so the retry holds
+    one full-size array, not two.  Raises PreconditionError when the
+    candidates run out or the lifting passes LIFTING_STEP_CAP steps.
     """
-    import numpy as np
-
     m, n = op.shape
     if min(m, n) == 0:
         return NullityProof(n, None, 0)
     rejected = []
     for p in modular_primes(primes):
-        f = int_rank_mod(op, p)
-        r = f.rank
-        if r == n or (r == m and n - r > 1):
-            return NullityProof(n - r, p, r, rejected=tuple(rejected))
-        rows, piv = f.perm[:r], list(f.pivots)
-        free = sorted(set(range(n)) - set(piv))
-        k = len(free)
-        solve = _PivotSolver(f)  # takes over f.lu as its pivot block
-        step = op.pivot_product(rows, piv)
-        B = _limbs(-op.columns(free)[rows])
-        # X + M * pack is the solution mod M * scale; pack holds the digits
-        # of the last steps, at most three, in base p
-        X = np.zeros((r, k), dtype=object)
-        pack = np.zeros((r, k), dtype=np.int64)
-        M, scale = 1, 1
-        steps, attempt = 0, 1
-        while True:
-            if steps == LIFTING_STEP_CAP:
-                raise PreconditionError(
-                    f"p-adic lifting mod {p} passed {LIFTING_STEP_CAP} steps "
-                    f"without an exact kernel ({k} vectors of {n} entries)"
-                )
-            x = solve(_limb_residues(B, p))
-            pack += x * scale
-            scale *= p
-            P = step(x)
-            C = np.zeros((max(len(B), len(P)), r, k), dtype=np.int64)
-            C[: len(B)] = B
-            C[: len(P)] -= P
-            B = _divide_limbs(C, p)
-            steps += 1
-            # early termination: reconstruct after steps 1, 2, 3, 4, 6, 8,
-            # 11, ..., each time a quarter more steps on
-            ready = steps >= attempt
-            if ready or scale == p**3:
-                X += pack.astype(object) * M
-                M *= scale
-                pack[...] = 0
-                scale = 1
-            if not ready:
-                continue
-            attempt = steps + 1 + steps // 4
-            found = _common_denominator(X, M)
-            if found is None:
-                continue
-            d, Y = found
-            Z = np.zeros((n, k), dtype=object)
-            Z[piv] = Y
-            Z[free, np.arange(k)] = d
-            bad = np.flatnonzero((op.product(Z) != 0).any(axis=1))
-            if not bad.size:
-                kernel = tuple(tuple(int(v) for v in col) for col in Z.T)
-                return NullityProof(
-                    n - r, p, r, kernel, d, tuple(free), steps, tuple(rejected)
-                )
-            if not np.isin(bad, rows).any():
-                rejected.append(p)
-                break
+        proof = _nullity_mod(op, p, tuple(rejected))
+        if proof is not None:
+            return proof
+        rejected.append(p)
     raise PreconditionError(
         f"every candidate prime {tuple(rejected)} has a GF(p) rank below the "
         "rational rank; no nullity is proved"

@@ -415,18 +415,19 @@ class Polytope:
         return self._homogenized().contains((*point, 1))
 
     def dilate(self, m):
-        """m * P.  For an integer m > 1 the cone of a full-dimensional
-        polytope is mapped, not converted: its generators become
-        primitive(m x, t) and its facets primitive(u, m c).  A
-        lower-dimensional cone is not mapped, since the +/- rows of its
-        facets are a Smith-form lift that a linear map does not preserve."""
+        """m * P, which is P itself for m = 1.  For an integer m > 1 the
+        cone of a full-dimensional polytope is mapped, not converted: its
+        generators become primitive(m x, t) and its facets
+        primitive(u, m c).  A lower-dimensional cone is not mapped, since
+        the +/- rows of its facets are a Smith-form lift that a linear map
+        does not preserve."""
+        if m == 1:
+            return self
         poly = Polytope(
             self.ambient_dim, [tuple(Fraction(m) * x for x in v) for v in self.vertices]
         )
         cone, d = self._cone, self.ambient_dim
-        if m == 1:
-            poly._cone = cone
-        elif isinstance(m, int) and m > 1 and cone is not None and cone.is_full_dimensional():
+        if isinstance(m, int) and m > 1 and cone is not None and cone.is_full_dimensional():
             gens = sorted(primitive([*(m * x for x in g[:d]), g[d]]) for g in cone.generators)
             facets = sorted(primitive([*f[:d], m * f[d]]) for f in cone.facets)
             poly._cone = Cone(d + 1, gens, facets, 0, d + 1)

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 from coxkit import blowup, linalg
-from coxkit.chambers import effective_cone, mori_chamber
+from coxkit.chambers import NotEffective, effective_cone, mori_chamber
 from coxkit.divisors import (
     NotComplete,
     NotNef,
@@ -35,6 +35,7 @@ from coxkit.polyhedra import (
     Cone,
     DimensionMismatch,
     EmptyInput,
+    _clear_denominators,
     _double_description,
     _extreme_rays_of_halfspaces,
     _triangulate_pointed,
@@ -319,6 +320,10 @@ class LaurentPoly(blowup.LaurentPoly):
 # The least-width image of the P(12,13,17) triangle on which the blown-up
 # analysis at k = 51 certifies, placed with its largest vertex at (50, 0).
 WPS_12_13_17_TRIANGLE = ((11, -26), (50, 0), (-1, 34))
+
+# The 7-vertex polygon of the Losev-Manin reduction from 10 marked points
+# (`blowup.LM10_PROJECTION_MATRIX` is its lattice projection).
+LM10_POLYGON_COLUMNS = ((-1, 6), (-4, 5), (-3, 1), (-2, 8), (-6, 0), (-7, 0), (0, 3))
 
 
 def wps_polygon(*weights):
@@ -797,3 +802,32 @@ def witnesses_by_determinants(fan, divisor):
             for k in range(fan.lattice_dim)
         ]
         yield idx, delta, M, [dot(M, v) + delta * x for v, x in zip(fan.rays, a)]
+
+
+def subset_cone_by_conversion(spec, subset):
+    """The cone over the free parts of the degrees at `subset`, converted."""
+    gens = [spec.free_part(i) for i in sorted(subset) if any(spec.free_part(i))]
+    if not gens:
+        return zero_cone(spec.free_rank)
+    return dd_convert(generators=gens, ambient_dim=spec.free_rank)
+
+
+def semistable_supports_by_subset_cones(spec, w):
+    """The minimal supports of w by converting the cone of every subset of
+    at most free_rank degrees that holds no smaller support, and testing
+    whether it contains w; effectiveness is membership in the converted
+    cone of all degrees."""
+    w = tuple(Fraction(x) for x in w)
+    if len(w) != spec.free_rank:
+        raise PreconditionError("class vector has wrong length")
+    v = _clear_denominators(w)
+    if not subset_cone_by_conversion(spec, range(spec.r)).contains(v):
+        raise NotEffective(f"class {w} is not effective")
+    minimal = []
+    for size in range(min(spec.r, spec.free_rank) + 1):
+        for subset in itertools.combinations(range(spec.r), size):
+            if any(set(m) <= set(subset) for m in minimal):
+                continue
+            if subset_cone_by_conversion(spec, subset).contains(v):
+                minimal.append(subset)
+    return sorted(minimal, key=lambda t: (len(t), t))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LM10_POLYGON_COLUMNS,
     WPS_12_13_17_TRIANGLE,
     LaurentPoly,
     certified_nullity_by_objects,
@@ -27,7 +28,6 @@ from coxkit.blowup import (
     Certificate,
     FunctionalOrderTooHigh,
     InterpolationProblem,
-    LM10_POLYGON_COLUMNS,
     LM10_PROJECTION_MATRIX,
     LM10_V1,
     LM10_V2,

@@ -5,7 +5,11 @@ from functools import reduce
 
 import pytest
 
-from helpers import enumerate_chambers_by_pairwise_cuts
+from helpers import (
+    enumerate_chambers_by_pairwise_cuts,
+    semistable_supports_by_subset_cones,
+    subset_cone_by_conversion,
+)
 
 from coxkit import chambers
 from coxkit.chambers import (
@@ -224,13 +228,13 @@ def test_lambda_idempotence_random():
         done += 1
 
 
-def random_grading(rng, seen):
+def random_grading(rng, seen, ranks=(1, 3), counts=(1, 6)):
     """Degrees in Z^k, sometimes with a Z/t part, with repeated degrees and
     degrees of zero free part mixed in."""
-    k = rng.randint(1, 3)
+    k = rng.randint(*ranks)
     torsion = (rng.choice((2, 3)),) if rng.random() < 0.25 else ()
     degrees = []
-    for _ in range(rng.randint(1, 6)):
+    for _ in range(rng.randint(*counts)):
         tors = tuple(rng.randint(0, t - 1) for t in torsion)
         roll = rng.random()
         if degrees and roll < 0.15:
@@ -597,6 +601,97 @@ def test_semistable_constant_on_chamber_interior():
                 if ch.cone.membership(w) != "inside":
                     continue
                 assert semistable_supports(spec, w) == ref
+
+
+def test_supports_and_chambers_match_subset_cone_oracle():
+    """The adjugate test finds the minimal supports that converting every
+    subset cone finds, and mori_chamber the intersection of their converted
+    cones, on seeded gradings of free rank 1-4 with torsion, zero and
+    repeated degrees, at classes inside chambers, on walls and rays, at 0,
+    at rational classes and at classes that are not effective."""
+    rng = random.Random(2121)
+    seen = set()
+    for _ in range(90):
+        spec = random_grading(rng, seen, ranks=(1, 4), counts=(1, 7))
+        k = spec.free_rank
+        frees = [spec.free_part(i) for i in range(spec.r)]
+        classes = [
+            tuple(map(sum, zip(*frees))),
+            frees[-1],  # on a ray
+            tuple(a + b for a, b in zip(frees[0], frees[-1])),  # often on a wall
+            tuple(rng.randint(-2, 3) for _ in range(k)),
+            tuple(Fraction(rng.randint(-3, 5), rng.randint(1, 3)) for _ in range(k)),
+            (0,) * k,
+        ]
+        for w in classes:
+            try:
+                want = semistable_supports_by_subset_cones(spec, w)
+            except NotEffective as exc:
+                for run in (semistable_supports, mori_chamber):
+                    with pytest.raises(NotEffective) as got:
+                        run(spec, w)
+                    assert str(got.value) == str(exc)
+                seen.add("not effective")
+                continue
+            assert semistable_supports(spec, w) == want, (spec, w)
+            ch = mori_chamber(spec, w)
+            cone = intersect(*(subset_cone_by_conversion(spec, m) for m in want))
+            assert list(ch.supports) == want
+            assert (ch.cone.generators, ch.cone.facets) == (cone.generators, cone.facets)
+            assert (ch.cone.lineality_dim, ch.cone.dim()) == (cone.lineality_dim, cone.dim())
+            if not any(w):
+                seen.add("zero class")
+            elif any(len(m) < k for m in want):
+                seen.add("on a wall")
+            elif ch.full_dimensional:
+                seen.add("inside a chamber")
+    assert seen == {
+        "free rank 1",
+        "free rank 2",
+        "free rank 3",
+        "free rank 4",
+        "torsion",
+        "repeated degree",
+        "zero degree",
+        "not effective",
+        "zero class",
+        "on a wall",
+        "inside a chamber",
+    }
+
+
+def test_mori_chamber_at_an_interior_class_converts_only_the_chamber(monkeypatch):
+    """At a class inside a chamber every minimal support has free_rank
+    degrees, and the facets of its simplicial cone are rows of its
+    adjugate: mori_chamber converts the intersection and nothing else, and
+    asks `_subset_cone` for no cone."""
+    rng = random.Random(12)
+    specs = [
+        GradingSpec.from_columns([(rng.randint(0, 5), rng.randint(1, 5)) for _ in range(12)]),
+        GradingSpec.from_columns(
+            [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(7)]
+        ),
+    ]
+    calls = []
+    real = chambers.dd_convert
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    for spec in specs:
+        found = enumerate_chambers(spec)
+        assert len(found) >= 5
+        monkeypatch.setattr(chambers, "dd_convert", counted)
+        for ch in found:
+            w = ch.cone.relative_interior_point()
+            _subset_cone.cache_clear()
+            calls.clear()
+            again = mori_chamber(spec, w)
+            assert len(calls) == 1 and _subset_cone.cache_info().misses == 0
+            assert again.cone.facets == ch.cone.facets and again.supports == ch.supports
+            assert all(len(m) == spec.free_rank for m in again.supports)
+        monkeypatch.undo()
 
 
 def test_semistable_requires_effective():

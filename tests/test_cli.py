@@ -8,11 +8,10 @@ import time
 
 import pytest
 
-from helpers import WPS_12_13_17_TRIANGLE, order_at_e_oracle, wps_polygon
+from helpers import LM10_POLYGON_COLUMNS, WPS_12_13_17_TRIANGLE, order_at_e_oracle, wps_polygon
 
 from coxkit import blowup, chambers, divisors, fans, linalg, polyhedra
 from coxkit.blowup import (
-    LM10_POLYGON_COLUMNS,
     blowup_certificate,
     derivative_functionals,
     find_curve,

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -405,17 +406,20 @@ def test_witnesses_match_per_divisor_determinants(monkeypatch):
 
 
 def test_section_count_converts_once_and_lists_no_points(monkeypatch):
-    """section_count converts the divisor's facets once and counts the
-    points of the polytope's cone without listing them: by Pick's theorem
-    for a lattice polygon, by columns otherwise."""
+    """section_count converts the divisor's facets at most once and counts
+    the points of the polytope's cone without listing them: by Pick's
+    theorem for a lattice polygon, by columns otherwise.  A nef divisor
+    whose polytope is full-dimensional converts nothing; a divisor that is
+    not nef, or a nef one whose polytope is a segment, converts once."""
     cases = [
-        (projective_space_fan(2), (0, 0, 4)),
-        (weighted_projective_fan(1, 2, 3), (0, 0, 1)),  # a vertex (0, 1/2)
-        (hirzebruch_fan(2), (1, 0, 1, 2)),
-        (projective_space_fan(3), (0, 0, 0, 2)),
+        (projective_space_fan(2), (0, 0, 4), 0),
+        (weighted_projective_fan(1, 2, 3), (0, 0, 1), 0),  # a vertex (0, 1/2)
+        (hirzebruch_fan(2), (1, 0, 1, 2), 1),  # not nef
+        (hirzebruch_fan(2), (1, 0, 0, 0), 1),  # nef, a segment
+        (projective_space_fan(3), (0, 0, 0, 2), 0),
     ]
     # listed before counting, which also caches the fans' completeness
-    counts = [len(lattice_points(divisor_polytope(*case))) for case in cases]
+    counts = [len(lattice_points(divisor_polytope(fan, a))) for fan, a, _ in cases]
     calls = {"dd_convert": 0, "lattice_points": 0}
     for name in calls:
         real = getattr(polyhedra, name)
@@ -426,10 +430,61 @@ def test_section_count_converts_once_and_lists_no_points(monkeypatch):
 
         monkeypatch.setattr(polyhedra, name, counted)
         monkeypatch.setattr(divisors, name, counted, raising=False)
-    for (fan, divisor), count in zip(cases, counts):
+    for (fan, divisor, conversions), count in zip(cases, counts):
         calls.update(dd_convert=0, lattice_points=0)
         assert section_count(fan, divisor) == count
-        assert calls == {"dd_convert": 1, "lattice_points": 0}, (divisor, calls)
+        assert calls == {"dd_convert": conversions, "lattice_points": 0}, (divisor, calls)
+
+
+def test_nef_polytope_from_witnesses_matches_conversion():
+    """On the singular surfaces and weighted projective planes of the
+    positivity tests, on smooth surfaces, normal fans of lattice polygons,
+    P(w) in dimension 3 and a 3-dimensional fan with a prism cone, every
+    nef divisor whose polytope is full-dimensional gets from its witnesses
+    the polytope that `divisor_polytope` converts: the same vertices in the
+    same order and the same cone.  A lower-dimensional one, a divisor that
+    is not nef and a fan that is not simplicial get None, and
+    section_count equals the number of listed lattice points in all cases."""
+    rng = random.Random(2126)
+    cases = []
+    for fan in [_random_complete_surface(rng) for _ in range(25)] + [
+        _random_weighted_projective(rng, n) for n in (2,) * 8 + (3,) * 3
+    ] + [_smooth_surface(rng, n) for n in (3, 5, 8, 12)]:
+        cases += [(fan, [rng.randint(-2, 5) for _ in fan.rays]) for _ in range(12)]
+        cases.append((fan, [0] * len(fan.rays)))  # a point
+    for n in range(4):
+        cases += [(hirzebruch_fan(n), (m, 0, 0, 0)) for m in (1, 2)]  # segments
+    while len(cases) < 640:
+        pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(2, 6))]
+        fan, ample = normal_fan_with_ample(polytope_from_points(pts + [(0, 0), (1, 0), (0, 1)]))
+        cases += [(fan, ample), (fan, [a + rng.randint(-1, 1) for a in ample])]
+    # the fan over the faces of the cube [-1, 1]^3: complete, not simplicial
+    corners = list(itertools.product((-1, 1), repeat=3))
+    cube = Fan(3, corners, [[i for i, c in enumerate(corners) if c[j] == s]
+                            for j in range(3) for s in (-1, 1)])
+    cases += [(cube, [rng.randint(0, 3) for _ in corners]) for _ in range(4)]
+    seen = collections.Counter()
+    for fan, a in cases:
+        poly = divisors._nef_polytope(fan, a)
+        want = divisor_polytope(fan, a)
+        if poly is not None:
+            assert poly.vertices == want.vertices, (fan, a)
+            cone, other = poly._homogenized(), want._homogenized()
+            assert (cone.generators, cone.facets) == (other.generators, other.facets)
+            assert (cone.lineality_dim, cone.dim()) == (other.lineality_dim, other.dim())
+            seen["lattice" if poly.is_lattice() else "rational"] += 1
+            seen[f"dimension {fan.lattice_dim}"] += 1
+        elif not fans.fan_predicates(fan).simplicial:
+            seen["not simplicial"] += 1
+        elif positivity(fan, a).nef:
+            assert want.dim() < fan.lattice_dim
+            seen["lower-dimensional"] += 1
+        else:
+            seen["not nef"] += 1
+        assert section_count(fan, a) == len(lattice_points(want)), (fan, a)
+    assert seen["lattice"] >= 70 and seen["rational"] >= 150 and seen["dimension 3"] >= 25, seen
+    assert seen["lower-dimensional"] >= 40 and seen["not nef"] >= 200, seen
+    assert seen["not simplicial"] == 4, seen
 
 
 def test_second_positivity_on_a_fan_takes_no_determinant(monkeypatch):

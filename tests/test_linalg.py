@@ -817,6 +817,66 @@ def test_certified_nullity_matches_object_lifting():
     assert proof == certified_nullity_by_objects(unlucky) and proof.rejected == (1048583,)
 
 
+class Int64Operator(DenseOperator):
+    """A DenseOperator over an int64 matrix of entries below 2^21, whose
+    residues are one np.remainder, whose pivot product is one int64
+    product (a one-limb stack) and whose exact product is one too when Z
+    is below 2^20, so that the proof's own arrays dominate what
+    tracemalloc sees, and it sees few Python integers."""
+
+    def __init__(self, A):
+        super().__init__(A.tolist(), A.shape[1])
+        self.small = A
+
+    def residues(self, p):
+        return np.remainder(self.small, p)
+
+    def pivot_product(self, rows, cols):
+        block = self.small[np.ix_(rows, cols)]
+        return lambda x: (block @ x)[None]
+
+    def product(self, Z):
+        if np.abs(Z).max(initial=0) < 1 << 20:
+            return (self.small @ Z.astype(np.int64)).astype(object)
+        return super().product(Z)
+
+
+def test_certified_nullity_releases_an_unlucky_prime(monkeypatch):
+    """A 901 x 900 matrix of rank 900 whose last column is a combination of
+    the others mod 1048583 only: the first prime is rejected after its
+    lifting, and the second prime's elimination starts with nothing of
+    the first left (its factors, its pivot solver and its pivot block
+    would hold more than two residue arrays), so the retry peaks under
+    1.6 residue arrays, the elimination's panels included."""
+    import tracemalloc
+
+    rng = np.random.default_rng(21)
+    left = rng.integers(0, 10, (901, 899))
+    A = np.column_stack([left, left @ rng.integers(0, 10, 899)])
+    A[-1, -1] += 1048583
+    op = Int64Operator(A)
+    held, peaks = [], []
+    eliminate = linalg.int_rank_mod
+
+    def retried(op, p):
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return eliminate(op, p)
+
+    monkeypatch.setattr(linalg, "int_rank_mod", retried)
+    tracemalloc.start()
+    try:
+        proof = certified_nullity(op)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert proof.rejected == (1048583,) and proof.nullity == 0 and len(held) == 2
+    assert held[1] < 0.05 * A.nbytes
+    assert peaks[0] < 1.6 * A.nbytes
+    monkeypatch.undo()
+    assert proof == certified_nullity_by_objects(op)
+
+
 def test_divide_limbs_at_limb_boundaries():
     """(v p) / p = v exactly for v at and next to every limb boundary, from
     balanced limbs and from limbs far outside [-2^20, 2^20); the quotient's

@@ -42,6 +42,32 @@ def test_library_reads_no_environment():
     assert not found, found
 
 
+def test_only_the_two_cleared_caches():
+    """The library's only functools caches are `chambers._subset_cone` and
+    `fans.fan_predicates`, the two that the benchmark clears before each
+    pass (perfbench/workloads.py).  A cache of any other result would
+    outlive the pass that filled it, so every pass after the first would
+    run warm and a measured gain would be false.  Lists each function a
+    cache decorator wraps, and any other use of one by its line."""
+    names = {"lru_cache", "cache", "cached_property"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(target, "id", getattr(target, "attr", None)) in names:
+                        found.add(f"{path.stem}.{node.name}")
+                        decorators.add(target)
+        for node in ast.walk(tree):
+            if node not in decorators and getattr(node, "id", getattr(node, "attr", None)) in names:
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    found.add(f"{path.name}:{node.lineno}")
+    assert found == {"chambers._subset_cone", "fans.fan_predicates"}
+
+
 def test_every_public_name_is_used_by_the_library():
     """A public top-level function or class of the library is named by
     library code outside its own definition, or exported: imported into
