@@ -64,9 +64,10 @@ LM10_V3 = (-1, 0, -1, 0, 0, -1, 0)
 # flagship's m = 5 certificate has 256; a payload with more fails.
 FORCED_VERTEX_COLUMN_CAP = 1 << 17
 
-# `h0` refuses a vanishing matrix of more entries: near it a proof took 0.85-1.0 s
-# and a peak RSS of 109-113 MB (1540 x 5347 and 6105 x 1348 on the flagship
-# triangle; 2-core x86), with 4.4 times the flagship's entries.
+# `h0` refuses a vanishing matrix of more entries: near it a proof took
+# 0.78-1.13 s and a peak RSS of 72-76 MB (1540 x 5347 and 6105 x 1348 on the
+# flagship triangle; 2-core x86, a shared host), with 4.4 times the
+# flagship's entries.
 INTERPOLATION_ENTRY_CAP = 1 << 23
 
 # `least_width_images` tests about 30 r rows and may list about 32 r images,
@@ -118,16 +119,16 @@ class InterpolationProblem:
 
 def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
     """The vanishing matrix of these lattice points and derivative
-    functionals reduced mod p, as an int64 array: row (i, j), column (a, b)
-    holds (a)_i * (b)_j mod p.
+    functionals reduced mod p, as an int32 array of residues in [0, p): row
+    (i, j), column (a, b) holds (a)_i * (b)_j mod p.
 
     Falling factorials mod p are tabulated per coordinate value by a
     running product, (a)_i = (a)_{i-1} * (a - i + 1), and spread over the
     points, one row per order.  The result is the only full-size array:
-    PANEL_WIDTH rows at a time, the a-factors of a block are gathered into
-    its slice of the result and the b-factors into one reused block, and
-    the slice is multiplied by that block and reduced in place.  Needs
-    p < 2^31.5 so that products of residues fit in int64.
+    PANEL_WIDTH rows at a time, the a-factors and the b-factors of a block
+    are gathered into two reused int64 blocks, multiplied, and reduced
+    into the block's slice of the result.  Needs p < 2^31 so that products
+    of residues fit in int64 and residues in int32.
     """
     import numpy as np
 
@@ -146,16 +147,16 @@ def vanishing_matrix_mod(points, functionals, p: int) -> np.ndarray:
         return table[:, coords - lo]
 
     fa, fb = factor(0), factor(1)
-    out = np.empty((len(funcs), len(pts)), dtype=np.int64)
-    block = np.empty((min(PANEL_WIDTH, len(funcs)), len(pts)), dtype=np.int64)
+    out = np.empty((len(funcs), len(pts)), dtype=np.int32)
+    blocks = np.empty((2, min(PANEL_WIDTH, len(funcs)), len(pts)), dtype=np.int64)
     for i0 in range(0, len(funcs), PANEL_WIDTH):
         i, j = funcs[i0 : i0 + PANEL_WIDTH].T
-        rows, other = out[i0 : i0 + len(i)], block[: len(i)]
-        # mode="clip" writes straight into `out`; "raise" would buffer it
+        rows, other = blocks[:, : len(i)]
+        # mode="clip" writes straight into the block; "raise" would buffer it
         np.take(fa, i, axis=0, out=rows, mode="clip")
         np.take(fb, j, axis=0, out=other, mode="clip")
         rows *= other
-        rows %= p
+        np.remainder(rows, p, out=out[i0 : i0 + len(i)], casting="unsafe")
     return out
 
 

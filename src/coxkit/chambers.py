@@ -24,7 +24,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PreconditionError
-from .linalg import IntMatrix, dot, integer_kernel_saturated, primitive, smith_normal_form
+from .linalg import (
+    IntMatrix,
+    _adjugate,
+    dot,
+    integer_kernel_saturated,
+    primitive,
+    smith_normal_form,
+)
 from .polyhedra import Cone, _clear_denominators, dd_convert, intersect, zero_cone
 
 DEFINING_SUBSETS_CAP = 10**4
@@ -261,47 +268,6 @@ def is_cox_grading(spec: GradingSpec) -> CoxGradingVerdict:
             if intersect(drop[i], drop[j]).dim() < k:
                 return CoxGradingVerdict(False, 2, (i, j))
     return CoxGradingVerdict(True, None, None)
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _adjugate(rows):
-    """(det A, adj A) of the square integer matrix A with these rows, or
-    (0, None) when A is singular.  At free ranks 2 and 3, the frequent
-    ones, it is a closed form: for rows r1, r2, r3 the columns of adj A are
-    r2 x r3, r3 x r1 and r1 x r2.  Otherwise fraction-free Gauss-Jordan
-    elimination of [A | I] (Bareiss): after step k every entry is a minor
-    of order k + 1, so each division by the previous pivot is exact, and
-    at the end the left block is d I and the right block d A^-1 = adj A,
-    with d the determinant of A with its rows swapped as the pivots were
-    found."""
-    n = len(rows)
-    if n == 2:
-        (a, b), (c, d) = rows
-        det = a * d - b * c
-        return (det, [[d, -b], [-c, a]]) if det else (0, None)
-    if n == 3:
-        r1, r2, r3 = rows
-        cols = [_cross(r2, r3), _cross(r3, r1), _cross(r1, r2)]
-        det = dot(r1, cols[0])
-        return (det, [list(row) for row in zip(*cols)]) if det else (0, None)
-    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
-    prev, sign = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            a[k], a[piv], sign = a[piv], a[k], -sign
-        pk, top = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                aik = a[i][k]
-                a[i] = [(pk * x - aik * y) // prev for x, y in zip(a[i], top)]
-        prev = pk
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def _coordinates(gens, k, v):

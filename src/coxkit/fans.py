@@ -18,11 +18,13 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .linalg import (
     IntMatrix,
+    _adjugate,
     det,
     dot,
     hermite_normal_form,
     integer_kernel_saturated,
     lattice_coordinates,
+    primitive,
     smith_normal_form,
     vec_gcd,
 )
@@ -115,9 +117,15 @@ def _separated(a: Cone, b: Cone) -> bool:
 
 
 def _check_fan(fan: Fan):
-    """Violations of the fan axioms, and the maximal cones as Cone objects
-    (complete only when there are no violations).  Only pairs of maximal
-    cones that are not `_separated` are intersected."""
+    """Violations of the fan axioms, the maximal cones as Cone objects
+    (complete only when there are no violations), and per maximal cone
+    (det V, adj V) of the matrix V of its rays, or (0, None).  Only pairs
+    of maximal cones that are not `_separated` are intersected.
+
+    A maximal cone of lattice_dim rays with det V != 0 is simplicial and
+    full-dimensional, and its Cone needs no conversion: V adj V = det V I,
+    so the facets are the primitive columns of sign(det V) adj V.  Every
+    other maximal cone is converted."""
     v = []
     seen = set()
     for i, r in enumerate(fan.rays):
@@ -131,17 +139,25 @@ def _check_fan(fan: Fan):
         if len(r) != fan.lattice_dim:
             v.append(f"ray {i} has wrong dimension")
     if v:
-        return v, []
+        return v, [], []
 
     used = set()
-    cones = []
+    cones, simplices = [], []
     for ci, idx in enumerate(fan.max_cones):
         if any(i < 0 or i >= len(fan.rays) for i in idx):
             v.append(f"max cone {ci} has an out-of-range ray index")
             continue
         used.update(idx)
-        cone = fan.cone(idx)
+        rays = [fan.rays[i] for i in idx]
+        det_v, adj = _adjugate(rays) if len(idx) == fan.lattice_dim else (0, None)
+        if det_v:
+            sign = 1 if det_v > 0 else -1
+            facets = sorted(primitive([sign * x for x in col]) for col in zip(*adj))
+            cone = Cone(fan.lattice_dim, sorted(rays), facets, 0, fan.lattice_dim)
+        else:
+            cone = fan.cone(idx)
         cones.append(cone)
+        simplices.append((det_v, adj))
         if not cone.is_pointed():
             v.append(f"max cone {ci} = {idx} is not strictly convex")
         gens = set(cone.generators)
@@ -154,7 +170,7 @@ def _check_fan(fan: Fan):
     for i in sorted(missing):
         v.append(f"ray {i} is not used by any maximal cone")
     if v:
-        return v, cones
+        return v, cones, simplices
 
     for (ci, cone_i), (cj, cone_j) in itertools.combinations(enumerate(cones), 2):
         if set(fan.max_cones[ci]) == set(fan.max_cones[cj]):
@@ -167,12 +183,12 @@ def _check_fan(fan: Fan):
             v.append(
                 f"intersection of max cones {ci} and {cj} is not a common face"
             )
-    return v, cones
+    return v, cones, simplices
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
     """Check the fan axioms; names the offending cone pair on failure."""
-    v, _ = _check_fan(fan)
+    v = _check_fan(fan)[0]
     return ValidationReport(not v, tuple(v))
 
 
@@ -181,21 +197,8 @@ class FanPredicates:
     complete: bool
     simplicial: bool
     smooth: bool
-    # complete simplicial fans only: (|det V|, C) per maximal cone (`_cramer_map`)
+    # complete simplicial fans only: (|det V|, C) per maximal cone (`fan_predicates`)
     cramer: tuple = field(default=(), compare=False, repr=False)
-
-
-def _cramer_map(rows):
-    """(|det V|, C) for the square matrix V with these rows: C[k][i] is
-    -sign(det V) det V with column k replaced by e_i, so that C b = |det V| m
-    for the solution m of V m = -b (Cramer's rule)."""
-    det_v = det(IntMatrix(rows))
-    sign = 1 if det_v > 0 else -1
-    return abs(det_v), tuple(
-        tuple(-sign * det(IntMatrix([v[:k] + (int(j == i),) + v[k + 1:] for j, v in enumerate(rows)]))
-              for i in range(len(rows)))
-        for k in range(len(rows))
-    )
 
 
 @lru_cache(maxsize=1024)
@@ -205,18 +208,25 @@ def fan_predicates(fan: Fan) -> FanPredicates:
     The maximal cones built by validation are reused.  Cached per fan
     (fans are frozen and hashable); an invalid fan raises InvalidFan,
     whose message starts with "invalid fan: ", on every call, since
-    exceptions are never cached.  A complete simplicial fan also gets the
-    Cramer maps of its maximal cones, once for the positivity witnesses of
-    every divisor (`divisors._witnesses`); equality ignores them.
+    exceptions are never cached.  A maximal cone whose rays V have
+    det V != 0 is simplicial, and smooth when |det V| = 1; any other is
+    judged by the Smith form of V.  A complete simplicial fan also gets
+    the Cramer maps of its maximal cones, once for the positivity
+    witnesses of every divisor (`divisors._witnesses`); equality ignores
+    them.  The map of a cone is (|det V|, C) with C = -sign(det V) adj V,
+    so that C b = |det V| m for the solution m of V m = -b (Cramer's rule).
     """
-    violations, cones = _check_fan(fan)
+    violations, cones, simplices = _check_fan(fan)
     if violations:
         raise InvalidFan("invalid fan: " + "; ".join(violations))
     d = fan.lattice_dim
 
     simplicial = True
     smooth = True
-    for idx, cone in zip(fan.max_cones, cones):
+    for idx, (det_v, _) in zip(fan.max_cones, simplices):
+        if det_v:
+            smooth = smooth and abs(det_v) == 1
+            continue
         mat = IntMatrix([fan.rays[i] for i in idx], cols=d)
         snf = smith_normal_form(mat)
         if len(idx) != snf.rank:
@@ -246,7 +256,10 @@ def fan_predicates(fan: Fan) -> FanPredicates:
                 break
     cramer = ()
     if complete and simplicial:
-        cramer = tuple(_cramer_map([fan.rays[i] for i in idx]) for idx in fan.max_cones)
+        cramer = tuple(
+            (abs(det_v), tuple(tuple(-x if det_v > 0 else x for x in row) for row in adj))
+            for det_v, adj in simplices
+        )
     return FanPredicates(complete, simplicial, smooth, cramer)
 
 

@@ -9,21 +9,22 @@ answered from Hermite forms; the library does no elimination over Q, and
 
 Every nullity is a proof with two bounds (`certified_nullity`).  One
 blocked GF(p) elimination gives the upper bound, since a GF(p) rank is at
-most the rank over Q; p is a prime in (2^20, 2^21).  It works in panels
-of columns, each eliminated in sub-panels, and every update beyond a
-sub-panel is an exact float64 matrix product.  Reduction mod p is delayed: an
-entry is reduced when the elimination reads it, and the trailing block
-only when the products summed into it since its last reduction would
-pass EXACT_FLOAT_TERMS.  Kernel vectors lifted p-adically from the same
-L U factors (Dixon) and checked by an exact product over Z on every row
-give the lower bound.  The lifting works in machine words: its residual
-is an int64 stack of balanced 21-bit limbs, divided by p exactly limb by
-limb, and its digits are packed three to an int64 before they are added
-to the bignum solution.  A prime whose check fails off the pivot
-rows is unlucky and the next one is tried; when the primes or the lifting
-steps run out, PreconditionError is raised.  Before a rank computation
-each rational row is cleared of denominators and made primitive (divided
-by the gcd of its entries).  Bareiss elimination remains for `det`.
+most the rank over Q; p is a prime in (2^20, 2^21).  The residues are one
+int32 array, in [0, p) between panels.  It works in panels of columns,
+each eliminated in sub-panels in int64, and every update beyond a
+sub-panel is an exact float64 matrix product, reduced by rounding with a
+precomputed 1/p (`_reduce`) before it is stored.  Kernel vectors lifted
+p-adically from the same L U factors (Dixon) and checked by an exact
+product over Z on every row give the lower bound.  The lifting works in
+machine words: its residual is an int64 stack of balanced 21-bit limbs,
+divided by p exactly limb by limb, and its digits are packed three to an
+int64 before they are added to the bignum solution.  A prime whose check
+fails off the pivot rows is unlucky and the next one is tried; when the
+primes run out, when the kernel is too large to lift (LIFTING_ENTRY_CAP)
+or when the lifting steps run out, PreconditionError is raised.  Before a
+rank computation each rational row is cleared of denominators and made
+primitive (divided by the gcd of its entries).  Bareiss elimination
+remains for `det`.
 numpy is imported only inside the functions of this proof, so importing
 the module does not load it.
 """
@@ -44,10 +45,13 @@ MODULAR_PRIME_LIMIT = 1 << 21
 
 # A float64 value is an exact integer while it is a residue plus at most
 # EXACT_FLOAT_TERMS products of residues below MODULAR_PRIME_LIMIT, since
-# 2^21 + 2^11 (2^21 - 1)^2 < 2^53.  int_rank_mod reduces its trailing block
-# before the products summed into it would pass this count, and
-# _exact_matmul sums its products in chunks of this many terms.
+# 2^21 + 2^11 (2^21 - 1)^2 < 2^53.  _exact_matmul sums its products in
+# chunks of this many terms.
 EXACT_FLOAT_TERMS = 1 << 11
+
+# _reduce works on chunks of rows of about this many float64 entries, so
+# that its quotient is small and stays in cache.
+_REDUCE_CHUNK = 1 << 14
 
 # Panel and sub-panel widths of int_rank_mod.  A panel entry takes at most
 # PANEL_WIDTH products of residues, below 2^49, between reductions, which
@@ -425,15 +429,56 @@ def det(M: IntMatrix):
     return sign * a[n - 1][n - 1]
 
 
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _adjugate(rows):
+    """(det A, adj A) of the square integer matrix A with these rows, or
+    (0, None) when A is singular.  For 2 and 3 rows, the frequent sizes of
+    free ranks and fan dimensions, it is a closed form: for rows r1, r2, r3
+    the columns of adj A are r2 x r3, r3 x r1 and r1 x r2.  Otherwise
+    fraction-free Gauss-Jordan elimination of [A | I] (Bareiss): after
+    step k every entry is a minor of order k + 1, so each division by the
+    previous pivot is exact, and at the end the left block is d I and the
+    right block d A^-1 = adj A, with d the determinant of A with its rows
+    swapped as the pivots were found."""
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+        return (det, [[d, -b], [-c, a]]) if det else (0, None)
+    if n == 3:
+        r1, r2, r3 = rows
+        cols = [_cross(r2, r3), _cross(r3, r1), _cross(r1, r2)]
+        det = dot(r1, cols[0])
+        return (det, [list(row) for row in zip(*cols)]) if det else (0, None)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv], sign = a[piv], a[k], -sign
+        pk, top = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                aik = a[i][k]
+                a[i] = [(pk * x - aik * y) // prev for x, y in zip(a[i], top)]
+        prev = pk
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
 @dataclass(frozen=True)
 class ModularLU:
     """The elimination left by `int_rank_mod(rows, p)`.
 
     `lu` holds the rows of A mod p in the order `perm` (the original index
-    of each row), factored in place as A[perm] = L U over GF(p).  Row i of U
-    is row i of `lu` for i < rank, with its pivot at column `pivots[i]`;
-    below the pivots, in the pivot columns, sit the multipliers of the unit
-    lower triangular L.
+    of each row), factored in place as A[perm] = L U over GF(p), as int32
+    residues in [0, p).  Row i of U is row i of `lu` for i < rank, with its
+    pivot at column `pivots[i]`; below the pivots, in the pivot columns,
+    sit the multipliers of the unit lower triangular L.
     """
 
     p: int
@@ -451,35 +496,22 @@ def int_rank_mod(rows, p):
     array or an operator of `certified_nullity`, as a `ModularLU`; its
     `rank` is the rank over GF(p).
 
-    A list or an array is reduced mod p into a new int64 array, so the
+    A list or an array is reduced mod p into a new int32 array, so the
     caller's is never changed.  An operator's `residues(p)` are a fresh
-    array of reduced residues that nothing else holds, so they are
+    int32 array of residues in [0, p) that nothing else holds, so they are
     eliminated in place and become the factors: no second full-size array.
 
     p must be a prime below MODULAR_PRIME_LIMIT.  Blocked elimination, one
     panel of PANEL_WIDTH columns at a time, each panel in sub-panels of
-    SUBPANEL_WIDTH columns (Dumas, Giorgi and Pernet's finite-field LU).
-    The panel is copied with its columns as contiguous rows.  A sub-panel
-    is eliminated column by column with row pivoting in int64 (the first
-    nonzero entry is the pivot), keeping the multipliers below its pivots;
-    columns without a pivot are skipped.  Its pivot rows in the rest of the
-    panel are forward-solved with the inverse of its unit lower block, and
-    the rest of the panel is updated as one float64 product.  When the
-    panel is done, its row swaps are applied to the rest of A and it is
-    written back; L11^-1 is assembled from the sub-panel inverses, the
-    pivot rows to the right of the panel are forward-solved as one product,
-    U12 = L11^-1 A12, and the trailing block is updated as another,
-    A22 -= L21 @ U12.
-
-    Entries are reduced mod p only when they are read (delayed reduction):
-    a panel's columns when it starts, the pivot column before the pivot
-    search, the pivot row before its rank-1 update, and the pivot rows
-    before a forward solve; the updates themselves are not reduced.
-    Between reductions a panel entry takes at most PANEL_WIDTH products of
-    residues (below 2^49 in int64).  The trailing block is reduced only
-    before the products summed into it since its last reduction would pass
-    EXACT_FLOAT_TERMS, so every float64 value is an exact integer of at
-    most 2^53.  The returned factors are reduced residues.
+    SUBPANEL_WIDTH columns (Dumas, Giorgi and Pernet's finite-field LU):
+    `_eliminate_panel` factors the panel and writes it back, with its row
+    swaps applied to the rest of A, and `_update_trailing` forward-solves
+    the pivot rows to the right of the panel, U12 = L11^-1 A12, and
+    updates the trailing block, A22 -= L21 @ U12, as float64 products.
+    Each runs in its own call, so one panel's workspace is gone before the
+    next panel is copied.  Every float64 value is reduced by `_reduce`
+    before it is stored, so A holds residues in [0, p) between panels, and
+    the returned factors are residues in [0, p).
     """
     import numpy as np
 
@@ -488,88 +520,154 @@ def int_rank_mod(rows, p):
     if hasattr(rows, "residues"):
         A = rows.residues(p)
     elif len(rows) == 0:
-        A = np.zeros((0, 0), dtype=np.int64)
+        A = np.zeros((0, 0), dtype=np.int32)
     elif isinstance(rows, np.ndarray):
-        A = np.remainder(rows, p, dtype=np.int64)
+        A = np.remainder(rows, p).astype(np.int32)
     else:
-        A = (np.array(rows, dtype=object) % p).astype(np.int64)
+        A = (np.array(rows, dtype=object) % p).astype(np.int32)
     m, n = A.shape
     perm = np.arange(m)
     pivots = []
-    terms = 0  # products summed into the trailing block since its last reduction
     for c0 in range(0, n, PANEL_WIDTH):
         r0 = len(pivots)
         if r0 == m:
             break
         c1 = min(c0 + PANEL_WIDTH, n)
-        # the panel's columns as contiguous rows; its row swaps are applied
-        # to the rest of A, and it is written back, once it is eliminated
-        panel = np.remainder(A[r0:, c0:c1].T, p, order="C")
-        order = np.arange(m - r0)
-        inverses = []  # (first pivot row in the panel, L^-1) per sub-panel
-        for s0 in range(0, c1 - c0, SUBPANEL_WIDTH):
-            s1 = min(s0 + SUBPANEL_WIDTH, c1 - c0)
-            rs = len(pivots)
-            for c in range(s0, s1):
-                r = len(pivots)
-                if r == m:
-                    break
-                column = panel[c, r - r0 :]
-                column %= p
-                first = int((column != 0).argmax())
-                if not column[first]:
-                    continue
-                piv = r + first
-                if piv != r:
-                    swap = [r - r0, piv - r0]
-                    panel[:, swap] = panel[:, swap[::-1]]
-                    order[swap] = order[swap[::-1]]
-                row = panel[c + 1 : s1, r - r0]
-                row %= p
-                multipliers = panel[c, r - r0 + 1 :]
-                multipliers *= pow(int(panel[c, r - r0]), p - 2, p)
-                multipliers %= p
-                panel[c + 1 : s1, r - r0 + 1 :] -= np.multiply.outer(row, multipliers)
-                pivots.append(c0 + c)
-            ks = len(pivots) - rs
-            if not ks:
-                continue
-            lower = panel[[c - c0 for c in pivots[rs:]], rs - r0 :].astype(np.float64)
-            inverse = _unit_lower_inverse(lower[:, :ks].T, p)
-            inverses.append((rs - r0, inverse))
-            top = panel[s1:, rs - r0 : rs - r0 + ks]
-            upper = (top % p) @ inverse.T % p
-            top[...] = upper
-            rest = panel[s1:, rs - r0 + ks :]
-            np.subtract(rest, upper @ lower[:, ks:], out=rest, casting="unsafe")
-        moved = r0 + np.flatnonzero(order != np.arange(m - r0))
-        A[moved] = A[r0 + order[moved - r0]]
-        perm[moved] = perm[r0 + order[moved - r0]]
-        A[r0:, c0:c1] = panel.T
-        k = len(pivots) - r0
-        if not k or c1 == n:
-            continue
-        lower = panel[[c - c0 for c in pivots[r0:]]].astype(np.float64)
-        # L11^-1, one sub-panel of rows at a time, from the sub-panel inverses
-        inverse11 = np.zeros((k, k))
-        for b0, inverse in inverses:
-            b1 = b0 + len(inverse)
-            coupling = -(lower[:b0, b0:b1].T @ inverse11[:b0, :b0]) % p
-            inverse11[b0:b1, :b0] = inverse @ coupling % p
-            inverse11[b0:b1, b0:b1] = inverse
-        upper = inverse11 @ (A[r0 : r0 + k, c1:] % p) % p
-        A[r0 : r0 + k, c1:] = upper
-        reduce = terms + k > EXACT_FLOAT_TERMS
-        terms = k if reduce else terms + k
-        # the trailing block PANEL_WIDTH rows at a time, which keeps the
-        # float64 products small
-        for i0 in range(r0 + k, m, PANEL_WIDTH):
-            trailing = A[i0 : i0 + PANEL_WIDTH, c1:]
-            if reduce:
-                trailing %= p
-            product = lower[:, i0 - r0 : i0 - r0 + PANEL_WIDTH].T @ upper
-            np.subtract(trailing, product, out=trailing, casting="unsafe")
+        inverses = _eliminate_panel(A, perm, pivots, c0, c1, p)
+        if len(pivots) > r0 and c1 < n:
+            _update_trailing(A, pivots[r0:], inverses, r0, c1, p)
     return ModularLU(p, A, perm, tuple(pivots))
+
+
+def _eliminate_panel(A, perm, pivots, c0, c1, p):
+    """Factor the panel of columns c0..c1 of `int_rank_mod` over the rows of
+    A from r = len(pivots) on, in place: the pivot columns found are
+    appended to `pivots`, the panel's row swaps are applied to all of A and
+    to `perm`, and the panel is written back reduced.  Returns, per
+    sub-panel with a pivot, (its first pivot row less r, the inverse of its
+    unit lower block).
+
+    The panel is copied to int64 with its columns as contiguous rows.  A
+    sub-panel is eliminated column by column with row pivoting (the first
+    nonzero entry is the pivot), keeping the multipliers below its pivots;
+    columns without a pivot are skipped.  Its pivot rows in the rest of the
+    panel are forward-solved with the inverse of its unit lower block, and
+    the rest of the panel is updated as one float64 product.  Entries are
+    reduced mod p only when they are read: the pivot column before the
+    pivot search, the pivot row before its rank-1 update, and the pivot
+    rows before a forward solve; the whole panel once before it is written
+    back.  Between reductions an entry takes at most PANEL_WIDTH products
+    of residues (below 2^49 in int64).
+    """
+    import numpy as np
+
+    r0, m = len(pivots), len(A)
+    panel = np.ascontiguousarray(A[r0:, c0:c1].T, dtype=np.int64)
+    order = np.arange(m - r0)
+    inverses = []
+    for s0 in range(0, c1 - c0, SUBPANEL_WIDTH):
+        s1 = min(s0 + SUBPANEL_WIDTH, c1 - c0)
+        rs = len(pivots)
+        for c in range(s0, s1):
+            r = len(pivots)
+            if r == m:
+                break
+            column = panel[c, r - r0 :]
+            column %= p
+            first = int((column != 0).argmax())
+            if not column[first]:
+                continue
+            piv = r + first
+            if piv != r:
+                swap = [r - r0, piv - r0]
+                panel[:, swap] = panel[:, swap[::-1]]
+                order[swap] = order[swap[::-1]]
+            row = panel[c + 1 : s1, r - r0]
+            row %= p
+            multipliers = panel[c, r - r0 + 1 :]
+            multipliers *= pow(int(panel[c, r - r0]), p - 2, p)
+            multipliers %= p
+            panel[c + 1 : s1, r - r0 + 1 :] -= np.multiply.outer(row, multipliers)
+            pivots.append(c0 + c)
+        ks = len(pivots) - rs
+        if not ks:
+            continue
+        lower = panel[[c - c0 for c in pivots[rs:]], rs - r0 :].astype(np.float64)
+        inverse = _unit_lower_inverse(lower[:, :ks].T, p)
+        inverses.append((rs - r0, inverse))
+        top = panel[s1:, rs - r0 : rs - r0 + ks]
+        upper = _reduce((top % p) @ inverse.T, p)
+        top[...] = upper
+        rest = panel[s1:, rs - r0 + ks :]
+        np.subtract(rest, upper @ lower[:, ks:], out=rest, casting="unsafe")
+    panel %= p
+    moved = r0 + np.flatnonzero(order != np.arange(m - r0))
+    A[moved] = A[r0 + order[moved - r0]]
+    perm[moved] = perm[r0 + order[moved - r0]]
+    A[r0:, c0:c1] = panel.T
+    return inverses
+
+
+def _update_trailing(A, panel_pivots, inverses, r0, c1, p):
+    """The update of `int_rank_mod` after a panel whose k pivots, in the
+    columns `panel_pivots`, sit in rows r0..r0+k of A: U12 = L11^-1 A12 on
+    the columns from c1 on, then A22 -= L21 @ U12, PANEL_WIDTH rows at a
+    time.  L is read from A as it is needed, and one float64 buffer holds
+    U12, A12 before it, and each product.  A trailing entry is a residue
+    less at most PANEL_WIDTH products of residues below 2^21, below 2^50 in
+    absolute value, where `_reduce` is exact.
+    """
+    import numpy as np
+
+    m, n = A.shape
+    k = len(panel_pivots)
+    # L11^-1, one sub-panel of rows at a time, from the sub-panel inverses
+    inverse11 = np.zeros((k, k))
+    for b0, inverse in inverses:
+        b1 = b0 + len(inverse)
+        coupling = A[r0 + b0 : r0 + b1, panel_pivots[:b0]] @ inverse11[:b0, :b0]
+        coupling = _reduce(-coupling, p)
+        inverse11[b0:b1, :b0] = _reduce(inverse @ coupling, p)
+        inverse11[b0:b1, b0:b1] = inverse
+    work = np.empty((k + PANEL_WIDTH, n - c1))
+    upper, product = work[:k], work[k:]
+    product[:k] = A[r0 : r0 + k, c1:]
+    np.matmul(inverse11, product[:k], out=upper)
+    A[r0 : r0 + k, c1:] = _reduce(upper, p)
+    for i0 in range(r0 + k, m, PANEL_WIDTH):
+        trailing = A[i0 : i0 + PANEL_WIDTH, c1:]
+        block = product[: len(trailing)]
+        np.matmul(A[i0 : i0 + PANEL_WIDTH, panel_pivots].astype(np.float64), upper, out=block)
+        np.subtract(trailing, block, out=block)
+        trailing[...] = _reduce(block, p)
+
+
+def _reduce(x, p):
+    """The float64 array x of integers below 2^50 in absolute value, reduced
+    mod p into [0, p) in place, and returned: x - floor(x (1/p)) p, then
+    the one value equal to p set to 0.  An array of more than
+    _REDUCE_CHUNK entries is reduced a chunk of rows at a time.
+
+    fl(x fl(1/p)) is within |x| 2^-52 / p < 1/p of x / p, so its floor is
+    floor(x / p), or one less when p divides x (which leaves p); the
+    product and the difference are exact integers, so the result is
+    congruent to x however the quotient rounds.  This is the word-size
+    field of FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008), about
+    ten times faster than np.remainder on float64.
+    """
+    import numpy as np
+
+    if x.size > _REDUCE_CHUNK and len(x) > 1:
+        step = max(1, _REDUCE_CHUNK * len(x) // x.size)
+        for i in range(0, len(x), step):
+            _reduce(x[i : i + step], p)
+        return x
+    quotient = x * (1.0 / p)
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    x -= quotient
+    x[x == p] = 0
+    return x
 
 
 def _unit_lower_inverse(L, p):
@@ -580,7 +678,8 @@ def _unit_lower_inverse(L, p):
 
     inverse = np.eye(len(L))
     for i in range(1, len(L)):
-        inverse[i] = (inverse[i] - L[i, :i] @ inverse[:i]) % p
+        inverse[i] -= L[i, :i] @ inverse[:i]
+        _reduce(inverse[i], p)
     return inverse
 
 
@@ -589,15 +688,17 @@ class _PivotSolver:
     (its pivot rows and pivot columns, so L U restricted to them).
 
     It consumes `f.lu`: the pivot columns of its first r rows are written
-    as float64 over the first r columns of the same buffer, PANEL_WIDTH
-    rows at a time, and that r x r view (row stride cols) is the T the
-    solves read, so no second full-size array is made.  `f.lu` holds no
-    factors afterwards; `f.perm` and `f.pivots` are separate and unchanged.
+    as float32 over the first r columns of the same int32 buffer,
+    PANEL_WIDTH rows at a time, and that r x r float32 view (row stride
+    cols) is the T the solves read, so no second full-size array is made.
+    Residues below 2^21 are exact in float32.  `f.lu` holds no factors
+    afterwards; `f.perm` and `f.pivots` are separate and unchanged.
 
     Blocked like the elimination: each diagonal block of PANEL_WIDTH
-    columns of L and of U is inverted once, so a solve is a few float64
-    products of at most PANEL_WIDTH terms per block, each term below
-    2^21 * 2^21, which keeps every value an exact integer.
+    columns of L and of U is inverted once, so a solve is a few products
+    of at most PANEL_WIDTH terms per block, each term below 2^21 * 2^21,
+    taken in float64 (numpy casts the float32 blocks), which keeps every
+    value an exact integer below 2^50 for `_reduce`.
     """
 
     def __init__(self, f: ModularLU):
@@ -605,18 +706,18 @@ class _PivotSolver:
 
         p, r = f.p, f.rank
         self.p = p
-        self.T = f.lu.view(np.float64)[:r, :r]
+        self.T = f.lu.view(np.float32)[:r, :r]
         self.blocks = [(i, min(i + PANEL_WIDTH, r)) for i in range(0, r, PANEL_WIDTH)]
         for i0, i1 in self.blocks:
             # the gather is read before its rows are overwritten
             self.T[i0:i1] = f.lu[i0:i1, f.pivots]
         self.linv, self.uinv = [], []
         for i0, i1 in self.blocks:
-            D = self.T[i0:i1, i0:i1]
+            D = self.T[i0:i1, i0:i1].astype(np.float64)
             up = np.eye(i1 - i0)
             for i in reversed(range(i1 - i0)):
-                row = (up[i] - D[i, i + 1 :] @ up[i + 1 :]) % p
-                up[i] = row * pow(int(D[i, i]), p - 2, p) % p
+                row = _reduce(up[i] - D[i, i + 1 :] @ up[i + 1 :], p)
+                up[i] = _reduce(row * pow(int(D[i, i]), p - 2, p), p)
             self.linv.append(_unit_lower_inverse(D, p))
             self.uinv.append(up)
 
@@ -626,13 +727,15 @@ class _PivotSolver:
         p, T = self.p, self.T
         z = np.array(b, dtype=np.float64)
         for (i0, i1), lo in zip(self.blocks, self.linv):
-            z[i0:i1] = (lo @ z[i0:i1]) % p
+            z[i0:i1] = _reduce(lo @ z[i0:i1], p)
             if i1 < len(z):
-                z[i1:] = (z[i1:] - T[i1:, i0:i1] @ z[i0:i1]) % p
+                z[i1:] -= T[i1:, i0:i1] @ z[i0:i1]
+                _reduce(z[i1:], p)
         for (i0, i1), up in zip(reversed(self.blocks), reversed(self.uinv)):
-            z[i0:i1] = (up @ z[i0:i1]) % p
+            z[i0:i1] = _reduce(up @ z[i0:i1], p)
             if i0:
-                z[:i0] = (z[:i0] - T[:i0, i0:i1] @ z[i0:i1]) % p
+                z[:i0] -= T[:i0, i0:i1] @ z[i0:i1]
+                _reduce(z[:i0], p)
         return z.astype(np.int64)
 
 
@@ -761,6 +864,14 @@ class RatMatrix:
 # denominator each have 10,000 bits.  The 200 x 200 order-52 submatrix of
 # acceptance criterion 5c needs a few hundred steps.
 LIFTING_STEP_CAP = 1000
+
+# Nor does it start when rank_p times the nullity passes this: the
+# solution, its digits and its exact check are that many entries, Python
+# integers that can have thousands of bits.  The largest tier-1 lifting is
+# 321 x 24 = 7,704 entries, criterion 5c's is 184 x 16 and the benchmark's
+# 60 x 20; P(11,19,27) at order 75 (rank_p 1914, nullity 937) would lift
+# 1.79 million and grew past 6 GB.
+LIFTING_ENTRY_CAP = 1 << 16
 
 # Exact integers are held as int64 stacks of balanced limbs: limb j counts
 # 2^(21 j) and lies in [-2^20, 2^20), so the product of a limb and a residue
@@ -897,7 +1008,7 @@ class DenseOperator:
     def residues(self, p):
         import numpy as np
 
-        return (self.A % p).astype(np.int64)
+        return (self.A % p).astype(np.int32)
 
     def columns(self, cols):
         return self.A[:, cols]
@@ -987,6 +1098,11 @@ def _nullity_mod(op, p, rejected):
     rows, piv = f.perm[:r], list(f.pivots)
     free = sorted(set(range(n)) - set(piv))
     k = len(free)
+    if r * k > LIFTING_ENTRY_CAP:
+        raise PreconditionError(
+            f"lifting {k} kernel vectors over rank_p = {r} pivot rows ({r * k} "
+            f"entries) passes LIFTING_ENTRY_CAP = {LIFTING_ENTRY_CAP}"
+        )
     solve = _PivotSolver(f)  # takes over f.lu as its pivot block
     step = op.pivot_product(rows, piv)
     B = _limbs(-op.columns(free)[rows])
@@ -1041,9 +1157,10 @@ def certified_nullity(op, primes=None) -> NullityProof:
     """Proved nullity of the integer matrix behind `op`.
 
     `op` has `shape` = (rows, cols) and exact access to the matrix A:
-    `residues(p)` (A mod p, a fresh int64 array that the elimination
-    overwrites), `columns(cols)` and `product(Z)` (A[:, cols] and A @ Z as
-    object arrays), and `pivot_product(rows, cols)`, a function
+    `residues(p)` (A mod p, a fresh int32 array of residues in [0, p)
+    that the elimination overwrites), `columns(cols)` and `product(Z)`
+    (A[:, cols] and A @ Z as object arrays), and `pivot_product(rows,
+    cols)`, a function
     x -> A[rows, cols] @ x for int64 digit matrices x with entries below
     2^21, which returns an int64 limb stack (limb j counts 2^(21 j); each
     below 2^61 in absolute value).  The candidate primes are
@@ -1071,7 +1188,9 @@ def certified_nullity(op, primes=None) -> NullityProof:
     unlucky and the next candidate is tried, once `_nullity_mod` has
     returned and dropped the unlucky prime's factors, so the retry holds
     one full-size array, not two.  Raises PreconditionError when the
-    candidates run out or the lifting passes LIFTING_STEP_CAP steps.
+    candidates run out, when rank_p times k passes LIFTING_ENTRY_CAP
+    (before any lifting), or when the lifting passes LIFTING_STEP_CAP
+    steps.
     """
     m, n = op.shape
     if min(m, n) == 0:

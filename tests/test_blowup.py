@@ -1,4 +1,8 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -134,16 +138,16 @@ def test_vanishing_matrix_mod_is_exact_matrix_reduced():
     for pts, funcs in cases:
         for p in (1048583, 2097143):
             got = vanishing_matrix_mod(pts, funcs, p)
-            assert got.dtype == np.int64 and got.shape == (len(funcs), len(pts))
+            assert got.dtype == np.int32 and got.shape == (len(funcs), len(pts))
             assert got.tolist() == [[vanishing_entry(f, x) % p for x in pts] for f in funcs]
 
 
 def test_gf_p_proof_holds_one_full_size_array():
     """The order-52 flagship proof (1378 x 1348) holds one full-size
-    array: under tracemalloc, which counts numpy buffers, the residues
-    peak at 1.35 times the matrix's int64 bytes and the whole proof at
-    1.5 times (a second factor table, or a float64 pivot block beside the
-    factors, would add one more)."""
+    array, of int32 residues: under tracemalloc, which counts numpy
+    buffers, the residues peak at 0.8 times the matrix's int64 bytes and
+    the whole proof at 1.0 times (int64 residues, or a float64 pivot
+    block beside the factors, would add half of that or more)."""
     prob = InterpolationProblem(TRIANGLE, 1, 52)
     points, functionals = prob.points(), prob.functionals()
     size = len(points) * len(functionals) * 8
@@ -157,8 +161,8 @@ def test_gf_p_proof_holds_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert proof.nullity == 1
-    assert residues <= 1.35 * size, residues / size
-    assert whole <= 1.5 * size, whole / size
+    assert residues <= 0.8 * size, residues / size
+    assert whole <= 1.0 * size, whole / size
 
 
 # ------------------------------------------------------------------- h0
@@ -202,6 +206,44 @@ def test_h0_flagship_proof_matches_object_lifting():
     proof = certified_nullity(op)
     assert proof == certified_nullity_by_objects(op)
     assert proof.steps == 6 and len(proof.kernel) == proof.nullity == 1
+
+
+def test_h0_refuses_a_large_kernel_before_lifting():
+    """P(11,19,27) at order 75 is a 2850 x 2851 matrix of rank_p 1914, whose
+    937 kernel vectors would be lifted as 1.79 million Python integers
+    (past 6 GB): in a process limited to 1 GiB of address space, h0
+    refuses it at LIFTING_ENTRY_CAP within the timeout, after one
+    elimination."""
+    script = (
+        "from helpers import wps_polygon\n"
+        "from coxkit.blowup import InterpolationProblem, h0\n"
+        "from coxkit.errors import PreconditionError\n"
+        "try:\n"
+        "    h0(InterpolationProblem(wps_polygon(11, 19, 27), 1, 75))\n"
+        "except PreconditionError as err:\n"
+        "    print(err)\n"
+    )
+    src = os.path.dirname(os.path.dirname(blowup.__file__))
+    # BLAS reserves address space per thread; one thread keeps the limit
+    # about the proof on a machine of many cores
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join((src, os.path.dirname(__file__))),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    limit = 1 << 30
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, preexec_fn=limited,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "937 kernel vectors over rank_p = 1914 " in done.stdout
+    assert "LIFTING_ENTRY_CAP" in done.stdout
 
 
 def test_h0_delta_prime_multiplicity7():

@@ -475,3 +475,48 @@ def test_smooth_surface_validates_with_no_intersection(monkeypatch):
     assert validate_fan(fan).ok
     assert calls == []
     assert fan_predicates(fan) == fans.FanPredicates(True, True, True)
+
+
+def test_simplicial_cones_from_the_adjugate(monkeypatch):
+    """A maximal cone of lattice_dim rays with det V != 0 is built from
+    adj V: its Cone equals the conversion of its rays field for field, and
+    simplicial and smooth equal the Smith-form verdicts, on random small
+    fans (most cones neither simplicial nor full-dimensional), normal fans
+    of random polytopes, and the standard fans.  A complete simplicial
+    fan converts no maximal cone and takes no Smith form."""
+    rng = random.Random(2026)
+    fan_list = [random_small_fan(rng) for _ in range(120)]
+    for _ in range(30):
+        d = rng.randint(2, 3)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(d + 1, 7))]
+        poly = polytope_from_points(pts)
+        if poly.dim() == d:
+            fan_list.append(normal_fan(poly))
+    fan_list += [projective_space_fan(3), hirzebruch_fan(3), weighted_projective_fan(1, 2, 3, 5)]
+    seen = set()
+    for fan in fan_list:
+        violations, cones, simplices = fans._check_fan(fan)
+        for idx, cone, (det_v, _) in zip(fan.max_cones, cones, simplices):
+            want = fan.cone(idx)
+            assert (cone.generators, cone.facets, cone.lineality_dim, cone.dim()) == (
+                want.generators, want.facets, want.lineality_dim, want.dim()), (fan, idx)
+            square = len(idx) == fan.lattice_dim
+            assert det_v == (det(IntMatrix([fan.rays[i] for i in idx])) if square else 0)
+        if violations:
+            continue
+        simplicial = smooth = True
+        for idx in fan.max_cones:
+            snf = smith_normal_form(IntMatrix([fan.rays[i] for i in idx], cols=fan.lattice_dim))
+            simplicial &= snf.rank == len(idx)
+            smooth &= snf.rank == len(idx) and set(snf.invariant_factors) <= {1}
+        preds = fan_predicates(fan)
+        assert (preds.simplicial, preds.smooth) == (simplicial, smooth), fan
+        seen.add((fan.lattice_dim, simplicial, smooth))
+    assert {(2, True, True), (2, True, False), (3, True, True), (3, True, False), (3, False, False)} <= seen
+    calls = []
+    monkeypatch.setattr(fans, "dd_convert", lambda **kw: calls.append(kw))
+    monkeypatch.setattr(fans, "smith_normal_form", lambda m: calls.append(m))
+    fan_predicates.cache_clear()
+    for fan in (weighted_projective_fan(12, 13, 17), hirzebruch_fan(3), projective_space_fan(3)):
+        assert fan_predicates(fan).complete and fan_predicates(fan).simplicial
+    assert calls == []

@@ -531,10 +531,57 @@ def test_panel_width_keeps_float64_updates_exact():
 
 
 def test_delayed_reduction_bound():
-    """The trailing block sums at most EXACT_FLOAT_TERMS products between
-    reductions, and every such sum stays an exact float64 integer."""
+    """_exact_matmul sums at most EXACT_FLOAT_TERMS products per chunk, and
+    every such sum stays an exact float64 integer."""
     assert EXACT_FLOAT_TERMS * (MODULAR_PRIME_LIMIT - 1) ** 2 + MODULAR_PRIME_LIMIT <= 2**53
     assert PANEL_WIDTH <= EXACT_FLOAT_TERMS
+
+
+def test_reduce_matches_python_mod():
+    """_reduce against Python's % on seeded integers below 2^50 in absolute
+    value: +-(2^50 - 1), exact multiples of p and their neighbours, a
+    residue plus and minus PANEL_WIDTH products (p - 1)^2, and random
+    values, in place, as one array and as chunked arrays of more than
+    _REDUCE_CHUNK entries with rows shorter and longer than a chunk."""
+    rng = random.Random(23)
+    top = (1 << 50) - 1
+    for p in (2, 3, 1048583, LARGEST_PRIME):
+        most = PANEL_WIDTH * (p - 1) ** 2
+        values = [0, 1, -1, top, -top, p - 1, 1 - p, most, -most, p - 1 + most, p - 1 - most]
+        quotients = [0, 1, -1, top // p, -(top // p)]
+        quotients += [rng.randint(-(top // p), top // p) for _ in range(200)]
+        values += [q * p + e for q in quotients for e in (-1, 0, 1)]
+        values += [rng.randint(-top, top) for _ in range(2000)]
+        values = [v for v in values if abs(v) <= top]
+        want = [v % p for v in values]
+        x = np.array(values, dtype=np.float64)
+        assert x.tolist() == values
+        assert linalg._reduce(x, p) is x and x.tolist() == want
+        assert x.size * 8 > linalg._REDUCE_CHUNK
+        for shape in ((x.size * 8,), (8, x.size), (x.size, 8), (1, x.size * 8)):
+            y = np.resize(np.array(values, dtype=np.float64), shape)
+            assert linalg._reduce(y, p).ravel().tolist() == np.resize(want, y.size).tolist()
+
+
+def test_int_rank_mod_workspace_stays_within_three_panels():
+    """Beyond its int32 residues, the elimination of full-rank 301 x 300,
+    601 x 600 and 901 x 900 matrices peaks under tracemalloc at no more
+    than 3 float64 panels, 3 PANEL_WIDTH max(m, n) 8 bytes: the int64
+    panel is gone before the trailing update, whose one buffer holds U12
+    and every product, and L is read from the residues."""
+    import tracemalloc
+
+    rng = np.random.default_rng(23)
+    for m, n in ((301, 300), (601, 600), (901, 900)):
+        op = Int64Operator(rng.integers(0, 10, (m, n)))
+        tracemalloc.start()
+        try:
+            f = int_rank_mod(op, 1048583)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.rank == n and f.lu.dtype == np.int32
+        assert peak - f.lu.nbytes <= 3 * PANEL_WIDTH * max(m, n) * 8, (m, n, peak - f.lu.nbytes)
 
 
 def test_int_rank_mod_delayed_reduction_reaches_the_bound():
@@ -779,6 +826,18 @@ def test_certified_nullity_step_cap(monkeypatch):
         certified_nullity(DenseOperator(rows, 3))
 
 
+def test_certified_nullity_lifting_entry_cap(monkeypatch):
+    """Lifting starts only while rank_p times the nullity is at most
+    LIFTING_ENTRY_CAP; past it the refusal names both numbers."""
+    rows = known_rank(random.Random(77), 30, 24, 17)
+    assert certified_nullity(DenseOperator(rows, 24)).nullity == 7
+    monkeypatch.setattr(linalg, "LIFTING_ENTRY_CAP", 17 * 7)
+    assert certified_nullity(DenseOperator(rows, 24)).nullity == 7
+    monkeypatch.setattr(linalg, "LIFTING_ENTRY_CAP", 17 * 7 - 1)
+    with pytest.raises(PreconditionError, match="7 kernel vectors over rank_p = 17 "):
+        certified_nullity(DenseOperator(rows, 24))
+
+
 def boundary_values(rng, count, bits):
     """Entries of at most `bits` bits, signed, a third of them next to a
     limb boundary: +-2^(21 j) + e for e in -1, 0, 1."""
@@ -819,17 +878,18 @@ def test_certified_nullity_matches_object_lifting():
 
 class Int64Operator(DenseOperator):
     """A DenseOperator over an int64 matrix of entries below 2^21, whose
-    residues are one np.remainder, whose pivot product is one int64
-    product (a one-limb stack) and whose exact product is one too when Z
-    is below 2^20, so that the proof's own arrays dominate what
-    tracemalloc sees, and it sees few Python integers."""
+    int32 residues are one np.remainder taken in int32 (no int64
+    temporary), whose pivot product is one int64 product (a one-limb
+    stack) and whose exact product is one too when Z is below 2^20, so
+    that the proof's own arrays dominate what tracemalloc sees, and it
+    sees few Python integers."""
 
     def __init__(self, A):
         super().__init__(A.tolist(), A.shape[1])
         self.small = A
 
     def residues(self, p):
-        return np.remainder(self.small, p)
+        return np.remainder(self.small, p, dtype=np.int32)
 
     def pivot_product(self, rows, cols):
         block = self.small[np.ix_(rows, cols)]
