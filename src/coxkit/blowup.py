@@ -5,14 +5,15 @@ against Laurent monomials supported on a dilated polygon, their kernel
 dimensions (section counts of m*H - k*E pullback classes), vanishing
 orders of Laurent polynomials, the least-width images of a lattice
 polygon, the negative curve that D = H - k*E must meet trivially (found
-from k alone by one proved kernel, see `find_curve`), forced-vertex base
-point certificates, the full nef-but-not-semiample certificate for
-blown-up weighted projective planes, the blow-up finite-generation
-inequality for point configurations in projective space, and ray
-projections of the Losev-Manin fans.  Each certificate kind has one
-judge, which decides every identity of a payload for its builder and for
-`Certificate.verify` alike; the forced-vertex judge counts lattice points
-per column and lists none.
+from k alone by at most one GF(p) rank bound and one proved kernel, see
+`find_curve`), forced-vertex base point certificates, the full
+nef-but-not-semiample certificate for blown-up weighted projective
+planes, the blow-up finite-generation inequality for point
+configurations in projective space, and ray projections of the
+Losev-Manin fans.  Each certificate kind has one judge, which decides
+every identity of a payload for its builder and for `Certificate.verify`
+alike; the forced-vertex judge counts lattice points per column and lists
+none.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
-from .linalg import PANEL_WIDTH, DenseOperator, IntMatrix, _limbs, certified_nullity, dot
-from .linalg import primitive, smith_normal_form
+from .linalg import PANEL_WIDTH, IntMatrix, _limbs, certified_nullity, dot, int_rank_mod
+from .linalg import modular_primes, primitive, smith_normal_form
 from .polyhedra import Polytope, lattice_columns, lattice_points, polytope_from_points
 from .polyhedra import lattice_point_count
 
@@ -245,24 +246,31 @@ def h0(problem: InterpolationProblem, mode="modular", *, proof=False):
     dilated polygon vanishing to the given order at (1, 1): the nullity of
     the vanishing matrix, proved by `certified_nullity`.
 
-    Past INTERPOLATION_ENTRY_CAP entries (`lattice_point_count`) it raises
-    PreconditionError.  One GF(p) elimination of `vanishing_matrix_mod` (the
-    first prime of `modular_primes()`) gives the upper bound; kernel
-    vectors lifted from it and checked exactly against every functional (by
-    `functional_values`) give the lower bound.  The exact matrix is never
-    built.  Both modes, "modular" and "exact", run this proof; the mode
-    stays only because the benchmark's `exact-rank` workload passes it.
-    With proof=True the `NullityProof` is returned instead of the dimension.
+    Past INTERPOLATION_ENTRY_CAP entries it raises PreconditionError
+    (`_vanishing_operator`).  One GF(p) elimination of
+    `vanishing_matrix_mod` (the first prime of `modular_primes()`) gives
+    the upper bound; kernel vectors lifted from it and checked exactly
+    against every functional (by `functional_values`) give the lower
+    bound.  The exact matrix is never built.  Both modes, "modular" and
+    "exact", run this proof; the mode stays only because the benchmark's
+    `exact-rank` workload passes it.  With proof=True the `NullityProof` is
+    returned instead of the dimension.
     """
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
+    found = certified_nullity(_vanishing_operator(problem))
+    return found if proof else found.nullity
+
+
+def _vanishing_operator(problem: InterpolationProblem) -> VanishingOperator:
+    """The problem's `VanishingOperator`; past INTERPOLATION_ENTRY_CAP
+    entries, counted by `lattice_point_count` before any point is listed,
+    it raises PreconditionError."""
     size = problem.order * (problem.order + 1) // 2
     size *= lattice_point_count(problem.polygon, problem.dilation)
     if size > INTERPOLATION_ENTRY_CAP:
         raise PreconditionError(f"{size} matrix entries, over INTERPOLATION_ENTRY_CAP")
-    op = VanishingOperator(problem.points(), problem.functionals())
-    found = certified_nullity(op)
-    return found if proof else found.nullity
+    return VanishingOperator(problem.points(), problem.functionals())
 
 
 # ------------------------------------------------------ laurent polynomials
@@ -629,13 +637,14 @@ def find_curve(polygon, k):
     gives w.  A nonzero f has order at most the polygon's width in x plus
     its width in y (the bound of `order_at_e`), so above that no f exists.
     Otherwise h0 at order w must be 1: an irreducible negative curve is
-    alone in its linear system.  If the w(w+1)/2 functionals outnumber the
-    points, h0 is first proved at the least order whose functionals reach
-    the point count; its kernel's values at the orders up to w, when few
-    enough, give h0 at w, which is proved itself only if that is 1.  The
-    first failed condition raises PreconditionFailed.  Returns (w, f,
-    proof): f is the proof's one kernel vector on the lattice points and
-    proof its `NullityProof`.
+    alone in its linear system.  Let low be the least order whose
+    functionals reach the point count.  When w > low + 1, one GF(p)
+    elimination at order low + 1 comes first: if its rank equals the
+    point count (the rule `rank == cols` of `certified_nullity`), h0 is 0
+    there, and so at w, since h0 can only fall as the order rises; nothing
+    is lifted.  Otherwise h0 at w is proved.  The first failed condition
+    raises PreconditionFailed.  Returns (w, f, proof): f is the proof's
+    one kernel vector on the lattice points and proof its `NullityProof`.
     """
     poly = _lattice_polygon(polygon)
     w, failure = _curve_order(int(2 * poly.area()), k)
@@ -650,25 +659,21 @@ def find_curve(polygon, k):
     points = lattice_point_count(poly)
     low = (math.isqrt(8 * points + 1) - 1) // 2  # the least with low(low+1)/2 >= points
     low += low * (low + 1) // 2 < points
-    for order in sorted({min(low, w), w}):
-        problem = InterpolationProblem(poly, 1, order)
-        proof = h0(problem, proof=True)
-        nullity = proof.nullity
-        if nullity and order < w:
-            # h0 at w is the nullity of the kernel's values at orders low..w-1,
-            # found from w^2 values per vector and support point unless too many
-            support = [(p, c) for p, c in zip(problem.points(), zip(*proof.kernel)) if any(c)]
-            if w * w * nullity * len(support) > INTERPOLATION_ENTRY_CAP:
-                continue
-            funcs = [f for f in derivative_functionals(w) if sum(f) >= low]
-            op = VanishingOperator([p for p, _ in support], funcs)
-            values = op.product([c for _, c in support])
-            nullity = certified_nullity(DenseOperator(values, nullity)).nullity
-        if nullity != 1:
-            raise PreconditionFailed(
-                f"h0 at order w = {w} is {nullity}, not 1: no irreducible "
-                f"negative curve of that order"
-            )
+
+    def no_curve(nullity):
+        return PreconditionFailed(
+            f"h0 at order w = {w} is {nullity}, not 1: no irreducible "
+            f"negative curve of that order"
+        )
+
+    if w > low + 1:
+        bound = _vanishing_operator(InterpolationProblem(poly, 1, low + 1))
+        if int_rank_mod(bound, modular_primes()[0]).rank == points:
+            raise no_curve(0)
+    problem = InterpolationProblem(poly, 1, w)
+    proof = h0(problem, proof=True)
+    if proof.nullity != 1:
+        raise no_curve(proof.nullity)
     f = LaurentPoly.from_terms(zip(problem.points(), proof.kernel[0]))
     return w, f, proof
 

@@ -12,7 +12,8 @@ mismatch.  `blowup-analyze` moves its polygon, from `--polygon` or from
 `--weights` alone, to its first `blowup.least_width_images`, and finds its
 negative curve from `--k`: the curve's order is w = H^2/k, and its Laurent
 polynomial is the one kernel vector of a proved h0 at order w
-(`blowup.find_curve`).  `--h0-order` adds
+(`blowup.find_curve`), unless a GF(p) rank at a lower order already
+bounds h0 at w by 0.  `--h0-order` adds
 `h0_proof` to the report, beside the result: the prime, its rank and the
 bounds that prove h0; at `--h0-order` w it is the curve's own proof.
 """

@@ -19,11 +19,9 @@ from .errors import PreconditionError
 from .linalg import (
     IntMatrix,
     _adjugate,
-    det,
     dot,
     hermite_normal_form,
     integer_kernel_saturated,
-    lattice_coordinates,
     primitive,
     smith_normal_form,
     vec_gcd,
@@ -375,9 +373,9 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
     Searches assignments of d linearly independent rays s_k of f1 to rays
     t_k of f2.  The map T with T s_k = t_k has as row j the coordinates of
     (t_k[j])_k in the rows of S^T (S the matrix of the s_k): that vector
-    times the adjugate D (S^T)^-1, D = det S, divided by D.  The adjugate
-    comes from one Hermite form per call; there is no T when some quotient
-    is not exact.  Since det T = det(t_k) / D must be +-1, T is built only
+    times the adjugate D (S^T)^-1, D = det S, divided by D.  D and the
+    adjugate come from `_adjugate`; there is no T when some quotient is
+    not exact.  Since det T = det(t_k) / D must be +-1, T is built only
     for targets with det(t_k) = +-D, and kept when it is integral and
     matches the ray sets and the maximal cone structure.  Desk scale: few
     rays only.
@@ -398,20 +396,15 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
             break
     if len(base) < d:
         return None
-    S_t = IntMatrix([f1.rays[i] for i in base], cols=d).transpose()
-    D = det(S_t)
-    # x S_t = D e_k is solved by row k of the adjugate D S_t^-1
-    adj = IntMatrix(
-        lattice_coordinates(S_t, [[D * (j == k) for j in range(d)] for k in range(d)]),
-        cols=d,
-    )
+    # adj S^T = D (S^T)^-1: row k solves x S^T = D e_k
+    D, adj = _adjugate(list(zip(*(f1.rays[i] for i in base))))
+    adj = IntMatrix(adj, cols=d)
     ray_set2 = set(f2.rays)
     cone_family2 = {frozenset(f2.rays[i] for i in c) for c in f2.max_cones}
     for targets in itertools.permutations(f2.rays, d):
-        t = IntMatrix(targets, cols=d)
-        if abs(det(t)) != abs(D):
+        if abs(_adjugate(targets)[0]) != abs(D):
             continue
-        scaled = (t.transpose() * adj).row_list()
+        scaled = (IntMatrix(targets, cols=d).transpose() * adj).row_list()
         if any(x % D for row in scaled for x in row):
             continue
         T = IntMatrix([[x // D for x in row] for row in scaled], cols=d)

@@ -23,8 +23,8 @@ fails off the pivot rows is unlucky and the next one is tried; when the
 primes run out, when the kernel is too large to lift (LIFTING_ENTRY_CAP)
 or when the lifting steps run out, PreconditionError is raised.  Before a
 rank computation each rational row is cleared of denominators and made
-primitive (divided by the gcd of its entries).  Bareiss elimination
-remains for `det`.
+primitive (divided by the gcd of its entries).  Determinants come from
+`_adjugate`, the one fraction-free elimination over Z.
 numpy is imported only inside the functions of this proof, so importing
 the module does not load it.
 """
@@ -398,35 +398,6 @@ def lattice_coordinates(B: IntMatrix, vectors):
                 x = [a + t * b for a, b in zip(x, urow)]
         out.append(None if any(w) else tuple(x))
     return out
-
-
-def det(M: IntMatrix):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in M._r]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (pk * rowi[j] - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
 
 
 def _cross(a, b):

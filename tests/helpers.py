@@ -19,10 +19,11 @@ from coxkit.divisors import (
 from coxkit.errors import PreconditionError
 from coxkit.fans import fan_predicates, normal_fan, weighted_projective_fan
 from coxkit.linalg import (
+    DenseOperator,
     IntMatrix,
     NullityProof,
     RatMatrix,
-    det,
+    certified_nullity,
     dot,
     int_inverse_unimodular,
     int_rank_mod,
@@ -75,6 +76,35 @@ def int_rank(rows):
         if r == n:
             break
     return rank
+
+
+def det(M: IntMatrix):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in M._r]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            rowi = a[i]
+            rowk = a[k]
+            for j in range(k + 1, n):
+                rowi[j] = (pk * rowi[j] - aik * rowk[j]) // prev
+            rowi[k] = 0
+        prev = pk
+    return sign * a[n - 1][n - 1]
 
 
 def common_denominator_whole(X, M):
@@ -406,6 +436,48 @@ def vanishing_matrix(problem):
         for func in problem.functionals()
     ]
     return RatMatrix(rows, cols=len(pts))
+
+
+def find_curve_by_kernel_values(polygon, k):
+    """`blowup.find_curve` as it was before its one rank bound: when the
+    w(w+1)/2 functionals outnumber the points, h0 is first proved at the
+    least order `low` whose functionals reach the point count, and the
+    exact values of that kernel at the orders low..w-1, when few enough
+    (at most INTERPOLATION_ENTRY_CAP of w^2 per vector and support point),
+    give h0 at w by a second proof; order w is proved itself only if that
+    is 1, or if the values were too many."""
+    poly = blowup._lattice_polygon(polygon)
+    w, failure = blowup._curve_order(int(2 * poly.area()), k)
+    if failure:
+        raise blowup.PreconditionFailed(failure)
+    width = blowup._width([tuple(map(int, v)) for v in poly.vertices])
+    if w > width:
+        raise blowup.PreconditionFailed(
+            f"no nonzero section has order w = {w} > {width}, the polygon's "
+            f"width in x plus its width in y"
+        )
+    points = blowup.lattice_point_count(poly)
+    low = (math.isqrt(8 * points + 1) - 1) // 2
+    low += low * (low + 1) // 2 < points
+    for order in sorted({min(low, w), w}):
+        problem = blowup.InterpolationProblem(poly, 1, order)
+        proof = blowup.h0(problem, proof=True)
+        nullity = proof.nullity
+        if nullity and order < w:
+            support = [(p, c) for p, c in zip(problem.points(), zip(*proof.kernel)) if any(c)]
+            if w * w * nullity * len(support) > blowup.INTERPOLATION_ENTRY_CAP:
+                continue
+            funcs = [f for f in blowup.derivative_functionals(w) if sum(f) >= low]
+            op = blowup.VanishingOperator([p for p, _ in support], funcs)
+            values = op.product([c for _, c in support])
+            nullity = certified_nullity(DenseOperator(values, nullity)).nullity
+        if nullity != 1:
+            raise blowup.PreconditionFailed(
+                f"h0 at order w = {w} is {nullity}, not 1: no irreducible "
+                f"negative curve of that order"
+            )
+    f = blowup.LaurentPoly.from_terms(zip(problem.points(), proof.kernel[0]))
+    return w, f, proof
 
 
 def positivity_by_polytope(fan, divisor):

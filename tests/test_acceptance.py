@@ -248,7 +248,8 @@ def test_exact_h0_flagship_finishes(capsys):
 
 def test_criterion_5e_refusal_below_the_curve_order(capsys):
     """At k = 26 the curve order 102 has 5253 functionals for 1348 points;
-    h0 = 0 is proved from order 52 instead.  Eliminating order 102 took
+    one GF(p) rank of 1348 at order 53 (1431 x 1348) bounds h0 there, and
+    so at 102, by 0, with nothing lifted.  Eliminating order 102 took
     0.82-0.94 s on 2 cores.  The first run, which may load numpy, is not
     timed."""
     argv = ["blowup-analyze", "--weights", "12,13,17", "--k", "26"]

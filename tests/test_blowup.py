@@ -514,35 +514,42 @@ def test_least_width_images_match_search():
 
 def test_find_curve_refuses_below_the_curve_order(monkeypatch):
     """At k = 26 the curve order w = 102 has 5253 functionals for the 1348
-    lattice points.  h0 is proved at order 52, the least whose 1378
-    functionals reach the point count; its one kernel vector, the order-52
-    curve, takes nonzero values at orders 52..101 (3875 functionals), so h0
-    at 102 is 0 and the 5253 x 1348 matrix is never eliminated.  At k = 51
-    the order is 52 itself and one matrix is eliminated, as before."""
-    shapes = []
+    lattice points, and 52 is the least order whose 1378 functionals reach
+    the point count.  One GF(p) elimination at order 53, 1431 x 1348, has
+    rank 1348, so h0 = 0 there and at 102: nothing is lifted and the 5253 x
+    1348 matrix is never eliminated.  At k = 51 the order is 52 itself and
+    one matrix is eliminated, as before.  Every elimination is counted,
+    the bound's and the proof's."""
+    shapes, solvers = [], []
     real = linalg.int_rank_mod
 
     def spy(op, p):
         shapes.append(op.shape)
         return real(op, p)
 
+    class Solver(linalg._PivotSolver):
+        def __init__(self, f):
+            solvers.append(f.rank)
+            super().__init__(f)
+
     monkeypatch.setattr(linalg, "int_rank_mod", spy)
+    monkeypatch.setattr(blowup, "int_rank_mod", spy)
+    monkeypatch.setattr(linalg, "_PivotSolver", Solver)
     with pytest.raises(PreconditionFailed, match="h0 at order w = 102 is 0, not 1"):
         find_curve(TRIANGLE, 26)
-    assert shapes == [(1378, 1348), (3875, 1)]
+    assert shapes == [(1431, 1348)] and solvers == []
     shapes.clear()
     assert find_curve(TRIANGLE, 51)[0] == 52
-    assert shapes == [(1378, 1348)]
-    # 6 points: h0 = 2 at order 3, whose two kernel vectors leave one
-    # section at order 4, proved then; with the values of the kernel over
-    # the cap, order 4 is proved at once, with the same curve
+    assert shapes == [(1378, 1348)] and solvers == [1347]
+    # 6 points: order 4 = low + 1 is proved at once, with no bound and no
+    # proof at order 3
     small = [(-3, 1), (1, 1), (-2, 2)]
     shapes.clear()
-    w, f, _ = find_curve(small, 1)
-    assert (w, shapes) == (4, [(6, 6), (4, 2), (10, 6)])
-    monkeypatch.setattr(blowup, "INTERPOLATION_ENTRY_CAP", 100)
-    shapes.clear()
-    assert find_curve(small, 1)[1] == f and shapes == [(6, 6), (10, 6)]
+    w, f, proof = find_curve(small, 1)
+    assert (w, shapes, proof.nullity) == (4, [(10, 6)], 1)
+    # x^-3 y (1 - x)^4, the curve the proofs at orders 3 and 4 gave before
+    terms = zip(((x, 1) for x in range(-3, 2)), (1, -4, 6, -4, 1))
+    assert f == blowup.LaurentPoly.from_terms(terms)
 
 
 def test_curve_order_identities_stated_once():

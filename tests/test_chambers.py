@@ -6,6 +6,7 @@ from functools import reduce
 import pytest
 
 from helpers import (
+    det,
     enumerate_chambers_by_pairwise_cuts,
     semistable_supports_by_subset_cones,
     subset_cone_by_conversion,
@@ -524,8 +525,6 @@ def test_is_cox_condition1_index():
 
 def test_is_cox_invariant_under_unimodular():
     rng = random.Random(313)
-    from coxkit.linalg import det
-
     for _ in range(30):
         k = rng.randint(1, 3)
         r = rng.randint(2, 6)

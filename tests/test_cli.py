@@ -8,7 +8,13 @@ import time
 
 import pytest
 
-from helpers import LM10_POLYGON_COLUMNS, WPS_12_13_17_TRIANGLE, order_at_e_oracle, wps_polygon
+from helpers import (
+    LM10_POLYGON_COLUMNS,
+    WPS_12_13_17_TRIANGLE,
+    find_curve_by_kernel_values,
+    order_at_e_oracle,
+    wps_polygon,
+)
 
 from coxkit import blowup, chambers, divisors, fans, linalg, polyhedra
 from coxkit.blowup import (
@@ -554,6 +560,22 @@ def killed_below(f, w):
     )
 
 
+def found_curve_polygons():
+    """Two fixed lattice polygons and 38 seeded ones in [-3, 3]^2."""
+    rng = random.Random(12)
+    polygons = [
+        # 3 conditions on 4 points: the proof's one vector is (1 - y)^2
+        [(0, 0), (1, 0), (0, 2)],
+        # y^-2 (1 - y)^6, C^2 = -1/6, and every forced vertex holds
+        [(-1, 4), (0, -2), (4, 1), (0, 4)],
+    ]
+    while len(polygons) < 40:
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 5))]
+        if polytope_from_points(pts).dim() == 2:
+            polygons.append(pts)
+    return polygons
+
+
 def test_found_curve(tmp_path):
     """The curve comes from --k alone.  The flagship triangle moved by
     (5, -7) verifies at w = 52 with the golden's intersection numbers.  On
@@ -575,19 +597,8 @@ def test_found_curve(tmp_path):
         assert encode(payload[key]) == golden["certificate"]["payload"][key]
     assert payload["curve_order"] == 52
 
-    rng = random.Random(12)
-    polygons = [
-        # 3 conditions on 4 points: the proof's one vector is (1 - y)^2
-        [(0, 0), (1, 0), (0, 2)],
-        # y^-2 (1 - y)^6, C^2 = -1/6, and every forced vertex holds
-        [(-1, 4), (0, -2), (4, 1), (0, 4)],
-    ]
-    while len(polygons) < 40:
-        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 5))]
-        if polytope_from_points(pts).dim() == 2:
-            polygons.append(pts)
     found = verified = 0
-    for pts in polygons:
+    for pts in found_curve_polygons():
         hull = polytope_from_points(pts)
         for k in range(1, int(2 * hull.area()) + 1):
             try:
@@ -613,6 +624,58 @@ def test_found_curve(tmp_path):
     for k in ("6", "7", "8"):
         code, report, _ = run(["blowup-analyze", "--polygon", str(delta), "--k", k])
         assert code == 2, report
+
+
+def test_find_curve_matches_kernel_values_oracle(monkeypatch):
+    """On `test_found_curve`'s polygons at every k in 1..H^2, `find_curve`
+    gives the same (w, f, nullity), or the same refusal, as the kernel
+    values route it replaced (`find_curve_by_kernel_values`), which proved
+    h0 at the least order reaching the point count and then the nullity
+    of that kernel's values.  The rank bound at order low + 1 decides some
+    of these pairs by itself."""
+    bounds = []
+    real = blowup.int_rank_mod
+    monkeypatch.setattr(blowup, "int_rank_mod",
+                        lambda op, p: bounds.append(op.shape) or real(op, p))
+
+    def outcome(find, hull, k):
+        try:
+            w, f, proof = find(hull, k)
+        except PreconditionError as exc:
+            return type(exc), str(exc)
+        return w, f, proof.nullity
+
+    pairs = 0
+    for pts in found_curve_polygons():
+        hull = polytope_from_points(pts)
+        for k in range(1, int(2 * hull.area()) + 1):
+            got = outcome(find_curve, hull, k)
+            assert got == outcome(find_curve_by_kernel_values, hull, k), (pts, k)
+            pairs += 1
+    assert pairs == 558 and len(bounds) >= 10
+
+
+def test_find_curve_refuses_without_lifting(monkeypatch):
+    """P(9, 13, 14) at k = 21 asks for order w = 78 on 838 points.  The
+    GF(p) rank at order 42, one past the least order reaching the point
+    count, is 695, so no bound holds there and order 78 is proved itself:
+    its 3081 x 838 matrix has full rank, and nothing is lifted.  The
+    kernel values route refused at LIFTING_ENTRY_CAP instead: its proof at
+    order 41 had 159 kernel vectors to lift."""
+    code, report, _ = run(["blowup-analyze", "--weights", "9,13,14", "--k", "21"])
+    assert code == 2 and "h0 at order w = 78 is 0" in report["error"], report
+    shapes = []
+    real = linalg.int_rank_mod
+
+    def spy(op, p):
+        shapes.append(op.shape)
+        return real(op, p)
+
+    monkeypatch.setattr(linalg, "int_rank_mod", spy)
+    monkeypatch.setattr(blowup, "int_rank_mod", spy)
+    with pytest.raises(PreconditionError, match="h0 at order w = 78 is 0"):
+        find_curve(blowup.least_width_images(wps_polygon(9, 13, 14), 21)[0], 21)
+    assert shapes == [(903, 838), (3081, 838)]
 
 
 def test_flagship_images_verify_alike(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import check_fan_pairwise, is_face_by_conversion
+from helpers import check_fan_pairwise, det, is_face_by_conversion
 
 from coxkit import fans
 from coxkit.fans import (
@@ -25,7 +25,6 @@ from coxkit.fans import (
 )
 from coxkit.linalg import (
     IntMatrix,
-    det,
     dot,
     integer_kernel_saturated,
     primitive,
@@ -109,8 +108,6 @@ def test_predicates_wps_12_13_17():
     assert preds.complete and preds.simplicial and not preds.smooth
     # ray pair determinants are the complementary weights
     fan = weighted_projective_fan(12, 13, 17)
-    from coxkit.linalg import det
-
     dets = sorted(
         abs(det(IntMatrix([fan.rays[i], fan.rays[j]])))
         for i, j in ((1, 2), (0, 2), (0, 1))

@@ -11,6 +11,7 @@ from coxkit.errors import PreconditionError
 import coxkit.linalg as linalg
 from helpers import (
     certified_nullity_by_objects,
+    det,
     int_rank,
     limb_value,
     rational_kernel_basis,
@@ -26,7 +27,6 @@ from coxkit.linalg import (
     RatMatrix,
     default_modular_primes,
     certified_nullity,
-    det,
     hermite_normal_form,
     int_inverse_unimodular,
     int_rank_mod,

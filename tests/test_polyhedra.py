@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     dd_convert_two_pass,
+    det,
     dim_by_smith,
     extreme_rays_by_quotient_conversion,
     hilbert_basis_all_pairs,
@@ -891,7 +892,7 @@ def test_hilbert_cap_refused_at_once():
 def random_simplicial_rays(rng, dim, bound=4):
     while True:
         rays = [tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(dim)]
-        if linalg.det(IntMatrix(rays)) != 0:
+        if det(IntMatrix(rays)) != 0:
             return rays
 
 
@@ -902,7 +903,7 @@ def test_parallelepiped_points_match_rational_solve():
         rays = random_simplicial_rays(rng, dim)
         pts = polyhedra._parallelepiped_points(rays, dim)
         assert pts == parallelepiped_points_by_solve(rays, dim)
-        assert len(pts) == abs(linalg.det(IntMatrix(rays)))
+        assert len(pts) == abs(det(IntMatrix(rays)))
 
 
 def random_pointed_cone_for_hilbert(rng, dim):

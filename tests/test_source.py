@@ -42,6 +42,30 @@ def test_library_reads_no_environment():
     assert not found, found
 
 
+def test_vanishing_operators_are_capped():
+    """Every `VanishingOperator(...)` of the library is built inside
+    `blowup._vanishing_operator`, which counts the matrix entries first and
+    raises past INTERPOLATION_ENTRY_CAP.  Built without that check, the
+    order-267 operator of P(40, 41, 43) at k = 164 lists 35,323 points for
+    a 35,778 x 35,323 matrix: `test_large_triples_refused_at_caps` then ran
+    for over 10 minutes without finishing.  Lists each call outside the
+    helper by its line."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_vanishing_operator":
+                allowed |= set(ast.walk(node))
+        found += [
+            "capped" if node in allowed else f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "VanishingOperator"
+        ]
+    assert found == ["capped"], found
+
+
 def test_only_the_two_cleared_caches():
     """The library's only functools caches are `chambers._subset_cone` and
     `fans.fan_predicates`, the two that the benchmark clears before each
