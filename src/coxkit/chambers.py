@@ -3,9 +3,8 @@
 Effective and moving cones of a graded polynomial ring, semistable
 supports (the inclusion-minimal degree subsets whose cone contains a
 class), the chamber containing a given class, full enumeration of
-full-dimensional chambers via the hyperplane arrangement spanned by the
-degrees, and the two-condition test for a graded polynomial ring being a
-Cox ring.
+full-dimensional chambers by a walk across their facets, and the
+two-condition test for a graded polynomial ring being a Cox ring.
 
 By Caratheodory a minimal support is a linearly independent set of at
 most free_rank degrees, so it spans a simplex, and one integer adjugate
@@ -19,6 +18,7 @@ cone, through `_subset_cone`, as do the effective and drop-one cones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,13 +28,14 @@ from .linalg import (
     IntMatrix,
     _adjugate,
     dot,
-    integer_kernel_saturated,
     primitive,
     smith_normal_form,
 )
 from .polyhedra import Cone, _clear_denominators, dd_convert, intersect, zero_cone
 
 DEFINING_SUBSETS_CAP = 10**4
+CHAMBER_CAP = 10**3
+SUPPORT_SUBSETS_CAP = 4096
 
 
 class TooFewGenerators(PreconditionError):
@@ -176,46 +177,46 @@ def defining_subsets(supports, r):
 
 
 def enumerate_chambers(spec: GradingSpec):
-    """All full-dimensional chambers, each tagged by an interior class.
+    """All full-dimensional chambers, sorted by their facets.
 
-    Cuts the effective cone by every hyperplane spanned by free_rank - 1
-    degrees (at free rank 1 the point 0), then identifies the chamber of
-    one interior point per cell.  Requires free rank at most 3.
+    A walk (the GIT-fan algorithm of Keicher, IJAC 2012) from the chamber
+    of a class inside Eff across each facet off Eff's boundary whose
+    (inward normal, rays) the chamber beyond has not recorded, so
+    `mori_chamber` runs once per chamber.  Hadamard bounds the entries of
+    a wall normal by N = (isqrt(max |degree|^2) + 1)^(k-1).  So D q - f,
+    q the sum of a facet's rays, f its inward normal, D = k N max|f| + 1,
+    is inside the neighbour; and with B = 2N + 1, D0 = k N B^(k-1) + 1,
+    the class D0 x + (1, B, ..., B^(k-1)) given to `mori_chamber` for an
+    integer x inside a chamber or Eff is inside it too and on no wall.
+    Past CHAMBER_CAP chambers it raises PreconditionError.
     """
     k = spec.free_rank
-    if k > 3:
-        raise RankTooLarge("chamber enumeration capped at free rank 3")
     eff = effective_cone(spec)
     if eff.dim() < k:
         return []
-    directions = {primitive(spec.free_part(i)) for i in range(spec.r)} - {(0,) * k}
-    normals = set()
-    for span in itertools.combinations(sorted(directions), max(k - 1, 0)):
-        kernel = integer_kernel_saturated(IntMatrix(list(span), cols=k))
-        if kernel.rows == 1:  # a hyperplane; Hermite form: leading entry > 0
-            normals.add(tuple(kernel.row(0)))
-    cells = [eff]
-    for n in sorted(normals):
-        nxt = []
-        for cell in cells:
-            values = [dot(n, g) for g in cell.generators]
-            if min(values) < 0 < max(values):
-                # n = 0 meets the interior, so both halves are full-dimensional
-                for m in (n, tuple(-x for x in n)):
-                    nxt.append(dd_convert(facets=cell.facets + (m,), ambient_dim=k))
-            else:
-                nxt.append(cell)
-        cells = nxt
-    chambers = {}
-    for cell in cells:
-        # a cell's interior meets no wall: a found chamber holding p holds it
-        p = cell.relative_interior_point()
-        if any(c.cone.contains(p) for c in chambers.values()):
+    n = (math.isqrt(max(dot(d[:k], d[:k]) for d in spec.degrees)) + 1) ** max(k - 1, 0)
+    b = 2 * n + 1
+    d0 = k * n * b ** max(k - 1, 0) + 1
+    found, recorded, todo = [], set(), []
+
+    def cross(x):
+        if len(found) == CHAMBER_CAP:
+            raise PreconditionError(f"more than {CHAMBER_CAP} chambers")
+        chamber = mori_chamber(spec, tuple(d0 * a + b**i for i, a in enumerate(x)))
+        cone = chamber.cone
+        sides = [(f, tuple(g for g in cone.generators if dot(f, g) == 0)) for f in cone.facets]
+        found.append(chamber)
+        recorded.update(sides)
+        todo.extend(sides)
+
+    cross(eff.relative_interior_point())
+    while todo:
+        f, rays = todo.pop()
+        if f in eff.facets or (tuple(-x for x in f), rays) in recorded:
             continue
-        ch = mori_chamber(spec, p)
-        if ch.full_dimensional:
-            chambers.setdefault(ch.cone.facets, ch)
-    return [chambers[key] for key in sorted(chambers)]
+        d = k * n * max(map(abs, f)) + 1
+        cross([d * sum(g[i] for g in rays) - f[i] for i in range(k)])
+    return sorted(found, key=lambda c: c.cone.facets)
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,9 @@ def _minimal_supports(spec: GradingSpec, w):
     The sets of free_rank degrees are tried first.  A smaller support of
     w != 0 extends to free_rank independent degrees, in whose coordinates
     w has a zero, so smaller sets are tried only after such a zero, or
-    when no free_rank degrees are independent."""
+    when no free_rank degrees are independent.  Each of the two stages
+    raises PreconditionError before its first adjugate when it has more
+    than SUPPORT_SUBSETS_CAP sets to try."""
     w = tuple(Fraction(x) for x in w)
     k = spec.free_rank
     if len(w) != k:
@@ -311,17 +314,22 @@ def _minimal_supports(spec: GradingSpec, w):
     degrees = [spec.free_part(i) for i in range(spec.r)]
     nonzero = [i for i, s in enumerate(degrees) if any(s)]  # 0 is in no independent set
 
-    def spanning(size):
-        for m in itertools.combinations(nonzero, size):
-            got = _coordinates([degrees[i] for i in m], k, v)
-            if got is not None:
-                yield m, *got
+    def spanning(sizes):
+        count = sum(math.comb(len(nonzero), j) for j in sizes)
+        if count > SUPPORT_SUBSETS_CAP:
+            raise PreconditionError(
+                f"{count} sets of degrees to try, more than {SUPPORT_SUBSETS_CAP}"
+            )
+        for j in sizes:
+            for m in itertools.combinations(nonzero, j):
+                got = _coordinates([degrees[i] for i in m], k, v)
+                if got is not None:
+                    yield m, *got
 
-    full = list(spanning(k))
+    full = list(spanning([k]))
     found = [(m, rows) for m, rows, lam in full if min(lam) > 0]
     if not full or any(0 in lam for *_, lam in full):
-        smaller = [(m, rows) for j in range(1, k) for m, rows, lam in spanning(j) if min(lam) > 0]
-        found = smaller + found
+        found = [(m, rows) for m, rows, lam in spanning(range(1, k)) if min(lam) > 0] + found
     if not found:
         raise NotEffective(f"class {w} is not effective")
     return found

@@ -777,6 +777,46 @@ def enumerate_chambers_by_pairwise_cuts(spec):
     return [chambers[key] for key in sorted(chambers)]
 
 
+def enumerate_chambers_by_sweep(spec):
+    """Full-dimensional chambers from a sweep of the hyperplane arrangement,
+    at any free rank: Eff is cut by every hyperplane spanned by free_rank - 1
+    degrees (the saturated kernel of each such set; at free rank 1 the
+    point 0), and the chamber of one interior point is found per cell,
+    unless a chamber already found holds it."""
+    k = spec.free_rank
+    eff = effective_cone(spec)
+    if eff.dim() < k:
+        return []
+    directions = {primitive(spec.free_part(i)) for i in range(spec.r)} - {(0,) * k}
+    normals = set()
+    for span in itertools.combinations(sorted(directions), max(k - 1, 0)):
+        kernel = integer_kernel_saturated(IntMatrix(list(span), cols=k))
+        if kernel.rows == 1:  # a hyperplane; Hermite form: leading entry > 0
+            normals.add(tuple(kernel.row(0)))
+    cells = [eff]
+    for n in sorted(normals):
+        nxt = []
+        for cell in cells:
+            values = [dot(n, g) for g in cell.generators]
+            if min(values) < 0 < max(values):
+                # n = 0 meets the interior, so both halves are full-dimensional
+                for m in (n, tuple(-x for x in n)):
+                    nxt.append(dd_convert(facets=cell.facets + (m,), ambient_dim=k))
+            else:
+                nxt.append(cell)
+        cells = nxt
+    chambers = {}
+    for cell in cells:
+        # a cell's interior meets no wall: a found chamber holding p holds it
+        p = cell.relative_interior_point()
+        if any(c.cone.contains(p) for c in chambers.values()):
+            continue
+        ch = mori_chamber(spec, p)
+        if ch.full_dimensional:
+            chambers.setdefault(ch.cone.facets, ch)
+    return [chambers[key] for key in sorted(chambers)]
+
+
 def dd_convert_two_pass(generators=None, facets=None, ambient_dim=None):
     """`polyhedra.dd_convert` with two conversions for every cone: the
     input is converted, then the output is converted back, and the second

@@ -186,9 +186,10 @@ def test_criterion_4_chambers():
 
 
 def test_criterion_4b_chambers_free_rank_3():
-    """Ten degrees in [0,4]^3 from seed 3: 145 chambers.  The earlier sweep,
-    with two conversions per cut cell and per extra support, took 6.4 s on
-    2 cores (Python 3.11)."""
+    """Ten degrees in [0,4]^3 from seed 3: 145 chambers, found by a walk
+    across their facets, one chamber conversion each.  A sweep of the
+    hyperplane arrangement with two conversions per cut cell and per extra
+    support took 6.4 s on 2 cores (Python 3.11)."""
     rng = random.Random(3)
     degrees = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)]
     with Budget("4b chambers of a free-rank-3 grading with 10 degrees", 3.0):

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     det,
     enumerate_chambers_by_pairwise_cuts,
+    enumerate_chambers_by_sweep,
     semistable_supports_by_subset_cones,
     subset_cone_by_conversion,
 )
@@ -17,7 +18,6 @@ from coxkit.chambers import (
     Chamber,
     GradingSpec,
     NotEffective,
-    RankTooLarge,
     TooFewGenerators,
     defining_subsets,
     effective_cone,
@@ -28,6 +28,9 @@ from coxkit.chambers import (
     semistable_supports,
     _subset_cone,
 )
+from coxkit.divisors import class_group
+from coxkit.errors import PreconditionError
+from coxkit.fans import Fan
 from coxkit.linalg import IntMatrix, dot, primitive
 from coxkit.polyhedra import dd_convert, intersect, zero_cone
 
@@ -434,9 +437,9 @@ def test_enumerate_chambers_partition_2d():
 
 
 def test_enumerate_chambers_identifies_each_chamber_once(monkeypatch):
-    """A cell whose interior point lies in a chamber already found is not
-    identified again: on the ten degrees of acceptance criterion 4b,
-    mori_chamber runs once per chamber (287 times when every cell ran)."""
+    """The walk crosses a facet only when the chamber beyond it is not yet
+    found: on the ten degrees of acceptance criterion 4b, mori_chamber runs
+    once per chamber (287 times when a sweep identified every cell)."""
     calls = []
     real = chambers.mori_chamber
 
@@ -451,10 +454,95 @@ def test_enumerate_chambers_identifies_each_chamber_once(monkeypatch):
     assert len(calls) == 145
 
 
-def test_enumerate_chambers_rank_cap():
+def surface_grading(rays):
+    """The class-group grading of the complete smooth surface whose fan has
+    these rays in counterclockwise order."""
+    n = len(rays)
+    fan = Fan(2, tuple(rays), tuple((i, (i + 1) % n) for i in range(n)))
+    return GradingSpec.from_class_group(class_group(fan))
+
+
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+SEVEN_RAYS = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+EIGHT_RAYS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+def test_enumerate_chambers_matches_sweep_oracle():
+    """The walk against the sweep of the hyperplane arrangement: generators,
+    facets, supports and order, on seeded gradings of free rank 4 and 5 with
+    degrees of both signs and at most k + 2 degrees, and on the class groups
+    of the smooth surfaces with 6 and 7 rays (free rank 4 and 5)."""
+    rng = random.Random(25)
+    seen = set()
+    specs = [
+        random_grading(rng, seen, ranks=(k, k), counts=(k, k + 2)) for k in (4, 5) for _ in range(20)
+    ]
+    specs += [surface_grading(HEXAGON), surface_grading(SEVEN_RAYS)]
+    counts = []
+    for spec in specs:
+        got = enumerate_chambers(spec)
+        want = enumerate_chambers_by_sweep(spec)
+        assert [(c.cone.generators, c.cone.facets, c.supports) for c in got] == [
+            (c.cone.generators, c.cone.facets, c.supports) for c in want
+        ], spec
+        counts.append(len(got))
+    assert counts[-2:] == [18, 50]
+    assert sum(n > 2 for n in counts[:-2]) >= 10 and max(counts[:-2]) > 50
+    assert {"free rank 4", "free rank 5", "torsion", "zero degree", "repeated degree"} <= seen
+
+
+def test_enumerate_chambers_eight_ray_surface(monkeypatch):
+    """Free rank 6, where the sweep of the arrangement converts some 18,000
+    cells: 122 chambers, one mori_chamber call each."""
+    calls = []
+    real = chambers.mori_chamber
+
+    def counted(spec, w):
+        calls.append(w)
+        return real(spec, w)
+
+    monkeypatch.setattr(chambers, "mori_chamber", counted)
+    found = enumerate_chambers(surface_grading(EIGHT_RAYS))
+    assert len(found) == len(calls) == 122
+    assert all(c.full_dimensional for c in found)
+
+
+def test_enumerate_chambers_chamber_cap(monkeypatch):
+    # no free-rank cap: the four unit degrees of Z^4 give one chamber, the orthant
     spec = GradingSpec.from_columns([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-    with pytest.raises(RankTooLarge):
+    assert [c.cone.generators for c in enumerate_chambers(spec)] == [
+        ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+    ]
+    # the 145 chambers of criterion 4b pass a cap of 145, not one of 144
+    rng = random.Random(3)
+    spec = GradingSpec.from_columns([tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)])
+    monkeypatch.setattr(chambers, "CHAMBER_CAP", 145)
+    assert len(enumerate_chambers(spec)) == 145
+    monkeypatch.setattr(chambers, "CHAMBER_CAP", 144)
+    with pytest.raises(PreconditionError, match="more than 144 chambers"):
         enumerate_chambers(spec)
+
+
+def test_support_search_capped_before_any_adjugate(monkeypatch):
+    calls = []
+    real = chambers._adjugate
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(chambers, "_adjugate", counted)
+    # 30 degrees at free rank 15: C(30, 15) = 155,117,520 sets of 15 degrees
+    unit = [tuple(int(i == j) for i in range(15)) for j in range(15)]
+    with pytest.raises(PreconditionError, match="155117520 sets of degrees"):
+        semistable_supports(GradingSpec.from_columns(unit * 2), (1,) * 15)
+    assert calls == []
+    # 14 degrees at free rank 13: 14 sets of 13, but a class on a wall has
+    # 2^14 - 16 = 16,368 smaller sets to try, refused before their adjugates
+    spec = GradingSpec.from_columns([u[:13] for u in unit[:13]] + [(1,) * 13])
+    with pytest.raises(PreconditionError, match="16368 sets of degrees"):
+        semistable_supports(spec, (1,) + (0,) * 12)
+    assert len(calls) == 14
 
 
 # ---------------------------------------------------------- cox grading

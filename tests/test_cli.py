@@ -209,6 +209,25 @@ def test_chambers_golden():
     assert report["result"]["count"] == 2
 
 
+def test_chambers_above_free_rank_3(tmp_path):
+    """The class group of the hexagon surface has free rank 4 and 18
+    chambers; its chambers still cannot be plotted.  A grading whose
+    supports need more than SUPPORT_SUBSETS_CAP sets of degrees exits 2
+    before any set is tried."""
+    code, report, _ = run(["chambers", "--grading", data("grading_hexagon.json")])
+    assert code == 0 and report["result"]["count"] == 18
+    code, report, _ = run(["plot", "--chambers", data("grading_hexagon.json")])
+    assert code == 2 and "free rank exactly 2" in report["error"]
+    # 30 degrees at free rank 15: C(30, 15) = 155,117,520 sets of 15
+    doc = tmp_path / "rank15.json"
+    unit = [[int(i == j) for i in range(15)] for j in range(15)]
+    doc.write_text(json.dumps({"free_rank": 15, "torsion": [], "degrees": unit * 2}))
+    start = time.perf_counter()
+    code, report, _ = run(["chamber", "--grading", str(doc), "--class", ",".join(["1"] * 15)])
+    assert code == 2 and "155117520 sets of degrees" in report["error"], report
+    assert time.perf_counter() - start < 1
+
+
 def test_is_cox_both_matrices():
     code, report, _ = run(["is-cox-grading", "--grading", data("grading_f1.json")])
     assert code == 0 and report["result"]["is_cox"] is True
