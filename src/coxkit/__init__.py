@@ -72,13 +72,10 @@ from .polyhedra import (
     Cone,
     Polytope,
     dd_convert,
-    dual_cone,
     hilbert_basis,
     intersect,
     lattice_points,
-    membership,
     polytope_from_points,
-    relative_interior_point,
 )
 
 __version__ = "0.1.0"

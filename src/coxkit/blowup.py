@@ -400,7 +400,7 @@ _PAYLOAD_FIELDS = {
         "curve_self_intersection": _is_rational,
         "d_dot_c": _is_rational,
         "d_dot_e": _is_rational,
-        "m_max": _is_int,
+        "m_max": lambda x: _is_int(x) and x >= 1,
         "negative_curve": _is_certificate("negative_curve"),
         "forced_vertex_certificates": lambda x: isinstance(x, (tuple, list))
         and all(c is None or _is_certificate("forced_vertex")(c) for c in x),
@@ -507,12 +507,13 @@ def _curve_identities_failure(payload):
 
 def _nef_not_semiample_failure(payload):
     """The first failed identity of a nef-not-semiample payload, or None:
-    a missing or mistyped field, `_curve_identities_failure`, then for each
-    multiple m = 1..m_max a forced-vertex certificate (None fails) of the
+    a missing, mistyped or out-of-range field (an m_max below 1 would
+    prove nothing), `_curve_identities_failure`, then for each multiple
+    m = 1..m_max a forced-vertex certificate (None fails) of the
     argument on m times the polygon at order k m (`_forced_vertex_points`)."""
     malformed = _malformed("nef_not_semiample", payload)
     if malformed:
-        return f"payload field {malformed!r} is missing or mistyped"
+        return f"payload field {malformed!r} is missing, mistyped or out of range"
     failure = _curve_identities_failure(payload)
     if failure:
         return failure
@@ -540,7 +541,8 @@ def forced_vertex_coefficient(
     (1,1) has zero coefficient at that vertex, so the corresponding
     divisor class has a base point.  Returns None when the functional
     fails to single out the vertex.  Raises PreconditionError when the
-    dilated polygon has more than FORCED_VERTEX_COLUMN_CAP lattice columns.
+    dilated polygon has more than FORCED_VERTEX_COLUMN_CAP lattice columns,
+    or when the vertex value has too many digits to write in decimal.
     """
     vertices = polygon.vertices if isinstance(polygon, Polytope) else polygon
     i, j = functional
@@ -550,6 +552,10 @@ def forced_vertex_coefficient(
         )
     vertex = tuple(int(x) for x in vertex)
     vertex_value = vanishing_entry((i, j), vertex)
+    try:
+        shown = str(vertex_value)
+    except ValueError:  # past the digit limit that also guards parsing input
+        raise PreconditionError(f"the value at vertex {vertex} is too long to write") from None
     payload = {
         "polygon": tuple(tuple(int(x) for x in v) for v in vertices),
         "dilation": dilation,
@@ -570,7 +576,7 @@ def forced_vertex_coefficient(
     transcript = (
         f"functional d_x^{i} d_y^{j} at (1,1) annihilates all "
         f"{points - 1} non-vertex lattice points of the translated polygon",
-        f"value at vertex {vertex} is {vertex_value} != 0",
+        f"value at vertex {vertex} is {shown} != 0",
         f"every section vanishing to order {order} at (1,1) has zero "
         f"coefficient at {vertex}",
     )

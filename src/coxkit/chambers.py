@@ -6,13 +6,15 @@ class), the chamber containing a given class, full enumeration of
 full-dimensional chambers by a walk across their facets, and the
 two-condition test for a graded polynomial ring being a Cox ring.
 
-By Caratheodory a minimal support is a linearly independent set of at
-most free_rank degrees, so it spans a simplex, and one integer adjugate
-decides it: the class must have positive coordinates in it.  No cone is
-converted for the supports.  The chamber is one conversion of the facets
-of the supports' cones; those of a free_rank support are the rows of its
-adjugate, and only a smaller support (the class on a wall) converts its
-cone, through `_subset_cone`, as do the effective and drop-one cones.
+By Caratheodory a minimal support is an independent set of degrees; it
+extends to a basis of their span taken from the degrees, in which the
+class has nonnegative coordinates, positive exactly on the support.  So
+one table of bases with their integer adjugates, built once per walk,
+gives every class's supports, with no cone converted.  The chamber is
+one conversion of the supports' facets: a free_rank support's are the
+rows of its adjugate, and only a smaller one (the class on a wall)
+converts its cone, through `_subset_cone`, as do the effective and
+drop-one cones.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class GradingSpec:
     """Degrees of r variables in Z^free_rank + sum Z/torsion_i.
 
     Degree vectors list free coordinates first, then torsion coordinates
-    (reduced modulo the invariant factor).
+    (reduced modulo the invariant factor, which must be at least 1).
     """
 
     free_rank: int
@@ -64,6 +66,8 @@ class GradingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
+        if any(t < 1 for t in self.torsion):
+            raise ValueError("torsion orders must be at least 1")
         degs = []
         for w in self.degrees:
             w = tuple(int(x) for x in w)
@@ -139,20 +143,26 @@ def mori_chamber(spec: GradingSpec, w) -> Chamber:
     C_J lies in C_I, so the chamber is the intersection of the cones of the
     minimal supports (`semistable_supports`), and the sets I are their
     upward closure (`defining_subsets`).  It is one conversion of the
-    union of their facets.  A support of free_rank degrees spans a
-    simplicial cone whose facets are the rows of its adjugate, which
-    `_minimal_supports` has already computed; only a smaller support (w on
-    a wall) takes its cone from `_subset_cone`.
+    union of their facets.  The supports are read off one table of bases
+    of the degrees (`_bases`); a support of free_rank degrees is a base,
+    and its simplicial cone's facets are the rows of its adjugate there.
+    Only a smaller support (w on a wall) takes its cone from
+    `_subset_cone`.
     """
-    k = spec.free_rank
-    found = _minimal_supports(spec, w)
+    return _chamber(spec, _bases(spec), w)
+
+
+def _chamber(spec: GradingSpec, table, w) -> Chamber:
+    """`mori_chamber` from a table of `_bases`, built once per walk by
+    `enumerate_chambers`."""
+    found = _minimal_supports(spec, table, w)
     facets = set()
     for m, rows in found:
-        if len(m) == k:
+        if len(m) == spec.free_rank:
             facets.update(primitive(row) for row in rows)
         else:
             facets.update(_subset_cone(spec, frozenset(m)).facets)
-    cone = dd_convert(facets=sorted(facets), ambient_dim=k)
+    cone = dd_convert(facets=sorted(facets), ambient_dim=spec.free_rank)
     return Chamber(cone=cone, supports=tuple(m for m, _ in found))
 
 
@@ -181,12 +191,13 @@ def enumerate_chambers(spec: GradingSpec):
 
     A walk (the GIT-fan algorithm of Keicher, IJAC 2012) from the chamber
     of a class inside Eff across each facet off Eff's boundary whose
-    (inward normal, rays) the chamber beyond has not recorded, so
-    `mori_chamber` runs once per chamber.  Hadamard bounds the entries of
+    (inward normal, rays) the chamber beyond has not recorded, so the
+    chamber of a class (`mori_chamber`, from one table of `_bases` for the
+    whole walk) is found once per chamber.  Hadamard bounds the entries of
     a wall normal by N = (isqrt(max |degree|^2) + 1)^(k-1).  So D q - f,
     q the sum of a facet's rays, f its inward normal, D = k N max|f| + 1,
     is inside the neighbour; and with B = 2N + 1, D0 = k N B^(k-1) + 1,
-    the class D0 x + (1, B, ..., B^(k-1)) given to `mori_chamber` for an
+    the class D0 x + (1, B, ..., B^(k-1)) whose chamber is found for an
     integer x inside a chamber or Eff is inside it too and on no wall.
     Past CHAMBER_CAP chambers it raises PreconditionError.
     """
@@ -197,12 +208,12 @@ def enumerate_chambers(spec: GradingSpec):
     n = (math.isqrt(max(dot(d[:k], d[:k]) for d in spec.degrees)) + 1) ** max(k - 1, 0)
     b = 2 * n + 1
     d0 = k * n * b ** max(k - 1, 0) + 1
-    found, recorded, todo = [], set(), []
+    table, found, recorded, todo = _bases(spec), [], set(), []
 
     def cross(x):
         if len(found) == CHAMBER_CAP:
             raise PreconditionError(f"more than {CHAMBER_CAP} chambers")
-        chamber = mori_chamber(spec, tuple(d0 * a + b**i for i, a in enumerate(x)))
+        chamber = _chamber(spec, table, tuple(d0 * a + b**i for i, a in enumerate(x)))
         cone = chamber.cone
         sides = [(f, tuple(g for g in cone.generators if dot(f, g) == 0)) for f in cone.facets]
         found.append(chamber)
@@ -271,68 +282,63 @@ def is_cox_grading(spec: GradingSpec) -> CoxGradingVerdict:
     return CoxGradingVerdict(True, None, None)
 
 
-def _coordinates(gens, k, v):
-    """(A, A v) when the vectors `gens` = s_1..s_j of Z^k, j <= k, are
-    linearly independent and v lies in their span, else None.  A is the
-    j x k integer matrix with A v = d lambda for v = sum lambda_i s_i and
-    some d > 0.  With S the k x j matrix whose columns are the s_i: for
-    j = k, A = sign(det S) adj S and d = |det S|, so the rows of A are
-    inward normals of the facets of the simplicial cone over the s_i (row
-    i vanishes on every s_l but s_i); for j < k, A = adj(S^T S) S^T and
-    d = det S^T S, and v must satisfy S A v = d v."""
-    if len(gens) == k:
-        d, adj = _adjugate(list(zip(*gens)))
-        if not d:
-            return None
-        rows = adj if d > 0 else [[-x for x in row] for row in adj]
-        return rows, [dot(row, v) for row in rows]
-    d, adj = _adjugate([[dot(s, t) for t in gens] for s in gens])
-    if not d:
-        return None
-    rows = [[dot(row, col) for col in zip(*gens)] for row in adj]
-    lam = [dot(row, v) for row in rows]
-    return (rows, lam) if all(dot(c, lam) == d * x for c, x in zip(zip(*gens), v)) else None
-
-
-def _minimal_supports(spec: GradingSpec, w):
-    """The minimal supports m of w, each with the rows A of `_coordinates`
-    of its degrees, as (m, A) in `semistable_supports` order.  Raises NotEffective when there is none.
-
-    The sets of free_rank degrees are tried first.  A smaller support of
-    w != 0 extends to free_rank independent degrees, in whose coordinates
-    w has a zero, so smaller sets are tried only after such a zero, or
-    when no free_rank degrees are independent.  Each of the two stages
-    raises PreconditionError before its first adjugate when it has more
-    than SUPPORT_SUBSETS_CAP sets to try."""
-    w = tuple(Fraction(x) for x in w)
+def _bases(spec: GradingSpec):
+    """The bases of the degrees' span taken from the nonzero degrees, as
+    (m, A, d): the degrees s_i, i in m, are independent and span what all
+    degrees span, and A v = d lambda, d > 0, for v = sum lambda_i s_i.
+    With S the k x j matrix of the s_i as columns: for j = k = free_rank,
+    A = sign(det S) adj S and d = |det S|, so row i of A is the inward
+    normal of the facet of cone(S) opposite s_i; for j < k, A = adj(S^T S)
+    S^T and d = det S^T S.  Sizes go down from free_rank, a smaller one
+    only when no set of the larger is independent; each raises
+    PreconditionError before its first adjugate when it has more than
+    SUPPORT_SUBSETS_CAP sets to try."""
     k = spec.free_rank
-    if len(w) != k:
-        raise PreconditionError("class vector has wrong length")
-    v = _clear_denominators(w)  # a positive multiple: the same supports
-    if not any(v):
-        return [((), [])]  # every set holds the empty one
-    degrees = [spec.free_part(i) for i in range(spec.r)]
-    nonzero = [i for i, s in enumerate(degrees) if any(s)]  # 0 is in no independent set
-
-    def spanning(sizes):
-        count = sum(math.comb(len(nonzero), j) for j in sizes)
+    nonzero = [i for i in range(spec.r) if any(spec.free_part(i))]  # 0 is in no independent set
+    for j in range(min(k, len(nonzero)), 0, -1):
+        count = math.comb(len(nonzero), j)
         if count > SUPPORT_SUBSETS_CAP:
             raise PreconditionError(
                 f"{count} sets of degrees to try, more than {SUPPORT_SUBSETS_CAP}"
             )
-        for j in sizes:
-            for m in itertools.combinations(nonzero, j):
-                got = _coordinates([degrees[i] for i in m], k, v)
-                if got is not None:
-                    yield m, *got
+        table = []
+        for m in itertools.combinations(nonzero, j):
+            s = [spec.free_part(i) for i in m]
+            d, adj = _adjugate(list(zip(*s)) if j == k else [[dot(x, y) for y in s] for x in s])
+            if d:
+                a = adj if j == k else [[dot(row, col) for col in zip(*s)] for row in adj]
+                table.append((m, a if d > 0 else [[-x for x in row] for row in a], abs(d)))
+        if table:
+            return table
+    return []
 
-    full = list(spanning([k]))
-    found = [(m, rows) for m, rows, lam in full if min(lam) > 0]
-    if not full or any(0 in lam for *_, lam in full):
-        found = [(m, rows) for m, rows, lam in spanning(range(1, k)) if min(lam) > 0] + found
+
+def _minimal_supports(spec: GradingSpec, table, w):
+    """The minimal supports m of w in `semistable_supports` order, as
+    (m, A), A the rows of a base of `table` (`_bases`) holding m, m's own
+    when it has free_rank degrees.  Raises NotEffective when there is none.
+
+    Once S A v = d v on one base puts w in the degrees' span, each base
+    with A v >= 0 gives the minimal support where A v > 0, and each
+    minimal support arises so: within the degrees it extends to a base,
+    in whose coordinates w is positive on it and zero elsewhere."""
+    w = tuple(Fraction(x) for x in w)
+    if len(w) != spec.free_rank:
+        raise PreconditionError("class vector has wrong length")
+    v = _clear_denominators(w)  # a positive multiple: the same supports
+    if not any(v):
+        return [((), ())]  # every set holds the empty one
+    found = {}
+    m, rows, d = table[0] if table else ((), (), 1)  # no base: no support
+    lam = [dot(row, v) for row in rows]
+    if all(dot(lam, col) == d * y for col, y in zip(zip(*(spec.free_part(i) for i in m)), v)):
+        for m, rows, _ in table:
+            lam = [dot(row, v) for row in rows]
+            if min(lam) >= 0:
+                found[tuple(i for i, x in zip(m, lam) if x)] = rows
     if not found:
         raise NotEffective(f"class {w} is not effective")
-    return found
+    return sorted(found.items(), key=lambda s: (len(s[0]), s[0]))
 
 
 def semistable_supports(spec: GradingSpec, w):
@@ -349,11 +355,12 @@ def semistable_supports(spec: GradingSpec, w):
     lambda_i s_i with every lambda_i > 0 (a zero coefficient would leave
     a smaller support).  Conversely, an independent S with w in its span
     and every lambda_i > 0 is minimal: lambda is unique, so no proper
-    subset holds w.  The test is exact in integers with the adjugate of
-    `_coordinates`: for |S| = free_rank, the signs of adj(S) w against
-    det S; below it, adj(S^T S) S^T w > 0 and w in span(S).
+    subset holds w.  So the supports are read off the table of `_bases`,
+    exactly in integers: the positive coordinates of w in each base in
+    which none is negative (for a base of free_rank degrees, the signs of
+    adj(S) w against det S), once w is in the degrees' span.
     The sets are sorted by size and then lexicographically.  w is
     effective exactly when it has a minimal support; otherwise
     NotEffective is raised.
     """
-    return [m for m, _ in _minimal_supports(spec, w)]
+    return [m for m, _ in _minimal_supports(spec, _bases(spec), w)]

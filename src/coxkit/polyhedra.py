@@ -322,10 +322,6 @@ def zero_cone(ambient_dim):
     return Cone(ambient_dim, (), _with_lineality([], eye), 0, 0)
 
 
-def dual_cone(c: Cone) -> Cone:
-    return c.dual()
-
-
 def intersect(*cones: Cone) -> Cone:
     """Intersection as the cone cut out by the union of the facet lists."""
     dims = {c.ambient_dim for c in cones}
@@ -333,18 +329,6 @@ def intersect(*cones: Cone) -> Cone:
         raise DimensionMismatch("ambient dimensions differ")
     fac = sorted({f for c in cones for f in c.facets})
     return dd_convert(facets=fac, ambient_dim=dims.pop())
-
-
-def membership(c: Cone, v):
-    return c.membership(v)
-
-
-def relative_interior_point(c: Cone):
-    return c.relative_interior_point()
-
-
-def is_pointed(c: Cone) -> bool:
-    return c.is_pointed()
 
 
 # ------------------------------------------------------------- polytopes

@@ -55,7 +55,6 @@ from coxkit.cli import main
 from coxkit.linalg import RatMatrix, dot, kernel_dimension
 from coxkit.polyhedra import (
     dd_convert,
-    dual_cone,
     hilbert_basis,
     lattice_points,
     polytope_from_points,

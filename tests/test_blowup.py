@@ -678,6 +678,7 @@ def test_certificates_reverify_from_payload():
         (cert, {"k": 51.0, "d_dot_e": 51.0}),
         (cert, {"d_dot_c": "0"}),
         (cert, {"forced_vertex_certificates": None}),
+        (cert, {"m_max": 0, "forced_vertex_certificates": ()}),  # proves no multiple
         (cert, {"forced_vertex_certificates": (first, sub.payload)}),
         (cert, {"negative_curve": first}),
         (curve, {"curve_order": "52"}),

@@ -438,16 +438,17 @@ def test_enumerate_chambers_partition_2d():
 
 def test_enumerate_chambers_identifies_each_chamber_once(monkeypatch):
     """The walk crosses a facet only when the chamber beyond it is not yet
-    found: on the ten degrees of acceptance criterion 4b, mori_chamber runs
-    once per chamber (287 times when a sweep identified every cell)."""
+    found: on the ten degrees of acceptance criterion 4b, the chamber of a
+    class is found once per chamber (287 times when a sweep identified
+    every cell)."""
     calls = []
-    real = chambers.mori_chamber
+    real = chambers._chamber
 
-    def counted(spec, w):
+    def counted(spec, table, w):
         calls.append(w)
-        return real(spec, w)
+        return real(spec, table, w)
 
-    monkeypatch.setattr(chambers, "mori_chamber", counted)
+    monkeypatch.setattr(chambers, "_chamber", counted)
     rng = random.Random(3)
     degrees = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)]
     assert len(enumerate_chambers(GradingSpec.from_columns(degrees))) == 145
@@ -493,15 +494,15 @@ def test_enumerate_chambers_matches_sweep_oracle():
 
 def test_enumerate_chambers_eight_ray_surface(monkeypatch):
     """Free rank 6, where the sweep of the arrangement converts some 18,000
-    cells: 122 chambers, one mori_chamber call each."""
+    cells: 122 chambers, the chamber of one class each."""
     calls = []
-    real = chambers.mori_chamber
+    real = chambers._chamber
 
-    def counted(spec, w):
+    def counted(spec, table, w):
         calls.append(w)
-        return real(spec, w)
+        return real(spec, table, w)
 
-    monkeypatch.setattr(chambers, "mori_chamber", counted)
+    monkeypatch.setattr(chambers, "_chamber", counted)
     found = enumerate_chambers(surface_grading(EIGHT_RAYS))
     assert len(found) == len(calls) == 122
     assert all(c.full_dimensional for c in found)
@@ -537,12 +538,34 @@ def test_support_search_capped_before_any_adjugate(monkeypatch):
     with pytest.raises(PreconditionError, match="155117520 sets of degrees"):
         semistable_supports(GradingSpec.from_columns(unit * 2), (1,) * 15)
     assert calls == []
-    # 14 degrees at free rank 13: 14 sets of 13, but a class on a wall has
-    # 2^14 - 16 = 16,368 smaller sets to try, refused before their adjugates
+    # 14 degrees at free rank 13: 14 sets of 13, and a class on a wall
+    # reads its smaller support off them, with no smaller set tried
     spec = GradingSpec.from_columns([u[:13] for u in unit[:13]] + [(1,) * 13])
-    with pytest.raises(PreconditionError, match="16368 sets of degrees"):
-        semistable_supports(spec, (1,) + (0,) * 12)
+    w = (1,) + (0,) * 12
+    assert semistable_supports(spec, w) == semistable_supports_by_subset_cones(spec, w)
     assert len(calls) == 14
+
+
+def test_one_adjugate_per_base_per_walk(monkeypatch):
+    """A walk takes the adjugate of each set of free_rank degrees once: the
+    28 sets of 6 of the eight-ray surface's degrees (3,416 adjugates when
+    each chamber took its own) and the 120 sets of 3 of criterion 4b's ten
+    degrees (17,400)."""
+    calls = []
+    real = chambers._adjugate
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(chambers, "_adjugate", counted)
+    assert len(enumerate_chambers(surface_grading(EIGHT_RAYS))) == 122
+    assert len(calls) == 28
+    calls.clear()
+    rng = random.Random(3)
+    degrees = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)]
+    assert len(enumerate_chambers(GradingSpec.from_columns(degrees))) == 145
+    assert len(calls) == 120
 
 
 # ---------------------------------------------------------- cox grading

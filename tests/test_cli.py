@@ -799,6 +799,7 @@ MALFORMED_DOCUMENTS = {
     "MATRIX_WITHOUT_V2": {"matrix": [[1, 0], [0, 1]], "v1": [1, 0], "v3": [0, 1]},
     "ZERO_DENOMINATOR": {"vertices": [[0, 0], ["1/0", 0], [0, 1]]},
     "RAGGED_VERTICES": {"vertices": [[0, 0], [1]]},
+    "ZERO_TORSION": {"free_rank": 1, "torsion": [0], "degrees": [[1, 0], [1, 1]]},
 }
 
 
@@ -825,6 +826,14 @@ MALFORMED_DOCUMENTS = {
         (["blowup-analyze", "--polygon", "RAGGED_VERTICES", "--k", "1"], 1),
         (["blowup-analyze", "--weights", "12,13,17", "--k", "0"], 2),
         (["blowup-analyze", "--weights", "12,13,17", "--k", "-51"], 2),
+        (["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "0"], 2),
+        (["blowup-analyze", "--weights", "12,13,17", "--k", "51", "--m-max", "35"], 2),
+        (["chambers", "--grading", "ZERO_TORSION"], 1),
+        (["chamber", "--grading", "ZERO_TORSION", "--class", "1"], 1),
+        (["is-cox-grading", "--grading", "ZERO_TORSION"], 1),
+        (["eff", "--grading", "ZERO_TORSION"], 1),
+        (["mov", "--grading", "ZERO_TORSION"], 1),
+        (["plot", "--chambers", "ZERO_TORSION"], 1),
         (["positivity", "--fan", data("fan_octahedron.json"), "--divisor",
           "1,1,1,1,1,1,1,1"], 2),
         (["intersect-nef", "--fan", data("fan_p3.json"), "--d1", "0,0,0,1",
@@ -838,6 +847,9 @@ MALFORMED_DOCUMENTS = {
          "veronese-cone-list", "lm-matrix-missing-v2", "lm-matrix-list",
          "polytope-zero-denominator", "plot-ragged-vertices",
          "blowup-ragged-vertices", "blowup-k-zero", "blowup-k-negative",
+         "blowup-m-max-zero", "blowup-vertex-value-too-long", "chambers-zero-torsion",
+         "chamber-zero-torsion", "is-cox-zero-torsion", "eff-zero-torsion",
+         "mov-zero-torsion", "plot-zero-torsion",
          "positivity-not-simplicial", "intersect-not-surface", "intersect-not-complete"],
 )
 def test_malformed_input_reports_error(argv, code, tmp_path, capsys):

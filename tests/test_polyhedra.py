@@ -38,15 +38,12 @@ from coxkit.polyhedra import (
     NotPointed,
     Polytope,
     dd_convert,
-    dual_cone,
     hilbert_basis,
     intersect,
     lattice_columns,
     lattice_points,
-    membership,
     polytope_from_inequalities,
     polytope_from_points,
-    relative_interior_point,
 )
 
 DELTA_VERTICES = [(11, -26), (50, 0), (-1, 34)]
@@ -409,14 +406,14 @@ def test_dd_roundtrip():
 
 def test_dual_examples():
     quad = dd_convert(generators=[(1, 0), (0, 1)], ambient_dim=2)
-    assert dual_cone(quad) == quad
+    assert quad.dual() == quad
     ray = dd_convert(generators=[(1, 0)], ambient_dim=2)
-    half = dual_cone(ray)
+    half = ray.dual()
     assert half.lineality_dim == 1
     assert half.membership((5, -17)) != "outside"
     assert half.membership((-1, 0)) == "outside"
     oblique = dd_convert(generators=[(1, 0), (1, 2)], ambient_dim=2)
-    assert sorted(dual_cone(oblique).generators) == [(0, 1), (2, -1)]
+    assert sorted(oblique.dual().generators) == [(0, 1), (2, -1)]
 
 
 def test_dual_dual_identity_random():
@@ -425,7 +422,7 @@ def test_dual_dual_identity_random():
     for dim in (2, 3, 4):
         for _ in range(34):
             c = random_cone(rng, dim)
-            assert dual_cone(dual_cone(c)) == c
+            assert c.dual().dual() == c
             count += 1
     assert count >= 100
 
@@ -472,11 +469,11 @@ def test_intersect_dim_mismatch():
 
 def test_membership_cases():
     quad = dd_convert(generators=[(1, 0), (0, 1)], ambient_dim=2)
-    assert membership(quad, (0, 0)) == "boundary"
-    assert membership(quad, (1, 1)) == "inside"
-    assert membership(quad, (1, 0)) == "boundary"
-    assert membership(quad, (-1, 2)) == "outside"
-    assert membership(quad, (Fraction(1, 3), Fraction(2, 7))) == "inside"
+    assert quad.membership((0, 0)) == "boundary"
+    assert quad.membership((1, 1)) == "inside"
+    assert quad.membership((1, 0)) == "boundary"
+    assert quad.membership((-1, 2)) == "outside"
+    assert quad.membership((Fraction(1, 3), Fraction(2, 7))) == "inside"
 
 
 def test_membership_fraction_coordinates():
@@ -500,14 +497,14 @@ def test_membership_fraction_coordinates():
 def test_relative_interior_point():
     for n in (2, 3, 5):
         c = dd_convert(generators=[(1, 0), (n, 1)], ambient_dim=2)
-        p = relative_interior_point(c)
+        p = c.relative_interior_point()
         assert all(dot(f, p) > 0 for f in c.facets)
     # n = 2 gives the sum of generators
     c = dd_convert(generators=[(1, 0), (2, 1)], ambient_dim=2)
-    assert relative_interior_point(c) == (3, 1)
+    assert c.relative_interior_point() == (3, 1)
     # a ray: strict on walls, zero on the span equations
     ray = dd_convert(generators=[(1, 1)], ambient_dim=2)
-    p = relative_interior_point(ray)
+    p = ray.relative_interior_point()
     assert any(p)
     assert ray.membership(p) != "outside"
 
