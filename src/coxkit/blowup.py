@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .fans import fans_unimodular_equivalent, normal_fan, weighted_projective_fan
-from .linalg import PANEL_WIDTH, IntMatrix, _limbs, certified_nullity, dot, int_rank_mod
-from .linalg import modular_primes, primitive, smith_normal_form
+from .linalg import PANEL_WIDTH, IntMatrix, _clear_denominators, _limbs, certified_nullity, dot
+from .linalg import int_rank_mod, modular_primes, primitive, smith_normal_form
 from .polyhedra import Polytope, lattice_columns, lattice_points, polytope_from_points
 from .polyhedra import lattice_point_count
 
@@ -318,8 +318,7 @@ def order_at_e(f: LaurentPoly) -> int:
         raise ZeroPolynomial("order of the zero polynomial is undefined")
     supp = f.support()
     bound = _width(supp)
-    scale = math.lcm(*(c.denominator for _, c in f.terms))
-    coeffs = [int(c * scale) for _, c in f.terms]
+    coeffs = _clear_denominators([c for _, c in f.terms])
     values = functional_values(supp, coeffs, bound + 1)[:, :, 0]
     i, j = (values != 0).nonzero()
     total = int((i + j).min(initial=bound + 1))

@@ -29,11 +29,12 @@ from .errors import PreconditionError
 from .linalg import (
     IntMatrix,
     _adjugate,
+    _clear_denominators,
     dot,
     primitive,
     smith_normal_form,
 )
-from .polyhedra import Cone, _clear_denominators, dd_convert, intersect, zero_cone
+from .polyhedra import Cone, dd_convert, intersect, zero_cone
 
 DEFINING_SUBSETS_CAP = 10**4
 CHAMBER_CAP = 10**3

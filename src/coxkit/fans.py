@@ -20,7 +20,6 @@ from .linalg import (
     IntMatrix,
     _adjugate,
     dot,
-    hermite_normal_form,
     integer_kernel_saturated,
     primitive,
     smith_normal_form,
@@ -344,8 +343,7 @@ def weighted_projective_fan(*weights) -> Fan:
                 f"weights dropping index {i} have gcd {g}; any n must be coprime"
             )
     n = len(a) - 1
-    kernel = integer_kernel_saturated(IntMatrix([a]))
-    basis, _ = hermite_normal_form(kernel)
+    basis = integer_kernel_saturated(IntMatrix([a]))  # already in Hermite form
     rays = [basis.col(j) for j in range(n + 1)]
     for j, r in enumerate(rays):
         if vec_gcd(r) != 1:
@@ -371,33 +369,27 @@ def fans_unimodular_equivalent(f1: Fan, f2: Fan):
     """Lattice isomorphism mapping one fan onto the other, or None.
 
     Searches assignments of d linearly independent rays s_k of f1 to rays
-    t_k of f2.  The map T with T s_k = t_k has as row j the coordinates of
-    (t_k[j])_k in the rows of S^T (S the matrix of the s_k): that vector
-    times the adjugate D (S^T)^-1, D = det S, divided by D.  D and the
-    adjugate come from `_adjugate`; there is no T when some quotient is
-    not exact.  Since det T = det(t_k) / D must be +-1, T is built only
-    for targets with det(t_k) = +-D, and kept when it is integral and
-    matches the ray sets and the maximal cone structure.  Desk scale: few
-    rays only.
+    t_k of f2, the s_k the first d rays in combinations order with D =
+    det S != 0 (S the matrix of the s_k).  The map T with T s_k = t_k has
+    as row j the coordinates of (t_k[j])_k in the rows of S^T: that vector
+    times the adjugate D (S^T)^-1, divided by D.  D and the adjugate come
+    from `_adjugate`; there is no T when some quotient is not exact.
+    Since det T = det(t_k) / D must be +-1, T is built only for targets
+    with det(t_k) = +-D, and kept when it is integral and matches the ray
+    sets and the maximal cone structure.  Desk scale: few rays only.
     """
     if f1.lattice_dim != f2.lattice_dim or len(f1.rays) != len(f2.rays):
         return None
     if len(f1.max_cones) != len(f2.max_cones):
         return None
     d = f1.lattice_dim
-    # first d linearly independent rays of f1
-    base = []
-    for i, r in enumerate(f1.rays):
-        trial = base + [i]
-        m = IntMatrix([f1.rays[j] for j in trial], cols=d)
-        if smith_normal_form(m).rank == len(trial):
-            base = trial
-        if len(base) == d:
-            break
-    if len(base) < d:
-        return None
     # adj S^T = D (S^T)^-1: row k solves x S^T = D e_k
-    D, adj = _adjugate(list(zip(*(f1.rays[i] for i in base))))
+    for base in itertools.combinations(f1.rays, d):
+        D, adj = _adjugate(list(zip(*base)))
+        if D:
+            break
+    else:
+        return None
     adj = IntMatrix(adj, cols=d)
     ray_set2 = set(f2.rays)
     cone_family2 = {frozenset(f2.rays[i] for i in c) for c in f2.max_cones}

@@ -77,6 +77,15 @@ def primitive(v):
     return tuple(int(x) // g for x in v)
 
 
+def _clear_denominators(v):
+    """Integer vector: v times the (positive) lcm of its denominators."""
+    if all(isinstance(x, int) for x in v):
+        return v
+    v = [Fraction(x) for x in v]
+    lcm = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (lcm // x.denominator) for x in v]
+
+
 def dot(u, v):
     return sum(map(operator.mul, u, v))
 
@@ -325,7 +334,6 @@ def hermite_normal_form(M: IntMatrix):
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     r = 0
-    pivots = []
     for c in range(m):
         # gcd-reduce entries of column c in rows r..n-1
         while True:
@@ -351,7 +359,6 @@ def hermite_normal_form(M: IntMatrix):
             q = a[i][c] // a[r][c]
             if q:
                 row_addmul(i, r, q)
-        pivots.append(c)
         r += 1
         if r == n:
             break
@@ -816,18 +823,8 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols})"
 
     def cleared_rows(self):
-        """Integer rows after scaling each row by the lcm of denominators."""
-        out = []
-        for row in self._r:
-            lcm = 1
-            for x in row:
-                if not isinstance(x, int):
-                    lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-            if lcm == 1:
-                out.append([int(x) for x in row])
-            else:
-                out.append([int(x * lcm) for x in row])
-        return out
+        """Integer rows: each row times the lcm of its denominators."""
+        return [list(_clear_denominators(row)) for row in self._r]
 
 
 # Lifting stops here: LIFTING_STEP_CAP digits mod p > 2^20 carry more than

@@ -3,7 +3,8 @@
 Cones carry both a generator and a facet (inward normal) representation,
 kept consistent by exact double-description conversion: an incremental
 double description over Z (Motzkin et al. 1953) that decides adjacency of
-rays combinatorially from their zero sets (Fukuda and Prodon 1996).  A
+rays combinatorially from their zero sets (Fukuda and Prodon 1996), of
+the cone that vectors generate: facet normals cut out its dual.  A
 pointed full-dimensional cone takes that one conversion: its irredundant
 inputs are read off their zero sets on the output.  Any other cone
 converts the output back as well, and one with lineality takes one Smith
@@ -33,6 +34,7 @@ from fractions import Fraction
 from .errors import PreconditionError
 from .linalg import (
     IntMatrix,
+    _clear_denominators,
     dot,
     int_inverse_unimodular,
     integer_kernel_saturated,
@@ -64,15 +66,6 @@ class DeterminantTooLarge(PreconditionError):
 
 HILBERT_DET_CAP = 10**4
 LATTICE_DIM_CAP = 4
-
-
-def _clear_denominators(v):
-    """Integer vector: v times the (positive) lcm of its denominators."""
-    if all(isinstance(x, int) for x in v):
-        return v
-    v = [Fraction(x) for x in v]
-    lcm = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (lcm // x.denominator) for x in v]
 
 
 def _scale_primitive(v):
@@ -245,7 +238,8 @@ class Cone:
         return tuple(sum(g[i] for g in self.generators) for i in range(self.ambient_dim))
 
     def dual(self):
-        """The dual cone; generator and facet roles swap exactly."""
+        """The dual cone, generator and facet roles swapped.  It is how
+        `dd_convert(facets=F)` reads F: as the dual of the cone F generates."""
         return Cone(
             ambient_dim=self.ambient_dim,
             generators=self.facets,
@@ -276,44 +270,35 @@ def dd_convert(generators=None, facets=None, ambient_dim=None):
     must be nonzero; an empty facet list describes the whole space, while
     an empty generator list is rejected.
 
-    A pointed full-dimensional cone takes one double description and
-    `_irredundant`; only one with lineality or of lower dimension takes a
-    second, of the output, for the canonical lift of its rays.
+    The cone the vectors generate is converted; the cone facets F cut out
+    is its dual (Minkowski-Weyl), and {0} is returned at once.  A pointed
+    full-dimensional cone takes one double description and `_irredundant`;
+    only one with lineality or of lower dimension takes a second, of the
+    output, for the canonical lift of its rays.
     """
     if (generators is None) == (facets is None):
         raise ValueError("exactly one of generators or facets required")
     if ambient_dim is None:
         raise ValueError("ambient_dim required")
-    if generators is not None:
-        if len(generators) == 0:
-            raise EmptyInput("no generators given")
-        gens = [primitive(g) for g in generators]
-        if any(not any(g) for g in gens):
-            raise EmptyInput("zero vector among generators")
-        if any(len(g) != ambient_dim for g in gens):
-            raise DimensionMismatch("generator dimension mismatch")
-        frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
-        facet_list = _with_lineality(frays, flin)
-        grays, glin = None if flin else _irredundant(gens, frays), []
-        if grays is None:
-            grays, glin = _extreme_rays_of_halfspaces(facet_list, ambient_dim)
-        gens = _with_lineality(grays, glin)
-    else:
-        fac = [primitive(f) for f in facets]
-        if any(not any(f) for f in fac):
-            raise EmptyInput("zero vector among facets")
-        if any(len(f) != ambient_dim for f in fac):
-            raise DimensionMismatch("facet dimension mismatch")
-        grays, glin = _extreme_rays_of_halfspaces(fac, ambient_dim)
-        gens = _with_lineality(grays, glin)
-        if not gens:
-            return zero_cone(ambient_dim)
-        frays, flin = None if glin else _irredundant(fac, grays), []
-        if frays is None:
-            frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
-        facet_list = _with_lineality(frays, flin)
+    kind, vectors = ("generator", generators) if facets is None else ("facet", facets)
+    if facets is None and len(generators) == 0:
+        raise EmptyInput("no generators given")
+    vectors = [primitive(v) for v in vectors]
+    if any(not any(v) for v in vectors):
+        raise EmptyInput(f"zero vector among {kind}s")
+    if any(len(v) != ambient_dim for v in vectors):
+        raise DimensionMismatch(f"{kind} dimension mismatch")
+    frays, flin = _extreme_rays_of_halfspaces(vectors, ambient_dim)
+    facet_list = _with_lineality(frays, flin)
+    if facets is not None and not facet_list:  # the facets generate the whole space
+        return zero_cone(ambient_dim)
+    grays, glin = None if flin else _irredundant(vectors, frays), []
+    if grays is None:
+        grays, glin = _extreme_rays_of_halfspaces(facet_list, ambient_dim)
     # flin spans the orthogonal complement of the cone's span
-    return Cone(ambient_dim, gens, facet_list, len(glin), ambient_dim - len(flin))
+    cone = Cone(ambient_dim, _with_lineality(grays, glin), facet_list, len(glin),
+                ambient_dim - len(flin))
+    return cone if facets is None else cone.dual()
 
 
 def zero_cone(ambient_dim):

@@ -23,6 +23,7 @@ from coxkit.linalg import (
     IntMatrix,
     NullityProof,
     RatMatrix,
+    _clear_denominators,
     certified_nullity,
     dot,
     int_inverse_unimodular,
@@ -36,9 +37,9 @@ from coxkit.polyhedra import (
     Cone,
     DimensionMismatch,
     EmptyInput,
-    _clear_denominators,
     _double_description,
     _extreme_rays_of_halfspaces,
+    _irredundant,
     _triangulate_pointed,
     _with_lineality,
     dd_convert,
@@ -846,6 +847,81 @@ def dd_convert_two_pass(generators=None, facets=None, ambient_dim=None):
         frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
         facet_list = _with_lineality(frays, flin)
     return Cone(ambient_dim, gens, facet_list, len(glin), ambient_dim - len(flin))
+
+
+def dd_convert_by_branches(generators=None, facets=None, ambient_dim=None):
+    """`polyhedra.dd_convert` with one branch per form: facets are
+    converted to generators and back, mirroring the generator branch,
+    instead of being read as the dual of the cone they generate."""
+    if (generators is None) == (facets is None):
+        raise ValueError("exactly one of generators or facets required")
+    if ambient_dim is None:
+        raise ValueError("ambient_dim required")
+    if generators is not None:
+        if len(generators) == 0:
+            raise EmptyInput("no generators given")
+        gens = [primitive(g) for g in generators]
+        if any(not any(g) for g in gens):
+            raise EmptyInput("zero vector among generators")
+        if any(len(g) != ambient_dim for g in gens):
+            raise DimensionMismatch("generator dimension mismatch")
+        frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
+        facet_list = _with_lineality(frays, flin)
+        grays, glin = None if flin else _irredundant(gens, frays), []
+        if grays is None:
+            grays, glin = _extreme_rays_of_halfspaces(facet_list, ambient_dim)
+        gens = _with_lineality(grays, glin)
+    else:
+        fac = [primitive(f) for f in facets]
+        if any(not any(f) for f in fac):
+            raise EmptyInput("zero vector among facets")
+        if any(len(f) != ambient_dim for f in fac):
+            raise DimensionMismatch("facet dimension mismatch")
+        grays, glin = _extreme_rays_of_halfspaces(fac, ambient_dim)
+        gens = _with_lineality(grays, glin)
+        if not gens:
+            return zero_cone(ambient_dim)
+        frays, flin = None if glin else _irredundant(fac, grays), []
+        if frays is None:
+            frays, flin = _extreme_rays_of_halfspaces(gens, ambient_dim)
+        facet_list = _with_lineality(frays, flin)
+    return Cone(ambient_dim, gens, facet_list, len(glin), ambient_dim - len(flin))
+
+
+def fans_unimodular_equivalent_by_smith(f1, f2):
+    """`fans.fans_unimodular_equivalent` with its source basis found
+    greedily: each ray of f1 in turn joins the basis when the Smith form
+    of the rays so far has full rank."""
+    if f1.lattice_dim != f2.lattice_dim or len(f1.rays) != len(f2.rays):
+        return None
+    if len(f1.max_cones) != len(f2.max_cones):
+        return None
+    d = f1.lattice_dim
+    base = []
+    for i in range(len(f1.rays)):
+        trial = base + [i]
+        if smith_normal_form(IntMatrix([f1.rays[j] for j in trial], cols=d)).rank == len(trial):
+            base = trial
+        if len(base) == d:
+            break
+    if len(base) < d:
+        return None
+    D, adj = linalg._adjugate(list(zip(*(f1.rays[i] for i in base))))
+    adj = IntMatrix(adj, cols=d)
+    ray_set2 = set(f2.rays)
+    cone_family2 = {frozenset(f2.rays[i] for i in c) for c in f2.max_cones}
+    for targets in itertools.permutations(f2.rays, d):
+        if abs(linalg._adjugate(targets)[0]) != abs(D):
+            continue
+        scaled = (IntMatrix(targets, cols=d).transpose() * adj).row_list()
+        if any(x % D for row in scaled for x in row):
+            continue
+        T = IntMatrix([[x // D for x in row] for row in scaled], cols=d)
+        if {T.apply(r) for r in f1.rays} != ray_set2:
+            continue
+        if {frozenset(T.apply(f1.rays[i]) for i in c) for c in f1.max_cones} == cone_family2:
+            return T
+    return None
 
 
 def check_fan_pairwise(fan):

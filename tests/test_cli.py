@@ -800,6 +800,7 @@ MALFORMED_DOCUMENTS = {
     "ZERO_DENOMINATOR": {"vertices": [[0, 0], ["1/0", 0], [0, 1]]},
     "RAGGED_VERTICES": {"vertices": [[0, 0], [1]]},
     "ZERO_TORSION": {"free_rank": 1, "torsion": [0], "degrees": [[1, 0], [1, 1]]},
+    "LARGE_TRIANGLE": {"vertices": [[0, 0], [1000, 0], [0, 1000]]},  # 501,501 points
 }
 
 
@@ -821,6 +822,10 @@ MALFORMED_DOCUMENTS = {
         (["veronese", "--degree-matrix", "1,1", "--target-cone", "LIST_DOCUMENT"], 1),
         (["lm-project", "--n", "10", "--matrix", "MATRIX_WITHOUT_V2"], 1),
         (["lm-project", "--n", "10", "--matrix", "LIST_DOCUMENT"], 1),
+        (["lm-project", "--n", "10", "--weights", "1,2"], 1),
+        (["lm-project", "--n", "10", "--weights", "1,2,3,5"], 1),
+        (["plot", "--polygon", "LARGE_TRIANGLE"], 2),
+        (["sections", "--fan", data("fan_p2.json"), "--divisor", "0,0,2000"], 2),
         (["plot", "--polygon", "ZERO_DENOMINATOR"], 1),
         (["plot", "--polygon", "RAGGED_VERTICES"], 1),
         (["blowup-analyze", "--polygon", "RAGGED_VERTICES", "--k", "1"], 1),
@@ -845,6 +850,8 @@ MALFORMED_DOCUMENTS = {
          "plot-points-ragged", "plot-point-three-coordinates", "curve-terms",
          "curve-terms-number", "cone-generators-number", "cone-list",
          "veronese-cone-list", "lm-matrix-missing-v2", "lm-matrix-list",
+         "lm-two-weights", "lm-four-weights", "plot-points-past-cap",
+         "sections-points-past-cap",
          "polytope-zero-denominator", "plot-ragged-vertices",
          "blowup-ragged-vertices", "blowup-k-zero", "blowup-k-negative",
          "blowup-m-max-zero", "blowup-vertex-value-too-long", "chambers-zero-torsion",

@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import check_fan_pairwise, det, is_face_by_conversion
+from helpers import (
+    check_fan_pairwise,
+    det,
+    fans_unimodular_equivalent_by_smith,
+    is_face_by_conversion,
+)
 
-from coxkit import fans
+from coxkit import fans, linalg
 from coxkit.fans import (
     BadWeights,
     Fan,
@@ -322,6 +327,19 @@ def random_gl(rng, d):
     return IntMatrix(rows)
 
 
+def relabelled(rng, fan):
+    """The image of `fan` under a random GL(d, Z) matrix, with rays and
+    cones shuffled."""
+    A = random_gl(rng, fan.lattice_dim)
+    order = rng.sample(range(len(fan.rays)), len(fan.rays))
+    where = {old: new for new, old in enumerate(order)}
+    return Fan(
+        fan.lattice_dim,
+        tuple(A.apply(fan.rays[i]) for i in order),
+        tuple(tuple(where[i] for i in c) for c in rng.sample(fan.max_cones, len(fan.max_cones))),
+    )
+
+
 def test_unimodular_equivalence_of_mapped_fans():
     """P(w) fans (d = 2, 3) and normal fans of random lattice polygons,
     mapped by a random GL(d, Z) matrix with rays and cones shuffled: the
@@ -342,15 +360,7 @@ def test_unimodular_equivalence_of_mapped_fans():
             if hull.dim() != 2:
                 continue
             fan = normal_fan(hull)
-        d = fan.lattice_dim
-        A = random_gl(rng, d)
-        order = rng.sample(range(len(fan.rays)), len(fan.rays))
-        where = {old: new for new, old in enumerate(order)}
-        image = Fan(
-            d,
-            tuple(A.apply(fan.rays[i]) for i in order),
-            tuple(tuple(where[i] for i in c) for c in rng.sample(fan.max_cones, len(fan.max_cones))),
-        )
+        image = relabelled(rng, fan)
         T = fans_unimodular_equivalent(fan, image)
         assert T is not None
         assert abs(det(T)) == 1
@@ -358,7 +368,74 @@ def test_unimodular_equivalence_of_mapped_fans():
         assert {frozenset(T.apply(fan.rays[i]) for i in c) for c in fan.max_cones} == {
             frozenset(image.rays[i] for i in c) for c in image.max_cones
         }
-        fans_seen[d] += 1
+        fans_seen[fan.lattice_dim] += 1
+
+
+def unimodular_fan_pairs():
+    """The P(12, 13, 17) normal fan and weighted_projective_fan(12, 13, 17),
+    Hirzebruch fans, and seeded fans (P(w), normal fans of random polygons,
+    random small ray families) against their relabelled images, one
+    another and themselves: equivalent and not, with the first d rays
+    dependent, and with rays spanning no full-rank lattice."""
+    pairs = [(normal_fan(polytope_from_points(DELTA_VERTICES)), weighted_projective_fan(12, 13, 17))]
+    pairs += [(hirzebruch_fan(a), hirzebruch_fan(b)) for a in range(4) for b in range(4)]
+    rng = random.Random(1729)
+    previous = projective_space_fan(2)
+    while len(pairs) < 150:
+        kind = rng.choice(("weights", "polygon", "small"))
+        if kind == "weights":
+            try:
+                fan = weighted_projective_fan(*(rng.randint(1, 7) for _ in range(rng.choice((3, 4)))))
+            except BadWeights:
+                continue
+        elif kind == "polygon":
+            hull = polytope_from_points(
+                [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 6))]
+            )
+            if hull.dim() != 2:
+                continue
+            fan = normal_fan(hull)
+        else:
+            fan = random_small_fan(rng)
+        fan = relabelled(rng, fan)
+        pairs += [(fan, relabelled(rng, fan)), (fan, previous), (fan, fan)]
+        previous = fan
+    flat = Fan(3, ((1, 0, 0), (0, 1, 0), (-1, -1, 0)), ((0, 1), (1, 2), (0, 2)))
+    return pairs + [(flat, flat), (flat, relabelled(rng, flat))]
+
+
+def test_unimodular_equivalence_matches_greedy_smith_basis():
+    """The source basis is the first d rays, in combinations order, with a
+    nonzero determinant.  Greedy on a matroid gives the lexicographically
+    first basis, so the map T equals the one found from the basis that
+    takes each ray whose Smith form keeps the rays so far independent."""
+    seen = set()
+    for f1, f2 in unimodular_fan_pairs():
+        T = fans_unimodular_equivalent(f1, f2)
+        assert T == fans_unimodular_equivalent_by_smith(f1, f2), (f1, f2)
+        d = f1.lattice_dim
+        seen.add("equivalent" if T is not None else "not equivalent")
+        if len(f1.rays) >= d and not det(IntMatrix(f1.rays[:d])):
+            seen.add("first rays dependent")
+        if smith_normal_form(IntMatrix(f1.rays)).rank < d:
+            seen.add("no basis")
+    assert seen == {"equivalent", "not equivalent", "first rays dependent", "no basis"}, seen
+
+
+def test_unimodular_equivalence_takes_no_smith_form(monkeypatch):
+    """The source basis comes from `_adjugate` determinants alone."""
+    calls = []
+    real = linalg.smith_normal_form
+
+    def counted(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    monkeypatch.setattr(fans, "smith_normal_form", counted)
+    found = [fans_unimodular_equivalent(f1, f2) is not None for f1, f2 in unimodular_fan_pairs()]
+    assert any(found) and not all(found)
+    assert calls == []
 
 
 def random_small_fan(rng):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    dd_convert_by_branches,
     dd_convert_two_pass,
     det,
     dim_by_smith,
@@ -22,6 +23,7 @@ from helpers import (
 )
 
 from coxkit import linalg, polyhedra
+from coxkit.errors import PreconditionError
 from coxkit.linalg import (
     IntMatrix,
     dot,
@@ -311,6 +313,61 @@ def test_one_pass_conversion_matches_two_pass_oracle():
             elif got.generators and len(set(map(primitive, vs))) > len(getattr(got, key)):
                 seen.add("pointed, full-dimensional, redundant inputs")
     assert seen == {"lineality", "lower-dimensional", "pointed, full-dimensional, redundant inputs"}
+
+
+def conversion_outcome(convert, **kwargs):
+    """Every field of the cone `convert` builds, or its refusal's type and
+    message."""
+    try:
+        c = convert(**kwargs)
+    except (ValueError, PreconditionError) as exc:
+        return type(exc), str(exc)
+    return c.generators, c.facets, c.lineality_dim, c.dim()
+
+
+def test_facet_form_is_the_dual_of_the_generated_cone():
+    """`dd_convert(facets=F)` is `.dual()` of the cone F generates: every
+    field and every refusal equals the conversion with one branch per form,
+    on random families in both forms, some with a zero vector or a vector
+    of the wrong length, and on {0}, the whole space and empty inputs."""
+    rng = random.Random(2727)
+    cases = [
+        {"facets": [], "ambient_dim": 0},
+        {"facets": [], "ambient_dim": 1},
+        {"facets": [], "ambient_dim": 3},
+        {"generators": [], "ambient_dim": 2},
+        {"generators": [(1, 0)], "facets": [(1, 0)], "ambient_dim": 2},
+        {"ambient_dim": 2},
+        {"generators": [(1, 0)]},
+        {"facets": [(1, 0), (-1, 0), (0, 1), (0, -1)], "ambient_dim": 2},
+    ]
+    for _ in range(800):
+        dim = rng.randint(1, 4)
+        vs = random_vector_family(rng, dim)
+        if rng.random() < 0.1:
+            vs.insert(rng.randint(0, len(vs)), (0,) * dim)
+        elif rng.random() < 0.1:
+            vs.insert(rng.randint(0, len(vs)), (1,) * (dim + 1))
+        cases += [{key: vs, "ambient_dim": dim} for key in ("generators", "facets")]
+    seen = set()
+    for kwargs in cases:
+        got = conversion_outcome(dd_convert, **kwargs)
+        assert got == conversion_outcome(dd_convert_by_branches, **kwargs), kwargs
+        if len(got) == 2:
+            seen.add(got[0].__name__)
+            continue
+        gens, facets, lineality, dim = got
+        seen.update(
+            name for name, holds in (
+                ("zero cone", not gens), ("whole space", not facets),
+                ("lineality", lineality), ("lower-dimensional", dim < kwargs["ambient_dim"]),
+                ("pointed, full-dimensional", not lineality and dim == kwargs["ambient_dim"]),
+            ) if holds
+        )
+    assert seen == {
+        "ValueError", "EmptyInput", "DimensionMismatch", "zero cone", "whole space",
+        "lineality", "lower-dimensional", "pointed, full-dimensional",
+    }, seen
 
 
 def test_pointed_full_dimensional_conversion_is_one_double_description(monkeypatch):

@@ -66,6 +66,34 @@ def test_vanishing_operators_are_capped():
     assert found == ["capped"], found
 
 
+def test_one_cone_conversion_routine():
+    """Each exact job has one routine.  The double description is called
+    through `_extreme_rays_of_halfspaces` only inside
+    `polyhedra.dd_convert`, whose facet form is the dual of the cone the
+    facets generate, and rational vectors are cleared of denominators
+    only by `linalg._clear_denominators`.  Lists each call outside
+    `dd_convert` by its line, and each definition by its module."""
+    calls, definitions = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "dd_convert" and path.name == "polyhedra.py":
+                    allowed |= set(ast.walk(node))
+                if node.name == "_clear_denominators":
+                    definitions.append(path.name)
+        calls += [
+            "in dd_convert" if node in allowed else f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "_extreme_rays_of_halfspaces"
+        ]
+    assert set(calls) == {"in dd_convert"}, calls
+    assert definitions == ["linalg.py"], definitions
+
+
 def test_only_the_two_cleared_caches():
     """The library's only functools caches are `chambers._subset_cone` and
     `fans.fan_predicates`, the two that the benchmark clears before each
